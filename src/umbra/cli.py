@@ -25,17 +25,21 @@ import sys
 from decimal import Decimal
 from fractions import Fraction as Rat
 
-from .errors import ParseError, PreconditionError, VerificationFailure
+from .errors import ParseError, PreconditionError, UmbraError, VerificationFailure
 from .logarithmic import evaluate_numeric, log_sequence, tail_bound
 from .operators import DeltaOperator, Polynomial, ShiftInvariantOperator, expand_in_basis, lagrange_inversion
 from .parsing import elaborate, parse_operator, pretty
 from .sequences import connection_constants, generate_transfer
-from .series import compositional_inverse, monomial
+from .series import TruncatedSeries, compose, monomial
 from .suites import SUITE_NAMES, run_suite
 
 DEFAULT_ORDER = 16
 DEFAULT_DEPTH = 12
 DEFAULT_FORMAT = "json"
+
+
+class UsageError(UmbraError):
+    """A malformed flag or config value; the CLI maps these to exit code 2."""
 
 
 # -- configuration --------------------------------------------------------
@@ -57,7 +61,12 @@ def _read_config(path: str) -> dict:
             raise PreconditionError(f"config line {i} is not key=value")
         key, value = (part.strip() for part in text.split("=", 1))
         if key in ("order", "depth"):
-            out[key] = int(value)
+            try:
+                out[key] = int(value)
+            except ValueError as err:
+                raise UsageError(
+                    f"config line {i}: {key} must be an integer, got {value!r}"
+                ) from err
         elif key == "format":
             out[key] = value
         else:
@@ -79,6 +88,8 @@ def _resolve_settings(args) -> dict:
     depth = args.depth
     if depth is None:
         depth = config.get("depth")
+    if depth is not None and depth < 1:
+        raise UsageError(f"depth must be a positive integer, got {depth}")
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = config.get("format")
@@ -235,11 +246,10 @@ def _cmd_invert(args, settings, params):
     op = _delta_from(args.op, params, order)
     k_max = args.n if args.n is not None else order - 2
     coeffs = lagrange_inversion(op.series, monomial(1), k_max)
-    newton = compositional_inverse(op.series)
-    status = "match"
-    for k in range(1, k_max + 1):
-        if k < newton.order and newton.coefficient(k) != coeffs[k - 1]:
-            status = "mismatch"
+    # Certificate: f(g(t)) = t on every exponent the truncations determine.
+    g = TruncatedSeries(dict(enumerate(coeffs, start=1)), len(coeffs) + 1)
+    residual = compose(op.series, g) - monomial(1)
+    status = "match" if residual.is_zero else "mismatch"
     payload = {
         "operator": op.name,
         "coefficients": {str(k): _rat_str(c) for k, c in enumerate(coeffs, start=1)},
@@ -247,7 +257,8 @@ def _cmd_invert(args, settings, params):
     }
     if status != "match":
         raise VerificationFailure(
-            "Lagrange inversion disagrees with the Newton inverse", payload
+            f"the Lagrange inverse g fails f(g(t)) = t at t^{residual.valuation}",
+            payload,
         )
     return payload, True
 
@@ -444,6 +455,30 @@ def _render(command: str, payload: dict, settings: dict, ok: bool) -> str:
 # -- argument parsing -----------------------------------------------------
 
 
+def _rational(text: str) -> Rat:
+    try:
+        return Rat(text)
+    except (ValueError, ZeroDivisionError) as err:
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from err
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from err
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors in one line, like every other exit-2 error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message} (see --help)\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--order", type=int, default=None, help="working order (default 16, or UMBRA_ORDER)")
@@ -457,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="bind a rational parameter; identities with free parameters are certified at several rational points",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="umbra",
         description="Finite operator calculus on exact rational arithmetic.",
     )
@@ -493,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", "run a named identity suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--n", type=int, default=None, help="grid size where applicable")
+    p.add_argument("--n", type=_positive_int, default=None, help="grid size where applicable")
     p.add_argument(
         "--corrupt",
         action="store_true",
@@ -503,8 +538,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("eval", "evaluate a harmonic-log window numerically")
     p.add_argument("--op", required=True)
     p.add_argument("--n", type=int, default=None, help="degree (default 0)")
-    p.add_argument("--x0", type=Rat, required=True, help="evaluation point, rational like 5 or 7/2")
-    p.add_argument("--prec", type=int, default=28, help="decimal digits")
+    p.add_argument("--x0", type=_rational, required=True, help="evaluation point, rational like 5 or 7/2")
+    p.add_argument("--prec", type=_positive_int, default=28, help="decimal digits")
 
     return parser
 
@@ -533,7 +568,7 @@ def main(argv=None) -> int:
         params = _parse_params(args.param)
         payload, ok = _DISPATCH[args.command](args, settings, params)
         sys.stdout.write(_render(args.command, payload, settings, ok) + "\n")
-    except ParseError as err:
+    except (ParseError, UsageError) as err:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except PreconditionError as err:

@@ -20,7 +20,9 @@ valuation equal to its order.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction as Rat
+from math import gcd, lcm
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -377,52 +379,33 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 
 # -- compositional inverse ----------------------------------------------
 #
-# Newton iteration on plain coefficient lists: starting from g = t/f_1, the
-# update g <- g - (f(g) - t)/f'(g) doubles the number of correct
-# coefficients each round. The raw helpers below work on dense lists over
-# exponents [0, w) with no window bookkeeping; the public wrapper restores
-# the correct result order, which equals the input's order.
+# Lagrange reversion: with h = t/f, the inverse g has [t^k] g = [t^(k-1)] h^k / k.
+# The powers h^k are built by successive truncated products on dense lists
+# of integer numerators over one common denominator (the representation of
+# FLINT's fmpq_poly); each product is reduced by the gcd of its numerators
+# and denominator, and only the output coefficients become Fractions.
 
 
-def _raw_mul(a, b, w):
-    out = [Rat(0)] * w
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j >= w:
-                break
-            if bj != 0:
-                out[i + j] += ai * bj
-    return out
+def _mul_trunc(a, b, w):
+    """The first w coefficients of a*b for integer lists of length >= w."""
+    return [sum(map(operator.mul, a[: k + 1], b[k::-1])) for k in range(w)]
 
 
-def _raw_recip(a, w):
-    out = [Rat(0)] * w
-    out[0] = 1 / a[0]
-    for k in range(1, w):
-        acc = Rat(0)
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc += a[j] * out[k - j]
-        out[k] = -acc / a[0]
-    return out
-
-
-def _raw_compose(fc: dict, g, w):
-    # Horner over the exponents of f (a dict), g a dense list with g[0] = 0.
-    top = max(fc, default=-1)
-    acc = [Rat(0)] * w
-    for e in range(top, -1, -1):
-        acc = _raw_mul(acc, g, w)
-        c = fc.get(e)
-        if c is not None:
-            acc[0] += c
-    return acc
+def _reduce(nums, den):
+    """Cancel the common content of numerators and denominator."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
 
 
 def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     """The series g with f(g(t)) = g(f(t)) = t. Requires valuation exactly
-    one with a nonzero linear coefficient (a delta series)."""
+    one with a nonzero linear coefficient (a delta series).
+
+    Computed by Lagrange reversion, [t^k] g = [t^(k-1)] (t/f)^k / k. The
+    result is determined on the input's window; exact inputs that are not
+    monomials need an explicit order."""
     if f.is_zero or f.valuation != 1:
         raise PreconditionError("not a delta series")
     if f.order == INF:
@@ -438,16 +421,15 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     if n_out <= 2:
         # Only the linear coefficient is determined (or nothing at all).
         return TruncatedSeries({1: 1 / f.coeffs[1]}, n_out)
-    w = n_out  # work with exponents [0, w); correct range is [1, w)
-    fc = {e: c for e, c in f.coeffs.items() if 0 < e < w}
-    fpc = {e - 1: e * c for e, c in fc.items()}
-    g = [Rat(0)] * w
-    g[1] = 1 / f.coeffs[1]
-    correct = 1
-    while correct < w - 1:
-        fg = _raw_compose(fc, g, w)
-        fg[1] -= 1  # f(g) - t
-        update = _raw_mul(fg, _raw_recip(_raw_compose(fpc, g, w), w), w)
-        g = [gi - ui for gi, ui in zip(g, update)]
-        correct = min(2 * correct, w - 1)
-    return TruncatedSeries({k: g[k] for k in range(1, w)}, n_out)
+    w = n_out - 1  # h = t/f is needed on exponents [0, w)
+    unit = TruncatedSeries({e - 1: c for e, c in f.coeffs.items()}, f.order - 1)
+    recip = reciprocal(unit, order=w)
+    h = [recip.coefficient(k) for k in range(w)]
+    hd = lcm(*(c.denominator for c in h))
+    hn = [c.numerator * (hd // c.denominator) for c in h]
+    g = {1: Rat(hn[0], hd)}
+    p, pd = hn, hd  # h^k as numerators over pd
+    for k in range(2, n_out):
+        p, pd = _reduce(_mul_trunc(p, hn, w), pd * hd)
+        g[k] = Rat(p[k - 1], k * pd)
+    return TruncatedSeries(g, n_out)

@@ -58,6 +58,8 @@ def run_suite(
     corrupt: bool = False,
 ) -> dict:
     """Run one named suite and return its report."""
+    if n_max is not None and n_max < 1:
+        raise PreconditionError(f"n_max must be a positive integer, got {n_max}")
     params = {k: Rat(v) for k, v in dict(parameters or {}).items()}
     if name == "abel":
         return _suite_abel(params, n_max or 8, order, corrupt)

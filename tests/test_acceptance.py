@@ -108,8 +108,10 @@ def test_criterion_03_expansion_round_trips():
 
 
 def test_criterion_04_lagrange_matches_newton_to_order_20():
-    # Two independent inversion algorithms must agree: residue-style
-    # Lagrange coefficients vs the Newton fixed-point inverse.
+    # Two routes to the inverse must agree: residue-style Lagrange
+    # coefficients vs the power-form Lagrange reversion of
+    # compositional_inverse (test_series checks the latter against a
+    # Newton-iteration oracle).
     cases = [
         ("forward_difference", None),
         ("abel", Rat(1)),
@@ -255,3 +257,4 @@ def test_criterion_13_negative_controls():
     assert "position 5" in broken.stderr
     # whole-gate runtime budget
     assert time.monotonic() - _T0 < 60
+

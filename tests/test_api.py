@@ -1,0 +1,20 @@
+# Tests for the package's public surface: exported names and the
+# argument checks of the library entry points behind the CLI.
+import pytest
+
+import umbra
+from umbra.errors import PreconditionError
+from umbra.suites import run_suite
+
+
+def test_public_names_resolve():
+    missing = [name for name in umbra.__all__ if not hasattr(umbra, name)]
+    assert missing == []
+    assert "tail_bound" in umbra.__all__
+
+
+@pytest.mark.parametrize("n_max", [0, -1])
+def test_suite_size_must_be_positive(n_max):
+    # no silent fallback to the default size, no "pass" after 0 checks
+    with pytest.raises(PreconditionError, match="n_max must be a positive"):
+        run_suite("vandermonde", n_max=n_max)

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from umbra.cli import main
+from umbra.operators import lagrange_inversion
 
 # Every in-process test should be independent of the caller's environment.
 
@@ -163,6 +164,20 @@ class TestInvertCommand:
         doc = run_json(capsys, "invert", "--op", "exp(D)-1", "--order", "10")
         assert sorted(map(int, doc["result"]["coefficients"])) == list(range(1, 9))
 
+    def test_certificate_rejects_wrong_coefficients(self, capsys, monkeypatch):
+        # a coefficient list that is not the inverse fails f(g(t)) = t
+        def corrupted(*args):
+            coeffs = lagrange_inversion(*args)
+            coeffs[2] += 1
+            return coeffs
+
+        monkeypatch.setattr("umbra.cli.lagrange_inversion", corrupted)
+        code, out, err = run_cli(capsys, "invert", "--op", "D*exp(D)", "--n", "6")
+        assert code == 4
+        assert out == ""
+        assert "f(g(t)) = t at t^3" in err
+        assert "Newton" not in err
+
 
 class TestConnectCommand:
     def test_upper_to_lower_closed_form(self, capsys):
@@ -230,6 +245,69 @@ class TestEvalCommand:
         doc = run_json(capsys, "eval", "--op", "D", "--n", "-2", "--x0", "7/2")
         assert abs(float(doc["result"]["value"]) - 4 / 49) < 1e-15
         assert doc["result"]["tail_bound"] is None
+
+
+class TestInputErrors:
+    """Malformed flags and config values exit 2 with a one-line message."""
+
+    def assert_usage_error(self, capsys, *argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "Traceback" not in err
+        return err
+
+    def test_x0_zero_denominator(self, capsys):
+        err = self.assert_usage_error(
+            capsys, "eval", "--op", "exp(D)-1", "--x0", "1/0"
+        )
+        assert "--x0" in err
+
+    @pytest.mark.parametrize("prec", ["0", "-3"])
+    def test_nonpositive_prec(self, capsys, prec):
+        err = self.assert_usage_error(
+            capsys, "eval", "--op", "exp(D)-1", "--x0", "10", "--prec", prec
+        )
+        assert "--prec" in err
+
+    @pytest.mark.parametrize("key", ["order", "depth"])
+    def test_non_integer_config_value(self, capsys, tmp_path, key):
+        cfg = tmp_path / "umbra.cfg"
+        cfg.write_text(f"{key}=abc\n")
+        err = self.assert_usage_error(
+            capsys, "logseq", "--op", "D", "--n", "1", "--config", str(cfg)
+        )
+        assert f"{key} must be an integer" in err
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_nonpositive_verify_size(self, capsys, n):
+        # neither a silent default size nor a "pass" after 0 checks
+        err = self.assert_usage_error(
+            capsys, "verify", "--suite", "vandermonde", "--n", n
+        )
+        assert "--n" in err
+
+    @pytest.mark.parametrize("command", ["logseq", "eval"])
+    @pytest.mark.parametrize("depth", ["0", "-2"])
+    def test_nonpositive_depth_flag(self, capsys, command, depth):
+        extra = ("--x0", "10") if command == "eval" else ()
+        err = self.assert_usage_error(
+            capsys, command, "--op", "exp(D)-1", "--n", "0", *extra,
+            "--depth", depth,
+        )
+        assert "depth must be a positive integer" in err
+
+    @pytest.mark.parametrize("command", ["logseq", "eval"])
+    def test_nonpositive_depth_config(self, capsys, tmp_path, command):
+        cfg = tmp_path / "umbra.cfg"
+        cfg.write_text("depth = 0\n")
+        extra = ("--x0", "10") if command == "eval" else ()
+        err = self.assert_usage_error(
+            capsys, command, "--op", "exp(D)-1", "--n", "0", *extra,
+            "--config", str(cfg),
+        )
+        assert "depth must be a positive integer" in err
 
 
 class TestConfigPrecedence:

@@ -210,8 +210,111 @@ class TestCompose:
 
 
 # -- compositional inverse ----------------------------------------------
+#
+# Oracle: the inverse by Newton iteration, g <- g - (f(g) - t)/f'(g), on
+# dense Fraction lists over exponents [0, w). It shares no code with the
+# library's Lagrange reversion; each round doubles the correct prefix.
+
+
+def _dense_mul(a, b, w):
+    out = [Rat(0)] * w
+    for i, ai in enumerate(a):
+        if ai == 0:
+            continue
+        for j, bj in enumerate(b):
+            if i + j >= w:
+                break
+            if bj != 0:
+                out[i + j] += ai * bj
+    return out
+
+
+def _dense_recip(a, w):
+    out = [Rat(0)] * w
+    out[0] = 1 / a[0]
+    for k in range(1, w):
+        acc = Rat(0)
+        for j in range(1, min(k, len(a) - 1) + 1):
+            acc += a[j] * out[k - j]
+        out[k] = -acc / a[0]
+    return out
+
+
+def _dense_compose(fc, g, w):
+    # Horner over the exponents of f (a dict), g a dense list with g[0] = 0.
+    acc = [Rat(0)] * w
+    for e in range(max(fc, default=-1), -1, -1):
+        acc = _dense_mul(acc, g, w)
+        if e in fc:
+            acc[0] += fc[e]
+    return acc
+
+
+def _newton_inverse(f, n_out):
+    """Inverse of the delta series f on the window [1, n_out)."""
+    w = n_out
+    fc = {e: c for e, c in f.coeffs.items() if 0 < e < w}
+    fpc = {e - 1: e * c for e, c in fc.items()}
+    g = [Rat(0)] * max(w, 2)
+    g[1] = 1 / f.coeffs[1]
+    correct = 1
+    while correct < w - 1:
+        fg = _dense_compose(fc, g, w)
+        fg[1] -= 1  # f(g) - t
+        update = _dense_mul(fg, _dense_recip(_dense_compose(fpc, g, w), w), w)
+        g = [gi - ui for gi, ui in zip(g, update)]
+        correct = min(2 * correct, w - 1)
+    return TruncatedSeries({k: g[k] for k in range(1, w)}, n_out)
+
+
+@st.composite
+def delta_inputs(draw):
+    """(f, order): a truncated delta series of order 3..24 with an optional
+    result order, or an exact delta polynomial with an explicit order."""
+    n = draw(st.integers(3, 24))
+    linear = draw(small_rat.filter(lambda c: c != 0))
+    if draw(st.booleans()):
+        higher = draw(st.lists(small_rat, min_size=1, max_size=4))
+        return from_coeffs([0, linear, *higher], order=INF), n
+    higher = draw(st.lists(small_rat, min_size=n - 2, max_size=n - 2))
+    return from_coeffs([0, linear, *higher]), draw(st.none() | st.integers(1, n))
+
 
 class TestCompositionalInverse:
+    @given(delta_inputs())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_newton_oracle(self, case):
+        f, order = case
+        g = compositional_inverse(f, order=order)
+        if f.order == INF and len(f.coeffs) == 1:
+            assert g == monomial(1, 1 / f.coeffs[1])
+            return
+        n_out = f.order if order is None else min(f.order, order)
+        assert g == _newton_inverse(f, n_out)
+
+    def test_closed_forms_at_order_128(self):
+        # [DERIVED] the inverse of e^t - 1 is log(1+t), and the inverse of
+        # t e^t has coefficients (-k)^(k-1)/k!
+        g = compositional_inverse(exp_series(t, order=128) - constant(1))
+        assert g.order == 128
+        for k in range(1, 128):
+            assert g.coefficient(k) == Rat((-1) ** (k + 1), k), k
+        g = compositional_inverse(mul(t, exp_series(t, order=127)))
+        assert g.order == 128
+        for k in range(1, 128):
+            assert g.coefficient(k) == Rat((-k) ** (k - 1), factorial(k)), k
+
+    def test_exact_polynomial_with_order(self):
+        # [DERIVED] t + t^2 inverts to (sqrt(1+4t) - 1)/2, whose
+        # coefficients are signed Catalan numbers (-1)^(k-1) C_(k-1)
+        g = compositional_inverse(from_coeffs([0, 1, 1], order=INF), order=9)
+        assert g.order == 9
+        assert [g.coefficient(k) for k in range(1, 9)] == [
+            1, -1, 2, -5, 14, -42, 132, -429,
+        ]
+        with pytest.raises(PreconditionError, match="explicit order"):
+            compositional_inverse(from_coeffs([0, 1, 1], order=INF))
+
     def test_mercator(self):
         # [DERIVED] the inverse of e^t - 1 is log(1+t) = sum (-1)^(k+1) t^k / k
         f = exp_series(t, order=12) - constant(1)
