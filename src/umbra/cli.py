@@ -27,10 +27,10 @@ from fractions import Fraction as Rat
 
 from .errors import ParseError, PreconditionError, UmbraError, VerificationFailure
 from .logarithmic import evaluate_numeric, log_sequence, tail_bound
-from .operators import DeltaOperator, Polynomial, ShiftInvariantOperator, expand_in_basis, lagrange_inversion
+from .operators import DeltaOperator, Polynomial, expand_in_basis, lagrange_inversion
 from .parsing import elaborate, parse_operator, pretty
 from .sequences import connection_constants, generate_transfer
-from .series import TruncatedSeries, compose, monomial
+from .series import INF, TruncatedSeries, compose, monomial
 from .suites import SUITE_NAMES, run_suite
 
 DEFAULT_ORDER = 16
@@ -192,8 +192,14 @@ def _sum_plain(items, var) -> str:
 
 
 def _delta_from(text: str, params: dict, order: int) -> DeltaOperator:
+    """The delta operator an expression names. An exact series that is not
+    a monomial is truncated at the working order, so that its reciprocal
+    and inverse are determined; exact monomials such as D stay exact."""
     tree = parse_operator(text, params)
-    return DeltaOperator(elaborate(tree, params, order), name=pretty(tree))
+    series = elaborate(tree, params, order)
+    if series.order == INF and len(series.coeffs) > 1:
+        series = series.truncate(order)
+    return DeltaOperator(series, name=pretty(tree))
 
 
 def _cmd_seq(args, settings, params):
@@ -231,12 +237,11 @@ def _cmd_expand(args, settings, params):
     order = settings["order"]
     ttree = parse_operator(args.op, params)
     target = elaborate(ttree, params, order)
-    qtree = parse_operator(args.op2 or "D", params)
-    basis = elaborate(qtree, params, order)
+    basis = _delta_from(args.op2 or "D", params, order)
     coeffs = expand_in_basis(target, basis, k_max=args.n)
     return {
         "operator": pretty(ttree),
-        "basis": pretty(qtree),
+        "basis": basis.name,
         "coefficients": {str(k): _rat_str(c) for k, c in enumerate(coeffs)},
     }, True
 
@@ -245,6 +250,10 @@ def _cmd_invert(args, settings, params):
     order = settings["order"]
     op = _delta_from(args.op, params, order)
     k_max = args.n if args.n is not None else order - 2
+    if k_max < 1:
+        raise UsageError(
+            f"the default --n is order - 2 = {k_max}, below 1; pass --n or --order 3 or more"
+        )
     coeffs = lagrange_inversion(op.series, monomial(1), k_max)
     # Certificate: f(g(t)) = t on every exponent the truncations determine.
     g = TruncatedSeries(dict(enumerate(coeffs, start=1)), len(coeffs) + 1)
@@ -265,10 +274,8 @@ def _cmd_invert(args, settings, params):
 
 def _cmd_connect(args, settings, params):
     order = settings["order"]
-    gtree = parse_operator(args.op, params)
-    htree = parse_operator(args.op2 or "D", params)
-    g = DeltaOperator(elaborate(gtree, params, order), name=pretty(gtree))
-    h = DeltaOperator(elaborate(htree, params, order), name=pretty(htree))
+    g = _delta_from(args.op, params, order)
+    h = _delta_from(args.op2, params, order)
     n_max = args.n if args.n is not None else 6
     matrix = connection_constants(g, h, n_max)
     rows = [
@@ -462,14 +469,19 @@ def _rational(text: str) -> Rat:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from err
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from err
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type accepting integers >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from err
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -515,20 +527,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p = add("expand", "coefficients of an operator in a delta basis")
     p.add_argument("--op", required=True, help="operator to expand")
     p.add_argument("--op2", default=None, help="delta basis (default D)")
-    p.add_argument("--n", type=int, default=None, help="highest power")
+    p.add_argument("--n", type=_int_at_least(0), default=None, help="highest power")
 
     p = add("invert", "compositional inverse by Lagrange inversion")
     p.add_argument("--op", required=True)
-    p.add_argument("--n", type=int, default=None, help="highest coefficient")
+    p.add_argument("--n", type=_int_at_least(1), default=None, help="highest coefficient")
 
     p = add("connect", "connection constants between two basic sequences")
     p.add_argument("--op", required=True, help="target basis operator")
     p.add_argument("--op2", required=True, help="source basis operator")
-    p.add_argument("--n", type=int, default=None, help="matrix size (default 6)")
+    p.add_argument("--n", type=_int_at_least(0), default=None, help="highest row (default 6)")
 
     p = add("verify", "run a named identity suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--n", type=_positive_int, default=None, help="grid size where applicable")
+    p.add_argument("--n", type=_int_at_least(1), default=None, help="grid size where applicable")
     p.add_argument(
         "--corrupt",
         action="store_true",
@@ -539,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True)
     p.add_argument("--n", type=int, default=None, help="degree (default 0)")
     p.add_argument("--x0", type=_rational, required=True, help="evaluation point, rational like 5 or 7/2")
-    p.add_argument("--prec", type=_positive_int, default=28, help="decimal digits")
+    p.add_argument("--prec", type=_int_at_least(1), default=28, help="decimal digits")
 
     return parser
 

@@ -29,29 +29,19 @@ from typing import Mapping, Optional
 
 from .errors import PreconditionError
 from .numbers import roman_factorial, stirling_first
-from .operators import DeltaOperator, ShiftInvariantOperator
+from .operators import DeltaOperator, _delta_series, _series_of
 from .series import (
     INF,
     TruncatedSeries,
     constant,
     exp_series,
     formal_derivative,
-    from_coeffs,
     int_pow,
     monomial,
     mul,
-    reciprocal,
 )
 
 NEG_INF = float("-inf")
-
-
-def _series_of(T) -> TruncatedSeries:
-    if isinstance(T, ShiftInvariantOperator):
-        return T.series
-    if isinstance(T, TruncatedSeries):
-        return T
-    raise TypeError(f"expected an operator or series, got {T!r}")
 
 
 class HarmonicLogSeries:
@@ -289,19 +279,14 @@ def skip(s: HarmonicLogSeries, to_t: int) -> HarmonicLogSeries:
 # -- logarithmic basic sequences ------------------------------------------
 
 
-def _delta_series(f) -> TruncatedSeries:
-    fs = _series_of(f)
-    if fs.is_zero or fs.valuation != 1:
-        raise PreconditionError("not a delta series")
-    return fs
-
-
 def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     """Degree-n term of the logarithmic basic sequence of f, as a window
     of ``depth`` coefficients [n-depth+1, n] over the order-1 basis.
 
     Uses the transfer formula p_n = f'(D) (f/D)^(-n-1) lambda_n, valid for
     every integer n; the classical polynomials reappear for n >= 0."""
+    if depth < 1:
+        raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
     fs = _delta_series(f)
     fprime = formal_derivative(fs)
     g = mul(fs, monomial(-1))
@@ -354,28 +339,10 @@ def _forward_difference_series(order: int) -> TruncatedSeries:
 
 def log_lower_factorial(n: int, depth: int = 12) -> HarmonicLogSeries:
     """Degree-n logarithmic lower factorial (x)_n^(1): the log basic
-    sequence of the forward difference. For n >= 0 the result is
-    cross-checked against the higher-order Bernoulli expansion of the
-    transfer operator."""
+    sequence of the forward difference, as a window of ``depth``
+    coefficients."""
     order = depth + abs(n) + 3
-    fd = _forward_difference_series(order)
-    result = log_sequence(fd, n, depth)
-    if n >= 0:
-        # (D/(e^D - 1))^(n+1) = sum_k B_{k,n+1} D^k / k!, so the transfer
-        # operator factors through higher-order Bernoulli numbers; a
-        # disagreement would mean an internal inconsistency.
-        from .numbers import bernoulli_higher
-        from math import factorial
-
-        bern = TruncatedSeries(
-            {k: Rat(bernoulli_higher(k, n + 1), factorial(k)) for k in range(order - 1)},
-            order - 1,
-        )
-        shift1 = exp_series(monomial(1, 1), order=order)
-        alt = apply_operator(mul(shift1, bern), harmonic_log(n, 1))
-        if not result.agrees_with(alt.truncate_floor(max(alt.floor, result.floor))):
-            raise RuntimeError("internal cross-check failed for log lower factorial")
-    return result
+    return log_sequence(_forward_difference_series(order), n, depth)
 
 
 def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:

@@ -8,9 +8,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 from math import factorial
-from typing import Iterable, Sequence
+from typing import Iterable
+
+from .series import INF, constant, from_coeffs, int_pow, mul, reciprocal
 
 Rat = Fraction
 
@@ -42,33 +44,12 @@ def roman_coefficient(j: int, k: int) -> Rat:
 # caller supplies the working order bounding how many are determined.
 @cache
 def _stirling_first_row(n: int, order: int) -> tuple[Rat, ...]:
+    roots = range(n) if n >= 0 else range(-1, n - 1, -1)
+    prod = reduce(mul, (from_coeffs([-r, 1], order=INF) for r in roots), constant(1))
     if n >= 0:
-        # expand y(y-1)...(y-n+1) by repeated multiplication
-        coeffs = [Rat(1)]
-        for i in range(n):
-            shifted = [Rat(0)] + coeffs          # y * p(y)
-            for d, c in enumerate(coeffs):
-                shifted[d] -= i * c              # -i * p(y)
-            coeffs = shifted
-        return tuple(coeffs) + (Rat(0),) * max(0, order - len(coeffs))
-    # reciprocal of (y+1)(y+2)...(y+m), m = -n, to the requested order
-    m = -n
-    prod = [Rat(1)]
-    for i in range(1, m + 1):
-        nxt = [Rat(0)] * (len(prod) + 1)
-        for d, c in enumerate(prod):
-            nxt[d] += i * c
-            nxt[d + 1] += c
-        prod = nxt
-    # invert the polynomial as a power series: prod * inv = 1
-    inv = [Rat(0)] * order
-    inv[0] = 1 / prod[0]
-    for d in range(1, order):
-        acc = Rat(0)
-        for i in range(1, min(d, len(prod) - 1) + 1):
-            acc += prod[i] * inv[d - i]
-        inv[d] = -acc / prod[0]
-    return tuple(inv)
+        return tuple(prod.coefficient(d) for d in range(max(n + 1, order)))
+    row = reciprocal(prod, order=order)
+    return tuple(row.coefficient(d) for d in range(order))
 
 
 def stirling_first(n: int, k: int, order: int = 32) -> Rat:
@@ -97,27 +78,10 @@ def stirling_second(n: int, k: int) -> Rat:
 # higher-order numbers B_{k,n} come from the n-th power of that series.
 @cache
 def _bernoulli_gen_power(n: int, order: int) -> tuple[Rat, ...]:
-    # (t/(e^t - 1))^n as plain coefficients, computed by series reciprocal
-    # and repeated multiplication; kept local to avoid a circular import
-    # with the series engine.
-    base = [Rat(1, factorial(k + 1)) for k in range(order)]   # (e^t - 1)/t
-    inv = [Rat(0)] * order
-    inv[0] = Rat(1)
-    for d in range(1, order):
-        acc = Rat(0)
-        for i in range(1, d + 1):
-            acc += base[i] * inv[d - i]
-        inv[d] = -acc
-    out = [Rat(1)] + [Rat(0)] * (order - 1)
-    for _ in range(n):
-        nxt = [Rat(0)] * order
-        for d in range(order):
-            acc = Rat(0)
-            for i in range(d + 1):
-                acc += out[i] * inv[d - i]
-            nxt[d] = acc
-        out = nxt
-    return tuple(out)
+    # (t/(e^t - 1))^n as plain coefficients
+    base = from_coeffs([Rat(1, factorial(k + 1)) for k in range(order)])  # (e^t - 1)/t
+    power = int_pow(reciprocal(base), n)
+    return tuple(power.coefficient(d) for d in range(order))
 
 
 def bernoulli(k: int) -> Rat:
@@ -140,9 +104,5 @@ def elementary_symmetric(n: int, values: Iterable[Rat]) -> Rat:
     """Coefficient of y^n in the product of (1 + x_k y) over the given values."""
     if n < 0:
         raise ValueError("elementary_symmetric requires n >= 0")
-    vals: Sequence[Rat] = [Rat(v) for v in values]
-    coeffs = [Rat(1)] + [Rat(0)] * n
-    for v in vals:
-        for d in range(min(n, len(coeffs) - 1), 0, -1):
-            coeffs[d] += v * coeffs[d - 1]
-    return coeffs[n]
+    factors = (from_coeffs([1, v], order=n + 1) for v in values)
+    return reduce(mul, factors, constant(1)).coefficient(n)

@@ -31,6 +31,7 @@ from .series import (
     monomial,
     mul,
     reciprocal,
+    _dense_mul,
 )
 
 
@@ -105,11 +106,10 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Rat)):
             return self.scale(other)
-        out = [Rat(0)] * (len(self.coeffs) + len(other.coeffs))
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        if self.is_zero or other.is_zero:
+            return Polynomial()
+        w = len(self.coeffs) + len(other.coeffs) - 1
+        return Polynomial(_dense_mul(self.coeffs, other.coeffs, w))
 
     __rmul__ = __mul__
 
@@ -186,9 +186,7 @@ class DeltaOperator(ShiftInvariantOperator):
     """A shift-invariant operator whose series has valuation exactly one."""
 
     def __init__(self, series, name=None, parameters=None):
-        if series.is_zero or series.valuation != 1:
-            raise PreconditionError("not a delta series")
-        super().__init__(series, name, parameters)
+        super().__init__(_delta_series(series), name, parameters)
 
     def inverse_series(self, order=None) -> TruncatedSeries:
         """The compositional inverse of the operator's series."""
@@ -201,6 +199,15 @@ def _series_of(x) -> TruncatedSeries:
     if isinstance(x, TruncatedSeries):
         return x
     raise TypeError(f"expected an operator or series, got {x!r}")
+
+
+def _delta_series(x) -> TruncatedSeries:
+    """The series of an operator or series that must be a delta series:
+    valuation exactly one, with a nonzero linear coefficient."""
+    s = _series_of(x)
+    if s.is_zero or s.valuation != 1:
+        raise PreconditionError("not a delta series")
+    return s
 
 
 def apply_to_polynomial(T, p: Polynomial) -> Polynomial:
@@ -236,9 +243,7 @@ def expand_in_basis(T, Q, k_max: Optional[int] = None) -> list:
     expansion theorem: c_k = k! [t^k] (T's series composed with the
     compositional inverse of Q's series)."""
     ts = _series_of(T)
-    qs = _series_of(Q)
-    if qs.is_zero or qs.valuation != 1:
-        raise PreconditionError("not a delta series")
+    qs = _delta_series(Q)
     comp = compose(ts, compositional_inverse(qs))
     if k_max is None:
         if comp.order == INF:
@@ -258,9 +263,7 @@ def lagrange_inversion(f, g, k_max: int) -> list:
 
     Works for Laurent series g (negative d), where direct composition in
     the power-series ring does not apply."""
-    fs = _series_of(f)
-    if fs.is_zero or fs.valuation != 1:
-        raise PreconditionError("not a delta series")
+    fs = _delta_series(f)
     gs = _series_of(g)
     if gs.is_zero:
         raise PreconditionError("lagrange inversion requires a nonzero series")

@@ -16,17 +16,16 @@ from __future__ import annotations
 
 from fractions import Fraction as Rat
 from math import comb, factorial
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import PreconditionError
 from .operators import (
     DeltaOperator,
     Polynomial,
-    ShiftInvariantOperator,
+    _delta_series,
     apply_to_polynomial,
 )
 from .series import (
-    TruncatedSeries,
     compose,
     compositional_inverse,
     exp_series,
@@ -76,9 +75,7 @@ def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
     Terms beyond n_max are still available by indexing; n_max only controls
     how much is precomputed eagerly.
     """
-    fs = f.series
-    if fs.is_zero or fs.valuation != 1:
-        raise PreconditionError("not a delta series")
+    fs = _delta_series(f)
     fprime = formal_derivative(fs)
     ginv = reciprocal(mul(fs, monomial(-1)))  # (f/D)^(-1)
     state = {}
@@ -104,10 +101,7 @@ def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
 
 def generate_recurrence(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
     """Basic sequence by the recurrence p_n = x (f'(D))^(-1) p_{n-1}."""
-    fs = f.series
-    if fs.is_zero or fs.valuation != 1:
-        raise PreconditionError("not a delta series")
-    inv_fprime = reciprocal(formal_derivative(fs))
+    inv_fprime = reciprocal(formal_derivative(_delta_series(f)))
 
     def step(n, polys):
         if n == 0:
@@ -125,9 +119,7 @@ def conjugate_sequence(g, n_max: int = 0) -> BinomialSequence:
         p_n(x) = sum_k (n! [t^n] g(t)^k / k!) x^k,
 
     which form the basic sequence of the compositional inverse of g."""
-    gs = g.series if isinstance(g, ShiftInvariantOperator) else g
-    if gs.is_zero or gs.valuation != 1:
-        raise PreconditionError("not a delta series")
+    gs = _delta_series(g)
     powers = [None]  # g^0 handled separately
 
     def step(n, _polys):
@@ -157,9 +149,7 @@ def conjugate_sequence(g, n_max: int = 0) -> BinomialSequence:
 def taylor_expand(p: Polynomial, q: DeltaOperator) -> list:
     """Generalized Taylor coefficients d_k = (q^k p)(0) / k!, so that
     p = sum_k d_k q_k with q_k the basic sequence of q."""
-    qs = q.series if isinstance(q, ShiftInvariantOperator) else q
-    if qs.is_zero or qs.valuation != 1:
-        raise PreconditionError("not a delta series")
+    _delta_series(q)
     if p.is_zero:
         return [Rat(0)]
     out = []

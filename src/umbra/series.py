@@ -17,11 +17,17 @@ unless it is provably exact:
 
 The zero series is represented with an empty coefficient table and
 valuation equal to its order.
+
+Every product and reciprocal runs on one exact kernel: a run of
+coefficients becomes a dense list of integer numerators over one common
+denominator (the representation of FLINT's fmpq_poly), the arithmetic is
+done on those integers, and only the results become Fractions again.
 """
 from __future__ import annotations
 
 import operator
 from fractions import Fraction as Rat
+from itertools import repeat
 from math import gcd, lcm
 from typing import Mapping
 
@@ -48,6 +54,42 @@ def _mul_order(a, b):
         )
         return INF * sign if sign else 0
     return a * b
+
+
+# -- the exact kernel ----------------------------------------------------
+
+
+def _dense(values):
+    """A run of rationals as (integer numerators, common denominator)."""
+    den = lcm(*(c.denominator for c in values))
+    return [c.numerator * (den // c.denominator) for c in values], den
+
+
+def _mul_trunc(a, b, w):
+    """The first w coefficients of a*b for integer lists a and b. Each
+    nonzero entry of a adds a scaled copy of b; zero entries cost nothing,
+    so a sparse a keeps the product cheap."""
+    out = [0] * w
+    for i, x in enumerate(a[:w]):
+        if x:
+            m = min(len(b), w - i)
+            out[i : i + m] = map(operator.add, out[i : i + m], map(operator.mul, b[:m], repeat(x)))
+    return out
+
+
+def _reduce(nums, den):
+    """Cancel the common content of numerators and denominator."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _dense_mul(x, y, w):
+    """The first w coefficients of x*y for runs of rationals x and y."""
+    (a, ad), (b, bd) = _dense(x), _dense(y)
+    den = ad * bd
+    return [Rat(c, den) for c in _mul_trunc(a, b, w)]
 
 
 class TruncatedSeries:
@@ -118,13 +160,14 @@ class TruncatedSeries:
             return self.scale(other)
         other = _coerce(other)
         order = min(self.order + other.valuation, other.order + self.valuation)
-        out = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                if e < order:
-                    out[e] = out.get(e, Rat(0)) + c1 * c2
-        return TruncatedSeries(out, order)
+        if self.is_zero or other.is_zero:
+            return TruncatedSeries({}, order)
+        v = self.valuation + other.valuation
+        w = min(max(self.coeffs) + max(other.coeffs) + 1, order) - v
+        # the operand with fewer stored coefficients goes first (see _mul_trunc)
+        f, g = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
+        product = _dense_mul(_run(f, w), _run(g, w), w)
+        return TruncatedSeries(dict(enumerate(product, start=v)), order)
 
     __rmul__ = __mul__
 
@@ -172,6 +215,13 @@ class TruncatedSeries:
             body = " + ".join(parts)
         tail = "" if self.order == INF else f" + O(t^{self.order})"
         return f"<{body}{tail}>"
+
+
+def _run(f: TruncatedSeries, w: int) -> list:
+    """At most w coefficients of a nonzero series, from its valuation up to
+    its highest stored exponent."""
+    v = f.valuation
+    return [f.coeffs.get(e, Rat(0)) for e in range(v, min(max(f.coeffs) + 1, v + w))]
 
 
 def _coerce(x) -> TruncatedSeries:
@@ -250,16 +300,25 @@ def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
     length = result_order + v
     if length <= 0:
         return zero(result_order)
-    # Invert the unit part u(t) = f(t) / (c * t^v) term by term.
-    u = [f.coeffs.get(v + k, Rat(0)) for k in range(length)]
-    r = [Rat(0)] * length
-    r[0] = 1 / u[0]
+    # Invert the unit part u(t) = f(t) / t^v term by term, with
+    # r_k = -(u_1 r_(k-1) + ... + u_k r_0) / u_0. The r_k are kept as
+    # numerators over the least common denominator of those found so far.
+    # The signs of the denominators are left free; every division is exact.
+    u, ud = _dense([f.coeffs.get(v + k, Rat(0)) for k in range(length)])
+    r, rd = _reduce([ud], u[0])
     for k in range(1, length):
-        acc = Rat(0)
-        for j in range(1, k + 1):
-            acc += u[j] * r[k - j]
-        r[k] = -acc / u[0]
-    return TruncatedSeries({-v + k: r[k] for k in range(length)}, result_order)
+        num = -sum(map(operator.mul, u[1 : k + 1], reversed(r)))
+        den = rd * u[0]
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        m = den // gcd(den, rd)  # rd * m = lcm(rd, den), up to sign
+        if m != 1:
+            r = [x * m for x in r]
+            rd *= m
+        r.append(num * (rd // den))
+    return TruncatedSeries(
+        {-v + k: Rat(x, rd) for k, x in enumerate(r)}, result_order
+    )
 
 
 def int_pow(f: TruncatedSeries, n: int, order=None) -> TruncatedSeries:
@@ -380,23 +439,9 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 # -- compositional inverse ----------------------------------------------
 #
 # Lagrange reversion: with h = t/f, the inverse g has [t^k] g = [t^(k-1)] h^k / k.
-# The powers h^k are built by successive truncated products on dense lists
-# of integer numerators over one common denominator (the representation of
-# FLINT's fmpq_poly); each product is reduced by the gcd of its numerators
-# and denominator, and only the output coefficients become Fractions.
-
-
-def _mul_trunc(a, b, w):
-    """The first w coefficients of a*b for integer lists of length >= w."""
-    return [sum(map(operator.mul, a[: k + 1], b[k::-1])) for k in range(w)]
-
-
-def _reduce(nums, den):
-    """Cancel the common content of numerators and denominator."""
-    g = gcd(den, *nums)
-    if g == 1:
-        return nums, den
-    return [x // g for x in nums], den // g
+# The powers h^k are built by successive truncated products in the kernel's
+# integer representation, each reduced by the gcd of its numerators and
+# denominator; only the output coefficients become Fractions.
 
 
 def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
@@ -424,9 +469,7 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     w = n_out - 1  # h = t/f is needed on exponents [0, w)
     unit = TruncatedSeries({e - 1: c for e, c in f.coeffs.items()}, f.order - 1)
     recip = reciprocal(unit, order=w)
-    h = [recip.coefficient(k) for k in range(w)]
-    hd = lcm(*(c.denominator for c in h))
-    hn = [c.numerator * (hd // c.denominator) for c in h]
+    hn, hd = _dense([recip.coefficient(k) for k in range(w)])
     g = {1: Rat(hn[0], hd)}
     p, pd = hn, hd  # h^k as numerators over pd
     for k in range(2, n_out):

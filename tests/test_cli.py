@@ -4,14 +4,22 @@ Unit tests call main(argv) in-process and inspect stdout/stderr through
 capsys; the negative controls additionally run the real interpreter in a
 subprocess so the exit codes observed are the ones a shell would see.
 """
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction as Rat
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbra.cli import main
-from umbra.operators import lagrange_inversion
+from umbra.operators import Polynomial, apply_to_polynomial, lagrange_inversion
+from umbra.series import INF, from_coeffs
+from umbra.suites import SUITE_NAMES
 
 # Every in-process test should be independent of the caller's environment.
 
@@ -310,6 +318,68 @@ class TestInputErrors:
         assert "depth must be a positive integer" in err
 
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_nonpositive_invert_size(self, capsys, n):
+        # no "match" certificate over an empty coefficient list
+        err = self.assert_usage_error(
+            capsys, "invert", "--op", "D*exp(D)", f"--n={n}"
+        )
+        assert "--n" in err
+
+    def test_invert_order_leaving_no_coefficient(self, capsys):
+        err = self.assert_usage_error(
+            capsys, "invert", "--op", "D*exp(D)", "--order", "2"
+        )
+        assert "--order 3" in err
+
+    @pytest.mark.parametrize("command", ["connect", "expand"])
+    def test_negative_size(self, capsys, command):
+        err = self.assert_usage_error(
+            capsys, command, "--op", "exp(D)-1", "--op2", "D", "--n=-1"
+        )
+        assert "--n" in err
+
+    def test_size_zero_is_valid(self, capsys):
+        doc = run_json(capsys, "connect", "--op", "exp(D)-1", "--op2", "D", "--n", "0")
+        assert doc["result"]["rows"] == [{"n": 0, "coeffs": {"0": "1"}}]
+        doc = run_json(capsys, "expand", "--op", "exp(D)", "--op2", "exp(D)-1", "--n", "0")
+        assert doc["result"]["coefficients"] == {"0": "1"}
+
+
+class TestExactPolynomialDelta:
+    """An exact delta polynomial is truncated at the working order, so its
+    reciprocal and compositional inverse are determined."""
+
+    def test_seq_is_basic_sequence(self, capsys):
+        doc = run_json(capsys, "seq", "--op", "D+D^2", "--range", "0..6")
+        polys = [
+            Polynomial([Rat(row["coeffs"].get(str(d), "0")) for d in range(row["n"] + 1)])
+            for row in doc["result"]["rows"]
+        ]
+        f = from_coeffs([0, 1, 1], order=INF)
+        assert polys[0] == Polynomial([1])
+        for n in range(1, 7):
+            assert polys[n].degree == n
+            assert polys[n].evaluate(0) == 0
+            assert apply_to_polynomial(f, polys[n]) == polys[n - 1].scale(n)
+
+    def test_invert_gives_signed_catalan_numbers(self, capsys):
+        # [DERIVED] t + t^2 inverts to (sqrt(1+4t) - 1)/2, with coefficients
+        # (-1)^(k-1) C_(k-1)
+        doc = run_json(capsys, "invert", "--op", "D+D^2")
+        want = {str(k): str((-1) ** (k - 1) * comb(2 * k - 2, k - 1) // k) for k in range(1, 15)}
+        assert doc["result"]["coefficients"] == want
+        assert doc["result"]["cross_check"] == "match"
+
+    def test_logseq_residual(self, capsys):
+        # [DERIVED] p_(-1) = f'(D) lambda_(-1) = (1 + 2D) lambda_(-1)
+        # = lambda_(-1) - 2 lambda_(-2), since D lambda_(-1) = -lambda_(-2)
+        doc = run_json(capsys, "logseq", "--op", "D+D^2", "--n=-1", "--depth", "8")
+        (row,) = doc["result"]["rows"]
+        assert row["coeffs"] == {"-2": "-2", "-1": "1"}
+        assert row["floor"] == -8
+
+
 class TestConfigPrecedence:
     def test_config_file_sets_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "umbra.cfg"
@@ -412,3 +482,49 @@ class TestSubprocessControls:
         second = self.run(*args)
         assert first.returncode == second.returncode == 0
         assert first.stdout == second.stdout
+
+
+# -- fuzzing ----------------------------------------------------------------
+
+FUZZ_OPS = (
+    "exp(D)-1", "D", "D+D^2", "D-D^2/2", "D*exp(b*D)", "1-exp(-D)", "log(1+D)",
+    "laguerre", "abel(b)", "shift(a)", "D^2", "1/D", "D^0", "0", "exp(D", "foo(D)",
+)
+FUZZ_PARAMS = ("b=1/2", "a=-3", "b=0", "b=1/0", "b", "a=x", "b=0.25")
+FUZZ_X0 = ("10", "7/2", "0", "-1", "1/0", "abc", "1e3", "0.5")
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(("seq", "logseq", "expand", "invert", "connect", "verify", "eval")))
+    argv = [command]
+    if command == "verify":
+        argv += ["--suite", draw(st.sampled_from(SUITE_NAMES))]
+    else:
+        argv += ["--op", draw(st.sampled_from(FUZZ_OPS))]
+    if command in ("expand", "connect"):
+        argv += ["--op2", draw(st.sampled_from(FUZZ_OPS))]
+    if command == "eval":
+        argv.append(f"--x0={draw(st.sampled_from(FUZZ_X0))}")
+    if draw(st.booleans()):
+        argv.append(f"--order={draw(st.integers(-2, 20))}")
+    if draw(st.booleans()):
+        argv.append(f"--n={draw(st.integers(-8, 8))}")
+    if draw(st.booleans()):
+        argv.append(f"--depth={draw(st.integers(-1, 8))}")
+    if draw(st.booleans()):
+        argv += ["--format", draw(st.sampled_from(("json", "csv", "latex", "plain")))]
+    for pair in draw(st.lists(st.sampled_from(FUZZ_PARAMS), max_size=2)):
+        argv += ["--param", pair]
+    return argv
+
+
+@given(cli_argv())
+@settings(max_examples=50, deadline=None)
+def test_fuzz_every_argv_ends_in_a_documented_exit_code(argv):
+    # an uncaught exception here is what a shell would see as a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()

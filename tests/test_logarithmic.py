@@ -30,12 +30,21 @@ from umbra.logarithmic import (
 )
 from umbra.numbers import (
     bernoulli,
+    bernoulli_higher,
     roman_coefficient,
     roman_factorial,
     roman_number,
 )
 from umbra.operators import catalog
-from umbra.series import INF, from_coeffs, int_pow, monomial
+from umbra.series import (
+    INF,
+    TruncatedSeries,
+    exp_series,
+    from_coeffs,
+    int_pow,
+    monomial,
+    mul,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -358,11 +367,29 @@ class TestLogSequences:
         for k in range(0, 8):
             assert s.coefficient(-2 - k) == (-1) ** k * (2 ** (k + 1) - 1)
 
-    def test_bernoulli_cross_check_runs(self):
-        # the n >= 0 construction recomputes each window through the
-        # higher-order Bernoulli route and raises on any mismatch
-        for n in range(0, 6):
-            log_lower_factorial(n, depth=8)
+    def test_bernoulli_route_matches_transfer(self):
+        # (D/(e^D - 1))^(n+1) = sum_k B_{k,n+1} D^k / k!, so the transfer
+        # operator E (D/(e^D - 1))^(n+1) of the forward difference can be
+        # built from higher-order Bernoulli numbers instead of a reciprocal
+        # power of (e^D - 1)/D
+        depth = 16
+        for n in range(0, 8):
+            result = log_lower_factorial(n, depth)
+            order = depth + n + 2
+            bern = TruncatedSeries(
+                {k: Rat(bernoulli_higher(k, n + 1), factorial(k)) for k in range(order)},
+                order,
+            )
+            shift = exp_series(monomial(1, 1), order=order)
+            alt = apply_operator(mul(shift, bern), harmonic_log(n, 1))
+            assert alt.floor <= result.floor
+            assert alt.truncate_floor(result.floor) == result, n
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_nonpositive_depth_raises(self, depth):
+        fd = catalog("forward_difference", order=12)
+        with pytest.raises(PreconditionError, match=f"depth >= 1, got {depth}"):
+            log_sequence(fd, 0, depth)
 
     def test_sequence_caches_terms(self):
         seq = LogBinomialSequence(catalog("forward_difference", order=20), depth=6)

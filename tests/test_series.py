@@ -166,6 +166,85 @@ class TestReciprocal:
             assert prod.coefficient(e) == 0
 
 
+# -- the exact kernel against the Fraction loops it replaced --------------
+#
+# Oracles: the dict-of-Fraction double loop and the Fraction reciprocal
+# recurrence. They share no arithmetic with the library's kernel, which
+# works on integer numerators over a common denominator.
+
+
+def _dict_mul(f, g):
+    order = min(f.order + g.valuation, g.order + f.valuation)
+    out = {}
+    for e1, c1 in f.coeffs.items():
+        for e2, c2 in g.coeffs.items():
+            e = e1 + e2
+            if e < order:
+                out[e] = out.get(e, Rat(0)) + c1 * c2
+    return TruncatedSeries(out, order)
+
+
+def _fraction_reciprocal(f, order=None):
+    v = f.valuation
+    if f.order == INF:
+        if len(f.coeffs) == 1:
+            out = monomial(-v, 1 / f.coeffs[v])
+            return out.truncate(order) if order is not None else out
+        result_order = order
+    else:
+        result_order = f.order - 2 * v
+        if order is not None:
+            result_order = min(result_order, order)
+    length = result_order + v
+    if length <= 0:
+        return zero(result_order)
+    u = [f.coeffs.get(v + k, Rat(0)) for k in range(length)]
+    r = [1 / u[0]]
+    for k in range(1, length):
+        r.append(-sum(u[j] * r[k - j] for j in range(1, k + 1)) / u[0])
+    return TruncatedSeries({-v + k: c for k, c in enumerate(r)}, result_order)
+
+
+@st.composite
+def kernel_operands(draw):
+    """Laurent series of every shape the kernel meets: truncated or exact,
+    zero, monomials, and runs with zero coefficients inside."""
+    val = draw(st.integers(-3, 3))
+    width = draw(st.none() | st.integers(1, 7))  # None: exact
+    order = INF if width is None else val + width
+    kind = draw(st.sampled_from(("run", "monomial", "zero")))
+    if kind == "zero":
+        return zero(order)
+    coeffs = {val: draw(small_rat.filter(lambda c: c != 0))}
+    if kind == "run":
+        for e in range(val + 1, val + (width or draw(st.integers(1, 6)))):
+            coeffs[e] = draw(small_rat)
+    return TruncatedSeries(coeffs, order)
+
+
+def _shape(f):
+    return f.coeffs, f.order, f.valuation
+
+
+class TestKernelOracles:
+    @given(kernel_operands(), kernel_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_product_matches_dict_oracle(self, f, g):
+        assert _shape(f * g) == _shape(_dict_mul(f, g))
+
+    @given(kernel_operands(), st.none() | st.integers(-4, 10))
+    @settings(max_examples=80, deadline=None)
+    def test_reciprocal_matches_fraction_oracle(self, f, order):
+        if f.is_zero:
+            with pytest.raises(PreconditionError, match="zero series"):
+                reciprocal(f, order)
+        elif f.order == INF and len(f.coeffs) > 1 and order is None:
+            with pytest.raises(PreconditionError, match="explicit order"):
+                reciprocal(f, order)
+        else:
+            assert _shape(reciprocal(f, order)) == _shape(_fraction_reciprocal(f, order))
+
+
 # -- composition ---------------------------------------------------------
 
 class TestCompose:
