@@ -28,9 +28,9 @@ from fractions import Fraction as Rat
 from .errors import ParseError, PreconditionError, UmbraError, VerificationFailure
 from .logarithmic import evaluate_numeric, log_sequence, tail_bound
 from .operators import DeltaOperator, Polynomial, expand_in_basis, lagrange_inversion
-from .parsing import elaborate, parse_operator, pretty
+from .parsing import elaborate, parse_operator, pretty, truncate_exact
 from .sequences import connection_constants, generate_transfer
-from .series import INF, TruncatedSeries, compose, monomial
+from .series import TruncatedSeries, compose, monomial
 from .suites import SUITE_NAMES, run_suite
 
 DEFAULT_ORDER = 16
@@ -84,7 +84,9 @@ def _resolve_settings(args) -> dict:
         try:
             order = int(env_order)
         except ValueError as err:
-            raise PreconditionError("UMBRA_ORDER must be an integer") from err
+            raise UsageError(f"UMBRA_ORDER must be an integer, got {env_order!r}") from err
+    if order is not None and order < 1:
+        raise UsageError(f"order must be a positive integer, got {order}")
     depth = args.depth
     if depth is None:
         depth = config.get("depth")
@@ -106,12 +108,12 @@ def _parse_params(pairs) -> dict:
     out = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise PreconditionError(f"--param {pair!r} is not name=value")
+            raise UsageError(f"--param {pair!r} is not name=value")
         key, value = pair.split("=", 1)
         try:
             out[key.strip()] = Rat(value.strip())
         except (ValueError, ZeroDivisionError) as err:
-            raise PreconditionError(
+            raise UsageError(
                 f"--param {key.strip()!r} needs a rational value"
             ) from err
     return out
@@ -196,9 +198,7 @@ def _delta_from(text: str, params: dict, order: int) -> DeltaOperator:
     a monomial is truncated at the working order, so that its reciprocal
     and inverse are determined; exact monomials such as D stay exact."""
     tree = parse_operator(text, params)
-    series = elaborate(tree, params, order)
-    if series.order == INF and len(series.coeffs) > 1:
-        series = series.truncate(order)
+    series = truncate_exact(elaborate(tree, params, order), order)
     return DeltaOperator(series, name=pretty(tree))
 
 

@@ -29,6 +29,7 @@ from typing import Mapping, Optional, Tuple
 from .errors import ParseError, PreconditionError
 from .operators import ShiftInvariantOperator, catalog
 from .series import (
+    INF,
     TruncatedSeries,
     constant,
     exp_series,
@@ -324,7 +325,9 @@ def elaborate(
     node, params: Optional[Mapping[str, Rat]] = None, order: int = 16
 ) -> TruncatedSeries:
     """Turn a checked syntax tree into a formal series in D at the given
-    working order. Rational subexpressions stay exact."""
+    working order. Rational constants and monomials stay exact, and so do
+    sums; a product, quotient or power with an exact operand that is not a
+    monomial is computed only up to the working order."""
     params = dict(params or {})
 
     def go(node) -> TruncatedSeries:
@@ -349,7 +352,9 @@ def elaborate(
             return -go(node.operand)
         if isinstance(node, Pow):
             base = go(node.base)
-            return int_pow(base, node.exponent, order=_order_for(base, order, node.exponent))
+            if node.exponent >= 0:
+                return int_pow(truncate_exact(base, order), node.exponent)
+            return int_pow(base, node.exponent, order=_order_for(base, order))
         if isinstance(node, BinOp):
             left, right = go(node.left), go(node.right)
             if node.op == "+":
@@ -357,26 +362,33 @@ def elaborate(
             if node.op == "-":
                 return left - right
             if node.op == "*":
-                return mul(left, right)
-            return mul(left, reciprocal(right, order=_order_for(right, order, -1)))
+                return mul(truncate_exact(left, order), truncate_exact(right, order))
+            right = reciprocal(right, order=_order_for(right, order))
+            return mul(truncate_exact(left, order), right)
         raise TypeError(f"not a syntax node: {node!r}")
 
     return go(node)
 
 
-def _order_for(series: TruncatedSeries, order: int, exponent: int):
-    """Working order for a power or reciprocal: exact inputs that stay
-    exact (monomials, or nonnegative powers) keep an infinite order."""
-    from .series import INF
+def truncate_exact(series: TruncatedSeries, order: int) -> TruncatedSeries:
+    """An exact series that is not a monomial, truncated at the working
+    order; monomials (constants among them) and truncated series pass
+    through. Products and powers of the result then cost work bounded by
+    the working order, not by the degree the expression spells."""
+    if series.order == INF and len(series.coeffs) > 1:
+        return series.truncate(order)
+    return series
 
-    if series.order == INF and (exponent >= 0 or len(series.coeffs) <= 1):
+
+def _order_for(series: TruncatedSeries, order: int):
+    """Working order for a reciprocal: exact monomials keep an infinite
+    order, since their inverses are exact monomials again."""
+    if series.order == INF and len(series.coeffs) <= 1:
         return None
     return order
 
 
 def _constant_value(series: TruncatedSeries, name: str) -> Rat:
-    from .series import INF
-
     if series.order == INF:
         if series.is_zero:
             return Rat(0)

@@ -15,6 +15,7 @@ composition, and connection-constant matrices between any two bases.
 from __future__ import annotations
 
 from fractions import Fraction as Rat
+from itertools import islice
 from math import comb, factorial
 from typing import Sequence
 
@@ -26,6 +27,7 @@ from .operators import (
     apply_to_polynomial,
 )
 from .series import (
+    _dense,
     compose,
     compositional_inverse,
     exp_series,
@@ -260,20 +262,44 @@ def ramey_sequence(f: DeltaOperator, b, n_max: int = 0) -> BinomialSequence:
     return generate_transfer(op, n_max)
 
 
+def _int_values(coeffs, top: int) -> list:
+    """c(0), c(1), ..., c(top) by Horner, for integer coefficients c."""
+    out = []
+    for v in range(top + 1):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = acc * v + c
+        out.append(acc)
+    return out
+
+
 def verify_binomial_identity(s: BinomialSequence, n: int):
     """Certify p_n(x+a) = sum_k C(n,k) p_k(a) p_{n-k}(x) on an exact
-    (n+1) x (n+1) rational grid, which pins down the bivariate polynomial
-    identity. Returns (True, None) or (False, witness dict)."""
+    (n+1) x (n+1) integer grid, which pins down the bivariate polynomial
+    identity. Returns (True, None) or (False, witness dict) for the first
+    failing point, x outer and a inner.
+
+    p_0..p_n are put over one common denominator L and evaluated once at
+    each integer point they meet, by Horner on integer numerators: p_k on
+    0..n, and p_n on 0..2n for the left side. Each point then compares
+    L^2 p_n(x+a) with sum_k C(n,k) (L p_k(a)) (L p_{n-k}(x)) in plain ints,
+    O(n) per point and O(n^3) per call."""
+    if n < 0:
+        raise PreconditionError(f"the binomial identity needs n >= 0, got n = {n}")
     polys = s.terms(n)
-    for xi in range(n + 1):
-        for aj in range(n + 1):
-            x = Rat(xi)
-            a = Rat(aj)
-            lhs = polys[n].evaluate(x + a)
-            rhs = sum(
-                comb(n, k) * polys[k].evaluate(a) * polys[n - k].evaluate(x)
-                for k in range(n + 1)
-            )
+    flat, den = _dense([c for p in polys for c in p.coeffs])
+    run = iter(flat)
+    vals = [
+        _int_values(list(islice(run, len(p.coeffs))), 2 * n if k == n else n)
+        for k, p in enumerate(polys)
+    ]
+    for x in range(n + 1):
+        for a in range(n + 1):
+            lhs = den * vals[n][x + a]
+            rhs = sum(comb(n, k) * vals[k][a] * vals[n - k][x] for k in range(n + 1))
             if lhs != rhs:
-                return False, {"n": n, "x": x, "a": a, "lhs": lhs, "rhs": rhs}
+                sq = den * den
+                return False, {
+                    "n": n, "x": Rat(x), "a": Rat(a), "lhs": Rat(lhs, sq), "rhs": Rat(rhs, sq)
+                }
     return True, None

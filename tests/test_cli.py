@@ -17,8 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra.cli import main
-from umbra.operators import Polynomial, apply_to_polynomial, lagrange_inversion
-from umbra.series import INF, from_coeffs
+from umbra.operators import (
+    Polynomial,
+    apply_to_polynomial,
+    catalog,
+    expand_in_basis,
+    lagrange_inversion,
+)
+from umbra.series import INF, TruncatedSeries, from_coeffs
 from umbra.suites import SUITE_NAMES
 
 # Every in-process test should be independent of the caller's environment.
@@ -288,6 +294,37 @@ class TestInputErrors:
         )
         assert f"{key} must be an integer" in err
 
+    @pytest.mark.parametrize("pair", ["b=1/0", "b"])
+    def test_malformed_param(self, capsys, pair):
+        err = self.assert_usage_error(
+            capsys, "seq", "--op", "D", "--param", pair
+        )
+        assert "--param" in err
+
+    @pytest.mark.parametrize("order", ["0", "-3"])
+    def test_nonpositive_order_flag(self, capsys, order):
+        err = self.assert_usage_error(
+            capsys, "seq", "--op", "exp(D)-1", f"--order={order}"
+        )
+        assert f"order must be a positive integer, got {order}" in err
+
+    def test_nonpositive_order_config(self, capsys, tmp_path):
+        cfg = tmp_path / "umbra.cfg"
+        cfg.write_text("order = 0\n")
+        err = self.assert_usage_error(
+            capsys, "seq", "--op", "D", "--config", str(cfg)
+        )
+        assert "order must be a positive integer, got 0" in err
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [("-2", "order must be a positive integer, got -2"), ("abc", "UMBRA_ORDER must be an integer")],
+    )
+    def test_bad_env_order(self, capsys, monkeypatch, value, message):
+        monkeypatch.setenv("UMBRA_ORDER", value)
+        err = self.assert_usage_error(capsys, "seq", "--op", "D")
+        assert message in err
+
     @pytest.mark.parametrize("n", ["0", "-1"])
     def test_nonpositive_verify_size(self, capsys, n):
         # neither a silent default size nor a "pass" after 0 checks
@@ -378,6 +415,28 @@ class TestExactPolynomialDelta:
         (row,) = doc["result"]["rows"]
         assert row["coeffs"] == {"-2": "-2", "-1": "1"}
         assert row["floor"] == -8
+
+
+class TestExactProductsAreBounded:
+    """Exact products and powers are computed only up to the working
+    order, so a few bytes of input cannot buy a product of huge degree."""
+
+    def expand(self, capsys, op):
+        doc = run_json(capsys, "expand", "--op", op, "--op2", "exp(D)-1", "--n", "6")
+        return doc["result"]["coefficients"]
+
+    def test_product_of_high_degree_binomials(self, capsys):
+        # (1 + t^100000)^2 agrees with 1 below the working order
+        want = {str(k): "1" if k == 0 else "0" for k in range(7)}
+        assert self.expand(capsys, "(1+D^100000)*(1+D^100000)") == want
+
+    def test_high_power_of_binomial(self, capsys):
+        # [DERIVED] the binomial theorem, cut at the working order 16
+        target = TruncatedSeries({2 * j: comb(3000, j) for j in range(8)}, 16)
+        basis = catalog("forward_difference", order=16)
+        want = expand_in_basis(target, basis, k_max=6)
+        got = self.expand(capsys, "(1+D^2)^3000")
+        assert got == {str(k): str(c) for k, c in enumerate(want)}
 
 
 class TestConfigPrecedence:

@@ -1,7 +1,7 @@
 # Tests for the operator-expression parser: grammar, error positions,
 # pretty-printer round trips, and elaboration to formal series.
 from fractions import Fraction as Rat
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ from umbra.parsing import (
     parse_operator,
     pretty,
 )
-from umbra.series import INF, constant, monomial
+from umbra.series import INF, TruncatedSeries, constant, monomial
 
 
 class TestGrammar:
@@ -183,6 +183,27 @@ class TestElaboration:
     def test_laurent_powers_allowed(self):
         series = elaborate(parse_operator("D^-1"), order=16)
         assert series == monomial(-1)
+
+    def test_monomial_products_stay_exact(self):
+        assert elaborate(parse_operator("2*D*D^2"), order=16) == monomial(3, 2)
+        assert elaborate(parse_operator("(3*D)^40/D"), order=16) == monomial(39, 3**40)
+
+    def test_exact_power_stops_at_working_order(self):
+        # [DERIVED] (1+t^2)^3000 = sum_j C(3000, j) t^(2j), cut at t^16
+        series = elaborate(parse_operator("(1+D^2)^3000"), order=16)
+        assert series.order == 16
+        assert series.coeffs == {2 * j: comb(3000, j) for j in range(8)}
+
+    def test_exact_product_stops_at_working_order(self):
+        series = elaborate(parse_operator("(1+D^100000)*(1+D^100000)"), order=16)
+        assert series == TruncatedSeries({0: 1}, 16)
+        # a monomial factor shifts the window instead of widening the work
+        series = elaborate(parse_operator("D*(1+D^100000000)"), order=16)
+        assert series == TruncatedSeries({1: 1}, 17)
+
+    def test_exact_sums_stay_exact(self):
+        series = elaborate(parse_operator("D+D^2"), order=16)
+        assert series == TruncatedSeries({1: 1, 2: 1})
 
     def test_log_inverts_exp(self):
         series = elaborate(parse_operator("log(exp(D)-1+1)"), order=12)

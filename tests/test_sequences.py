@@ -4,6 +4,8 @@ from fractions import Fraction as Rat
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbra.errors import PreconditionError
 from umbra.numbers import stirling_first, stirling_second
@@ -53,6 +55,54 @@ def upper_factorial(n):
     return Polynomial([0, 1]) * poly_product(
         [Polynomial([i, 1]) for i in range(1, n)]
     ) if n else Polynomial([1])
+
+
+# -- the Fraction grid that verify_binomial_identity replaced -------------
+#
+# An O(n^4) oracle: every polynomial is evaluated again with Fraction Horner
+# at every grid point. It shares no arithmetic with the integer tables of
+# the library's check.
+
+
+def _fraction_grid(s, n):
+    polys = s.terms(n)
+    for xi in range(n + 1):
+        for aj in range(n + 1):
+            x = Rat(xi)
+            a = Rat(aj)
+            lhs = polys[n].evaluate(x + a)
+            rhs = sum(
+                comb(n, k) * polys[k].evaluate(a) * polys[n - k].evaluate(x)
+                for k in range(n + 1)
+            )
+            if lhs != rhs:
+                return False, {"n": n, "x": x, "a": a, "lhs": lhs, "rhs": rhs}
+    return True, None
+
+
+def _corrupt(seq, degree, c):
+    """A copy of seq with the constant c added to its degree-th term."""
+
+    def step(n, _polys):
+        return seq[n] + Polynomial([c]) if n == degree else seq[n]
+
+    return BinomialSequence(seq.operator, "corrupted", step)
+
+
+small_rat = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def binomial_cases(draw):
+    """(sequence, n) with n <= 9: a catalog basic sequence, or a copy with
+    a rational constant added at one degree."""
+    name = draw(st.sampled_from(("forward_difference", "abel", "laguerre")))
+    params = {"b": draw(small_rat)} if name == "abel" else {}
+    n = draw(st.integers(0, 9))
+    seq = generate_transfer(catalog(name, params, order=16), n)
+    if draw(st.booleans()):
+        seq = _corrupt(seq, draw(st.integers(0, n)), draw(small_rat.filter(bool)))
+    return seq, n
 
 
 class TestGenerators:
@@ -138,6 +188,56 @@ class TestBinomialIdentity:
         ok, witness = verify_binomial_identity(bad, 3)
         assert not ok
         assert witness["lhs"] != witness["rhs"]
+
+    @pytest.mark.parametrize("n", [-1, -4])
+    def test_negative_n_is_refused(self, n):
+        # no vacuous pass after zero checks
+        seq = generate_transfer(catalog("forward_difference", order=16), 2)
+        with pytest.raises(PreconditionError, match=f"n = {n}"):
+            verify_binomial_identity(seq, n)
+
+    def test_degree_zero_checks_one_point(self):
+        seq = generate_transfer(catalog("forward_difference", order=16), 0)
+        assert verify_binomial_identity(seq, 0) == (True, None)
+        bad = BinomialSequence(None, "corrupted", lambda n, _polys: Polynomial([2]))
+        ok, witness = verify_binomial_identity(bad, 0)
+        assert not ok
+        assert witness == {"n": 0, "x": 0, "a": 0, "lhs": 2, "rhs": 4}
+
+    def test_each_polynomial_evaluated_at_most_once_per_point(self, monkeypatch):
+        seen = []
+        evaluate = Polynomial.evaluate
+
+        def counted(self, x):
+            seen.append((id(self), Rat(x)))
+            return evaluate(self, x)
+
+        monkeypatch.setattr(Polynomial, "evaluate", counted)
+        seq = generate_transfer(catalog("abel", {"b": Rat(2, 3)}, order=16), 9)
+        assert verify_binomial_identity(seq, 9) == (True, None)
+        assert len(seen) == len(set(seen))
+
+    @given(binomial_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_grid_oracle(self, case):
+        seq, n = case
+        assert verify_binomial_identity(seq, n) == _fraction_grid(seq, n)
+
+
+class TestFractionGridOracle:
+    """The oracle itself: it passes a basic sequence and names the first
+    failing point, x outer and a inner, of a corrupted one."""
+
+    def test_passes_lower_factorials(self):
+        seq = generate_transfer(catalog("forward_difference", order=16), 5)
+        assert _fraction_grid(seq, 5) == (True, None)
+
+    def test_first_witness_of_a_shifted_constant(self):
+        # p_1 = x + 1 for n = 1: lhs = x + a + 1 against x + a + 2 at (0, 0)
+        seq = _corrupt(generate_transfer(catalog("derivative"), 1), 1, Rat(1))
+        assert _fraction_grid(seq, 1) == (
+            False, {"n": 1, "x": 0, "a": 0, "lhs": 1, "rhs": 2}
+        )
 
 
 class TestConjugate:
