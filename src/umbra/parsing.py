@@ -327,10 +327,31 @@ def elaborate(
     """Turn a checked syntax tree into a formal series in D at the given
     working order. Rational constants and monomials stay exact, and so do
     sums; a product, quotient or power with an exact operand that is not a
-    monomial is computed only up to the working order."""
-    params = dict(params or {})
+    monomial is computed only as far as the result is needed.
 
-    def go(node) -> TruncatedSeries:
+    The need starts at the working order and is passed down the tree: an
+    operand of a product is needed up to the need less the valuation of
+    the other operand, so a factor such as D^-16 asks for more of its
+    partner. An operand computed before the valuation of its partner was
+    known is computed again when that shows it to be too short."""
+    params = dict(params or {})
+    memo = {}
+
+    def go(node, need) -> TruncatedSeries:
+        key = (id(node), need)
+        if key not in memo:
+            memo[key] = build(node, need)
+        return memo[key]
+
+    def refine(node, need, want) -> TruncatedSeries:
+        # want maps the operand's valuation to the order it is needed up to
+        series = go(node, need)
+        target = want(series.valuation)
+        if target > need and series.order < target:
+            series = go(node, target)
+        return series
+
+    def build(node, need) -> TruncatedSeries:
         if isinstance(node, Number):
             return constant(node.value)
         if isinstance(node, Symbol):
@@ -341,43 +362,64 @@ def elaborate(
             return constant(params[node.name])
         if isinstance(node, Call):
             if node.name == "exp":
-                return exp_series(go(node.args[0]), order=order)
+                return exp_series(go(node.args[0], order), order=order)
             if node.name == "log":
-                return log_series(go(node.args[0]), order=order)
+                return log_series(go(node.args[0], order), order=order)
+            # a parameter must be an exact constant, so nothing is cut
             slot = PARAMETER_SLOT[node.name]
             bound = dict(params)
-            bound[slot] = _constant_value(go(node.args[0]), node.name)
+            bound[slot] = _constant_value(go(node.args[0], INF), node.name)
             return catalog(OPERATOR_NAMES[node.name], bound, order).series
         if isinstance(node, Neg):
-            return -go(node.operand)
+            return -go(node.operand, need)
         if isinstance(node, Pow):
-            base = go(node.base)
-            if node.exponent >= 0:
-                return int_pow(truncate_exact(base, order), node.exponent)
-            return int_pow(base, node.exponent, order=_order_for(base, order))
+            e = node.exponent
+            if e < 0:
+                # the reciprocal reads its input up to its own order plus 2v
+                base = refine(node.base, need, lambda v: order + 2 * v)
+                return int_pow(base, e, order=_order_for(base, order))
+            if e <= 1:  # no product is formed
+                return int_pow(go(node.base, need), e)
+            base = refine(node.base, need, lambda v: _short_by(need, (e - 1) * v))
+            cut = _short_by(need, (e - 1) * base.valuation)
+            return int_pow(truncate_exact(base, cut), e)
         if isinstance(node, BinOp):
-            left, right = go(node.left), go(node.right)
-            if node.op == "+":
-                return left + right
-            if node.op == "-":
-                return left - right
+            if node.op in "+-":
+                left, right = go(node.left, need), go(node.right, need)
+                return left + right if node.op == "+" else left - right
             if node.op == "*":
-                return mul(truncate_exact(left, order), truncate_exact(right, order))
-            right = reciprocal(right, order=_order_for(right, order))
-            return mul(truncate_exact(left, order), right)
+                right = go(node.right, need)
+                left = refine(node.left, need, lambda v: _short_by(need, right.valuation))
+                right = refine(node.right, need, lambda v: _short_by(need, left.valuation))
+            else:
+                right = refine(node.right, need, lambda v: order + 2 * v)
+                right = reciprocal(right, order=_order_for(right, order))
+                left = refine(node.left, need, lambda v: _short_by(need, right.valuation))
+            return mul(
+                truncate_exact(left, _short_by(need, right.valuation)),
+                truncate_exact(right, _short_by(need, left.valuation)),
+            )
         raise TypeError(f"not a syntax node: {node!r}")
 
-    return go(node)
+    return go(node, order)
 
 
-def truncate_exact(series: TruncatedSeries, order: int) -> TruncatedSeries:
-    """An exact series that is not a monomial, truncated at the working
-    order; monomials (constants among them) and truncated series pass
-    through. Products and powers of the result then cost work bounded by
-    the working order, not by the degree the expression spells."""
+def truncate_exact(series: TruncatedSeries, order) -> TruncatedSeries:
+    """An exact series that is not a monomial, truncated at the given
+    order but never below its leading term; monomials (constants among
+    them) and truncated series pass through. Products and powers of the
+    result then cost work bounded by that order, not by the degree the
+    expression spells."""
     if series.order == INF and len(series.coeffs) > 1:
-        return series.truncate(order)
+        return series.truncate(max(order, series.valuation + 1))
     return series
+
+
+def _short_by(need, valuation):
+    """The order an operand is needed up to when its partner in a product
+    has the given valuation; an exact zero partner (infinite valuation)
+    asks for nothing beyond the need itself."""
+    return need if valuation == INF else need - valuation
 
 
 def _order_for(series: TruncatedSeries, order: int):

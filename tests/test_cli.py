@@ -10,7 +10,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Rat
-from math import comb
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -437,6 +437,27 @@ class TestExactProductsAreBounded:
         want = expand_in_basis(target, basis, k_max=6)
         got = self.expand(capsys, "(1+D^2)^3000")
         assert got == {str(k): str(c) for k, c in enumerate(want)}
+
+    @pytest.mark.parametrize(
+        "op, order",
+        [("(D^17+D^18)/D^16", "16"), ("(D^3+D^4)/D^2", "4"), ("(D^3+D^4)/D^2", "3")],
+    )
+    def test_cut_leaves_room_for_a_divisor(self, capsys, op, order):
+        # the quotient is D + D^2 exactly, and the command says so at every
+        # working order, failing only where D + D^2 itself fails
+        code, out, err = run_cli(capsys, "seq", "--op", op, "--order", order, "--n", "2")
+        want = run_cli(capsys, "seq", "--op", "D+D^2", "--order", order, "--n", "2")
+        assert (code, err) == want[::2]
+        if code == 0:
+            rows = json.loads(out)["result"]["rows"]
+            assert rows == json.loads(want[1])["result"]["rows"]
+
+    def test_cut_leaves_room_for_a_negative_power(self, capsys):
+        # [DERIVED] (1+t)^20 / t^10 = sum_j C(20, j) t^(j-10); the Hurwitz
+        # coefficient of D^k / k! is k! C(20, k+10)
+        doc = run_json(capsys, "expand", "--op", "(1+D)^20/D^10", "--op2", "D", "--n", "6")
+        want = {str(k): str(factorial(k) * comb(20, k + 10)) for k in range(7)}
+        assert doc["result"]["coefficients"] == want
 
 
 class TestConfigPrecedence:

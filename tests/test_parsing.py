@@ -11,6 +11,8 @@ from umbra.errors import ParseError, PreconditionError
 from umbra.numbers import bernoulli
 from umbra.operators import catalog
 from umbra.parsing import (
+    OPERATOR_NAMES,
+    PARAMETER_SLOT,
     BinOp,
     Call,
     Neg,
@@ -22,7 +24,16 @@ from umbra.parsing import (
     parse_operator,
     pretty,
 )
-from umbra.series import INF, TruncatedSeries, constant, monomial
+from umbra.series import (
+    INF,
+    TruncatedSeries,
+    constant,
+    exp_series,
+    int_pow,
+    log_series,
+    monomial,
+    reciprocal,
+)
 
 
 class TestGrammar:
@@ -138,6 +149,72 @@ def trees(depth):
     )
 
 
+def _exact_elaborate(node, params, order):
+    """Oracle: elaboration that keeps every exact product and power exact
+    (the rule before products were cut at the working order). Only
+    reciprocals of exact non-monomials and the series functions are
+    computed at the working order."""
+
+    def go(node):
+        if isinstance(node, Number):
+            return constant(node.value)
+        if isinstance(node, Symbol):
+            if node.name == "D":
+                return monomial(1)
+            if node.name in OPERATOR_NAMES:
+                return catalog(OPERATOR_NAMES[node.name], params, order).series
+            return constant(params[node.name])
+        if isinstance(node, Call):
+            if node.name in ("exp", "log"):
+                fn = exp_series if node.name == "exp" else log_series
+                return fn(go(node.args[0]), order=order)
+            arg = go(node.args[0])
+            if arg.order != INF or set(arg.coeffs) - {0}:
+                raise PreconditionError("parameter must be a rational constant")
+            bound = dict(params, **{PARAMETER_SLOT[node.name]: arg.coefficient(0)})
+            return catalog(OPERATOR_NAMES[node.name], bound, order).series
+        if isinstance(node, Neg):
+            return -go(node.operand)
+        if isinstance(node, Pow):
+            base = go(node.base)
+            exact = base.order == INF and (node.exponent >= 0 or len(base.coeffs) <= 1)
+            return int_pow(base, node.exponent, order=None if exact else order)
+        left, right = go(node.left), go(node.right)
+        if node.op in "+-":
+            return left + right if node.op == "+" else left - right
+        if node.op == "/":
+            exact = right.order == INF and len(right.coeffs) <= 1
+            right = reciprocal(right, order=None if exact else order)
+        return left * right
+
+    return go(node)
+
+
+def cut_trees(depth):
+    """Trees whose exact products reach past the working order and meet
+    factors of negative valuation, such as (D^17 + D^18) / D^16."""
+    power = st.integers(min_value=-3, max_value=24).map(lambda k: Pow(Symbol("D"), k))
+    atom = st.one_of(
+        power,
+        st.tuples(power, power).map(lambda t: BinOp("+", t[0], t[1])),
+        st.tuples(power, power).map(lambda t: BinOp("+", t[0], t[1])),
+        st.integers(min_value=0, max_value=3).map(lambda n: Number(Rat(n))),
+        st.sampled_from([Symbol("delta"), Symbol("b")]),
+    )
+    if depth == 0:
+        return atom
+    sub = cut_trees(depth - 1)
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), sub, sub).map(
+            lambda t: BinOp(t[0], t[1], t[2])
+        ),
+        st.tuples(sub, st.integers(min_value=-2, max_value=3)).map(
+            lambda t: Pow(t[0], t[1])
+        ),
+        sub.map(lambda a: Call("abel", (BinOp("*", Number(Rat(0)), a),))),
+    )
+
+
 class TestPrettyRoundTrip:
     @given(tree=trees(3))
     @settings(max_examples=150, deadline=None)
@@ -197,9 +274,60 @@ class TestElaboration:
     def test_exact_product_stops_at_working_order(self):
         series = elaborate(parse_operator("(1+D^100000)*(1+D^100000)"), order=16)
         assert series == TruncatedSeries({0: 1}, 16)
-        # a monomial factor shifts the window instead of widening the work
+        # a monomial factor shifts the cut instead of widening the work
         series = elaborate(parse_operator("D*(1+D^100000000)"), order=16)
-        assert series == TruncatedSeries({1: 1}, 17)
+        assert series == TruncatedSeries({1: 1}, 16)
+
+    def test_cut_makes_room_for_negative_valuation(self):
+        # the left operand is needed up to t^32 when it is divided by t^16
+        series = elaborate(parse_operator("(D^17+D^18)/D^16"), order=16)
+        assert series == TruncatedSeries({1: 1, 2: 1}, 16)
+        series = elaborate(parse_operator("(D^3+D^4)/D^2"), order=3)
+        assert series == TruncatedSeries({1: 1, 2: 1}, 3)
+        # [DERIVED] (1+t)^20 / t^10 = sum_j C(20, j) t^(j-10)
+        series = elaborate(parse_operator("(1+D)^20/D^10"), order=16)
+        assert series == TruncatedSeries({j - 10: comb(20, j) for j in range(21)}, 16)
+
+    def test_cut_makes_room_through_nested_products(self):
+        series = elaborate(parse_operator("((D^17+D^18)*(1+D))/D^16"), order=16)
+        assert series == TruncatedSeries({1: 1, 2: 2, 3: 1}, 16)
+        series = elaborate(parse_operator("((D^17+D^18)/D^20)^2"), order=16)
+        assert series == TruncatedSeries({-6: 1, -5: 2, -4: 1}, 16)
+        # a divisor is needed far enough for its reciprocal's window
+        series = elaborate(parse_operator("1/((D^17+D^18)*(1+D))"), order=16)
+        assert series.order == 16
+        assert series.coeffs == {-17 + k: (-1) ** k * (k + 1) for k in range(33)}
+
+    def test_cut_keeps_the_leading_term(self):
+        # t^34 lies past the working order but is not cut to nothing
+        series = elaborate(parse_operator("(D^17+D^18)*(D^17+D^18)"), order=16)
+        assert series == TruncatedSeries({34: 1}, 35)
+
+    @pytest.mark.parametrize(
+        "arg, value",
+        [("(1+D)*(1-D)+D^2", "1"), ("0*(1+D)", "0"), ("(1+D)*(D-D)^1", "0")],
+    )
+    def test_parameter_stays_exact(self, arg, value):
+        # (1+t)(1-t) + t^2 is the constant 1, so abel(...) is abel(1)
+        got = elaborate(parse_operator(f"abel({arg})"), order=12)
+        assert got == elaborate(parse_operator(f"abel({value})"), order=12)
+
+    @given(tree=cut_trees(3), order=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_exact_elaboration(self, tree, order):
+        params = {"b": Rat(1, 2)}
+        try:
+            want = _exact_elaborate(tree, params, order)
+        except PreconditionError:
+            with pytest.raises(PreconditionError):
+                elaborate(tree, params, order=order)
+            return
+        got = elaborate(tree, params, order=order)
+        if got.order == want.order == INF:
+            assert got == want
+        else:
+            assert got.agrees_with(want)
+        assert got.order >= min(want.order, order)
 
     def test_exact_sums_stay_exact(self):
         series = elaborate(parse_operator("D+D^2"), order=16)
