@@ -10,6 +10,7 @@ matrix of connection constants.
 from fractions import Fraction as Rat
 
 from umbra import (
+    Polynomial,
     catalog,
     connection_constants,
     conjugate_sequence,
@@ -26,10 +27,14 @@ def main():
     for n in range(5):
         print(f"  p_{n} = {lower[n]}")
 
-    # two independent generators agree
+    # the closed form x(x-1)...(x-n+1); generate_recurrence names the same
+    # generator
     again = generate_recurrence(fd, 5)
     for n in range(6):
-        assert lower[n] == again[n]
+        closed = Polynomial([1])
+        for i in range(n):
+            closed = closed * Polynomial([-i, 1])
+        assert lower[n] == closed == again[n]
 
     # Abel polynomials x(x - nb)^(n-1) with their one-parameter twist
     abel = generate_transfer(catalog("abel", {"b": Rat(1, 2)}), 4)

@@ -7,8 +7,8 @@ series has valuation exactly one (no constant term, nonzero D coefficient);
 these are the operators that admit basic sequences of binomial type.
 
 The catalog builds the standard named operators at a requested truncation
-order. Lagrange inversion extracts coefficients of g(f^(-1)) as residues
-without computing the compositional inverse itself.
+order. Lagrange inversion reads the coefficients of g(f^(-1)) off the
+composite of g with the compositional inverse of f.
 """
 from __future__ import annotations
 
@@ -258,30 +258,26 @@ def expand_in_basis(T, Q, k_max: Optional[int] = None) -> list:
 
 def lagrange_inversion(f, g, k_max: int) -> list:
     """Coefficients of g composed with the compositional inverse of f, for
-    exponents d..k_max where d is the valuation of g, extracted as residues:
-    [t^k] g(f^(-1)) = [t^(-1)] g f' f^(-1-k).
+    exponents d..k_max where d is the valuation of g.
 
-    Works for Laurent series g (negative d), where direct composition in
-    the power-series ring does not apply."""
+    g may be a Laurent series (negative d): composition reaches its
+    negative powers through the reciprocal of the inverse. For d > 1 it is
+    read as (g/t^(d-1))(f^(-1)) (f^(-1))^(d-1): a composite claims nothing
+    at or past the order of f^(-1), and the product is determined d - 1
+    coefficients further."""
     fs = _delta_series(f)
     gs = _series_of(g)
     if gs.is_zero:
         raise PreconditionError("lagrange inversion requires a nonzero series")
     d = gs.valuation
-    base = gs * formal_derivative(fs)
-    finv = reciprocal(fs)
-    # h runs through f^(-1-k); positive powers are taken from f directly to
-    # avoid the window loss of a double reciprocal.
-    m = d + 1
-    h = int_pow(finv, m) if m >= 0 else int_pow(fs, -m)
-    out = []
-    for _k in range(d, k_max + 1):
-        prod = base * h
-        if prod.order <= -1:
-            raise PreconditionError("k_max exceeds determined window")
-        out.append(prod.coefficient(-1))
-        h = h * finv
-    return out
+    # enough of the inverse for t^k_max: its reciprocal's window is two
+    # shorter than its own, and each further power of that one shorter
+    finv = compositional_inverse(fs, order=max(k_max, d) + 2 - min(d, 0))
+    s = max(d - 1, 0)
+    comp = compose(gs * monomial(-s), finv) * int_pow(finv, s)
+    if k_max >= comp.order:
+        raise PreconditionError("k_max exceeds determined window")
+    return [comp.coefficient(k) for k in range(d, k_max + 1)]
 
 
 # -- the catalog ---------------------------------------------------------

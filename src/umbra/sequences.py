@@ -7,14 +7,19 @@ satisfy the binomial identity
     p_n(x + a) = sum_k C(n, k) p_k(a) p_{n-k}(x),
 
 which is certified here on an exact rational grid large enough to pin down
-the bivariate polynomial. Two generators are provided (the transfer
-formula and the Rodrigues-style recurrence), along with the conjugate
-(coefficient-transform) construction, generalized Taylor expansion, umbral
-composition, and connection-constant matrices between any two bases.
+the bivariate polynomial. Every basic sequence is built one way: as the
+conjugate sequence of the compositional inverse g of f,
+
+    p_n(x) = sum_k n! [t^n] g^k x^k / k!,
+
+read from one table of the powers of g. Conjugate sequences and
+connection-constant matrices between any two bases read the same table;
+generalized Taylor expansion and umbral composition complete the module.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Rat
+from functools import partial
 from itertools import islice
 from math import comb, factorial
 from typing import Sequence
@@ -28,14 +33,12 @@ from .operators import (
 )
 from .series import (
     _dense,
+    _powers,
     compose,
     compositional_inverse,
     exp_series,
-    formal_derivative,
-    int_pow,
     monomial,
     mul,
-    reciprocal,
 )
 
 
@@ -49,10 +52,10 @@ class BinomialSequence:
 
     __slots__ = ("operator", "generation_method", "_polys", "_step")
 
-    def __init__(self, operator, generation_method, step, initial=None):
+    def __init__(self, operator, generation_method, step):
         self.operator = operator
         self.generation_method = generation_method
-        self._polys = list(initial or [])
+        self._polys = []
         self._step = step
 
     def __getitem__(self, n: int) -> Polynomial:
@@ -71,48 +74,53 @@ class BinomialSequence:
         return f"<basic sequence of {op} via {label}, {len(self._polys)} cached>"
 
 
+def _conjugate(operator, method, source, window, n_max) -> BinomialSequence:
+    """The conjugate sequence p_n(x) = sum_k n! [t^n] g^k x^k / k! of the
+    delta series g that ``source(w)`` gives determined below t^w; rows n
+    below ``window`` are determined.
+
+    Its one table holds the powers u^1..u^s of u = g/t on their first s
+    coefficients, as integer numerators over one denominator each, which
+    serves every row n <= s. A row past s rebuilds it at least twice as
+    wide, so a sequence pays only for the rows it is asked for."""
+    powers = []
+
+    def step(n, _polys):
+        if n == 0:
+            return Polynomial([1])
+        if n >= window:
+            raise PreconditionError("truncation too small for exact action")
+        if n > len(powers):
+            size = min(max(n, n_max, 2 * len(powers)), window - 1)
+            g = source(size + 1)
+            u, ud = _dense([g.coefficient(e) for e in range(1, size + 1)])
+            powers[:] = islice(_powers(u, ud, size), size)
+        fn = factorial(n)
+        return Polynomial([0] + [
+            Rat(fn * p[n - k], factorial(k) * pd)
+            for k, (p, pd) in enumerate(powers[:n], start=1)
+        ])
+
+    seq = BinomialSequence(operator, method, step)
+    seq.terms(n_max)
+    return seq
+
+
 def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
-    """Basic sequence by the transfer formula p_n = f'(D) (f/D)^(-n-1) x^n.
+    """Basic sequence of f: the conjugate sequence of its compositional
+    inverse g, p_n(x) = sum_k n! [t^n] g^k x^k / k!. Row n is determined
+    while n is below the order of f.
 
     Terms beyond n_max are still available by indexing; n_max only controls
     how much is precomputed eagerly.
     """
     fs = _delta_series(f)
-    fprime = formal_derivative(fs)
-    ginv = reciprocal(mul(fs, monomial(-1)))  # (f/D)^(-1)
-    state = {}
-
-    def step(n, _polys):
-        if n == 0:
-            return Polynomial([1])
-        power = state.get("power")
-        # maintain (f/D)^(-n-1) incrementally
-        if power is None or state["n"] != n - 1:
-            power = int_pow(ginv, n + 1)
-        else:
-            power = power * ginv
-        state["power"] = power
-        state["n"] = n
-        transfer = fprime * power
-        return apply_to_polynomial(transfer, Polynomial.x_power(n))
-
-    seq = BinomialSequence(f, "transfer", step)
-    seq.terms(n_max)
-    return seq
+    return _conjugate(f, "transfer", partial(compositional_inverse, fs), fs.order, n_max)
 
 
 def generate_recurrence(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
-    """Basic sequence by the recurrence p_n = x (f'(D))^(-1) p_{n-1}."""
-    inv_fprime = reciprocal(formal_derivative(_delta_series(f)))
-
-    def step(n, polys):
-        if n == 0:
-            return Polynomial([1])
-        return apply_to_polynomial(inv_fprime, polys[n - 1]).mul_x()
-
-    seq = BinomialSequence(f, "recurrence", step)
-    seq.terms(n_max)
-    return seq
+    """Basic sequence of f; the same sequence generate_transfer builds."""
+    return generate_transfer(f, n_max)
 
 
 def conjugate_sequence(g, n_max: int = 0) -> BinomialSequence:
@@ -122,30 +130,12 @@ def conjugate_sequence(g, n_max: int = 0) -> BinomialSequence:
 
     which form the basic sequence of the compositional inverse of g."""
     gs = _delta_series(g)
-    powers = [None]  # g^0 handled separately
-
-    def step(n, _polys):
-        if n == 0:
-            return Polynomial([1])
-        while len(powers) <= n:
-            prev = powers[-1]
-            powers.append(gs if prev is None else prev * gs)
-        coeffs = [Rat(0)]
-        for k in range(1, n + 1):
-            gk = powers[k]
-            if gk.order <= n:
-                raise PreconditionError("truncation too small for exact action")
-            coeffs.append(factorial(n) * gk.coefficient(n) / factorial(k))
-        return Polynomial(coeffs)
-
     operator = None
     try:
         operator = DeltaOperator(compositional_inverse(gs), name="conjugate")
     except PreconditionError:
         pass
-    seq = BinomialSequence(operator, "conjugate", step)
-    seq.terms(n_max)
-    return seq
+    return _conjugate(operator, "conjugate", lambda w: gs, gs.order, n_max)
 
 
 def taylor_expand(p: Polynomial, q: DeltaOperator) -> list:
@@ -196,9 +186,14 @@ def connection_constants(g: DeltaOperator, h: DeltaOperator, n_max: int) -> Conn
 
     They are the coefficients of the basic sequence of h(g^(-1)(D)): the
     umbral map sending the g-sequence to the h-sequence is polynomial
-    substitution into that sequence."""
-    comp = compose(h.series, compositional_inverse(g.series))
-    bridge = generate_transfer(DeltaOperator(comp), n_max)
+    substitution into that sequence. That sequence is the conjugate
+    sequence of g(h^(-1)(t)), so its rows come from one inversion, of h."""
+    gs, hs = _delta_series(g), _delta_series(h)
+
+    def source(w):
+        return compose(gs, compositional_inverse(hs, order=w))
+
+    bridge = _conjugate(None, "conjugate", source, min(gs.order, hs.order), n_max)
     entries = [
         [bridge[n].coefficient(k) for k in range(n + 1)] for n in range(n_max + 1)
     ]

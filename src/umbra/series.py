@@ -85,6 +85,16 @@ def _reduce(nums, den):
     return [x // g for x in nums], den // g
 
 
+def _powers(u, ud, w):
+    """u, u^2, u^3, ... on their first w coefficients, for integer
+    numerators u over ud: each power is one truncated product of the one
+    before, reduced by the gcd of its numerators and denominator."""
+    p, pd = u, ud
+    while True:
+        yield p, pd
+        p, pd = _reduce(_mul_trunc(p, u, w), pd * ud)
+
+
 def _dense_mul(x, y, w):
     """The first w coefficients of x*y for runs of rationals x and y."""
     (a, ad), (b, bd) = _dense(x), _dense(y)
@@ -352,8 +362,11 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
     g are handled through the reciprocal)."""
     if not g.is_zero and g.valuation < 1:
         raise PreconditionError("composition requires positive valuation")
+    # g^e starts at e*val_g, so a term with e*val_g >= order_g only reaches
+    # exponents the result cannot claim: leave it out of Horner.
+    limit = -(-g.order // g.valuation) if g.order != INF and g.valuation > 0 else INF
+    top = max((e for e in f.coeffs if 0 <= e < limit), default=-1)
     # Nonnegative part of f, evaluated by Horner from the top exponent down.
-    top = max((e for e in f.coeffs if e >= 0), default=-1)
     acc = zero()
     for e in range(top, -1, -1):
         acc = acc * g
@@ -364,11 +377,9 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
     neg = sorted((e for e in f.coeffs if e < 0), reverse=True)
     if neg:
         r = reciprocal(g, order=order)
-        rpow = zero()
-        power = 0
+        rpow, power = constant(1), 0
         for e in neg:
-            rpow = r if power == 0 else rpow * int_pow(r, -e - power)
-            power = -e
+            rpow, power = rpow * int_pow(r, -e - power), -e
             acc = acc + rpow.scale(f.coeffs[e])
     result = acc
     # Never claim more than the window formula min(order_g, order_f*val_g)
@@ -439,9 +450,8 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 # -- compositional inverse ----------------------------------------------
 #
 # Lagrange reversion: with h = t/f, the inverse g has [t^k] g = [t^(k-1)] h^k / k.
-# The powers h^k are built by successive truncated products in the kernel's
-# integer representation, each reduced by the gcd of its numerators and
-# denominator; only the output coefficients become Fractions.
+# The powers h^k come from the kernel's _powers on integer numerators; only
+# the output coefficients become Fractions.
 
 
 def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
@@ -469,10 +479,6 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     w = n_out - 1  # h = t/f is needed on exponents [0, w)
     unit = TruncatedSeries({e - 1: c for e, c in f.coeffs.items()}, f.order - 1)
     recip = reciprocal(unit, order=w)
-    hn, hd = _dense([recip.coefficient(k) for k in range(w)])
-    g = {1: Rat(hn[0], hd)}
-    p, pd = hn, hd  # h^k as numerators over pd
-    for k in range(2, n_out):
-        p, pd = _reduce(_mul_trunc(p, hn, w), pd * hd)
-        g[k] = Rat(p[k - 1], k * pd)
+    powers = _powers(*_dense([recip.coefficient(k) for k in range(w)]), w)
+    g = {k: Rat(p[k - 1], k * pd) for k, (p, pd) in zip(range(1, n_out), powers)}
     return TruncatedSeries(g, n_out)

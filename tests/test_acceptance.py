@@ -28,7 +28,15 @@ from umbra.sequences import (
     generate_transfer,
     verify_binomial_identity,
 )
-from umbra.series import compositional_inverse, constant, monomial, mul
+from umbra.series import (
+    compositional_inverse,
+    constant,
+    formal_derivative,
+    int_pow,
+    monomial,
+    mul,
+    reciprocal,
+)
 from umbra.suites import run_suite
 
 _T0 = time.monotonic()
@@ -108,10 +116,11 @@ def test_criterion_03_expansion_round_trips():
 
 
 def test_criterion_04_lagrange_matches_newton_to_order_20():
-    # Two routes to the inverse must agree: residue-style Lagrange
-    # coefficients vs the power-form Lagrange reversion of
-    # compositional_inverse (test_series checks the latter against a
-    # Newton-iteration oracle).
+    # Two routes to the inverse must agree: lagrange_inversion, read off
+    # the composite t(f^(-1)), vs the residue formula
+    # [t^k] f^(-1) = [t^(-1)] t f' f^(-1-k), formed here from products of
+    # Laurent series without the inverse; compositional_inverse must match
+    # both (test_series checks it against a Newton-iteration oracle).
     cases = [
         ("forward_difference", None),
         ("abel", Rat(1)),
@@ -124,8 +133,11 @@ def test_criterion_04_lagrange_matches_newton_to_order_20():
         op = catalog(name, params, order=24)
         lag = lagrange_inversion(op.series, monomial(1), 20)
         newton = compositional_inverse(op.series)
+        base = monomial(1) * formal_derivative(op.series)
+        finv = reciprocal(op.series)
         for k in range(1, 21):
-            assert lag[k - 1] == newton.coefficient(k), (name, b, k)
+            residue = (base * int_pow(finv, k + 1)).coefficient(-1)
+            assert lag[k - 1] == residue == newton.coefficient(k), (name, b, k)
 
 
 def test_criterion_05_generating_function_bidegree_8():

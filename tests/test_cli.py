@@ -115,6 +115,17 @@ class TestSeqCommand:
         doc = run_json(capsys, "seq", "--op", "abel(b)", "--param", "b=1", "--n", "2")
         assert doc["result"]["rows"][0]["coeffs"] == {"1": "-2", "2": "1"}
 
+    def test_last_row_of_the_window(self, capsys):
+        # at the default order 16, p_15 is determined: it equals the row
+        # at order 24; p_16 is refused
+        doc = run_json(capsys, "seq", "--op", "exp(D)-1", "--n", "15")
+        deeper = run_json(capsys, "seq", "--op", "exp(D)-1", "--n", "15", "--order", "24")
+        assert doc["result"]["rows"] == deeper["result"]["rows"]
+        assert doc["result"]["rows"][0]["coeffs"]["15"] == "1"
+        code, out, err = run_cli(capsys, "seq", "--op", "exp(D)-1", "--n", "16")
+        assert (code, out) == (3, "")
+        assert "truncation too small" in err
+
     def test_range_and_n_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "seq", "--op", "D", "--n", "1", "--range", "0..2"
@@ -157,6 +168,30 @@ class TestExpandCommand:
         assert doc["result"]["coefficients"] == {
             "0": "1", "1": "3", "2": "6", "3": "6", "4": "0", "5": "0",
         }
+
+    def test_negative_power_below_minus_one(self, capsys):
+        # [DERIVED] 1/log(1+t)^2 = t^-2 + t^-1 + 1/12 - t^2/240 + t^3/240,
+        # so the k!-normalized coefficients are 1/12, 0, -1/120, 1/40
+        doc = run_json(capsys, "expand", "--op", "D^-2", "--op2", "exp(D)-1", "--n", "3")
+        assert doc["result"]["coefficients"] == {
+            "0": "1/12", "1": "0", "2": "-1/120", "3": "1/40",
+        }
+
+    @pytest.mark.parametrize("op", ["D^100000", "(D+D^2)^100000"])
+    def test_high_power_past_the_window(self, capsys, monkeypatch, op):
+        # both vanish below D^16 in the forward-difference basis; composing
+        # costs a few products, not one per exponent of the outer series
+        calls = []
+        mul = TruncatedSeries.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        doc = run_json(capsys, "expand", "--op", op, "--op2", "exp(D)-1", "--n", "6")
+        assert set(doc["result"]["coefficients"].values()) == {"0"}
+        assert len(calls) < 40
 
     def test_default_basis_is_derivative(self, capsys):
         # [TRIVIAL] expanding exp(D) in powers of D gives all ones

@@ -1,0 +1,77 @@
+"""Byte-identical CLI output.
+
+The eight README commands and every ``verify`` suite, at its default size
+and with ``--corrupt``, must print exactly the stdout and exit with exactly
+the code frozen in ``tests/data/cli_golden.json``. After a change that is
+meant to alter that output, refreeze with
+
+    PYTHONPATH=src python3 tests/test_cli_golden.py --freeze
+
+and review the diff of the data file.
+"""
+import io
+import json
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from umbra.cli import main
+from umbra.suites import SUITE_NAMES
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
+
+README_COMMANDS = (
+    ("seq", "--op", "exp(D)-1", "--range", "0..4"),
+    ("seq", "--op", "abel(b)", "--param", "b=1/2", "--n", "3", "--format", "latex"),
+    ("logseq", "--op", "exp(D)-1", "--n", "-1", "--depth", "8"),
+    ("expand", "--op", "shift(a)", "--op2", "exp(D)-1", "--param", "a=3", "--n", "6"),
+    ("invert", "--op", "D*exp(D)", "--n", "8"),
+    ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--n", "6"),
+    ("verify", "--suite", "golden"),
+    ("eval", "--op", "exp(D)-1", "--n", "0", "--x0", "10", "--prec", "25"),
+)
+
+# README_COMMANDS already holds "verify --suite golden"; keep the first copy.
+COMMANDS = tuple(dict.fromkeys(README_COMMANDS + tuple(
+    ("verify", "--suite", name, *flag)
+    for name in SUITE_NAMES
+    for flag in ((), ("--corrupt",))
+)))
+
+
+def run(argv):
+    """(exit code, stdout) of one in-process CLI run."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def frozen():
+    return {tuple(case["argv"]): case for case in json.loads(GOLDEN.read_text())}
+
+
+def test_every_command_is_frozen():
+    assert set(frozen()) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_output_is_byte_identical(argv, monkeypatch):
+    monkeypatch.delenv("UMBRA_ORDER", raising=False)
+    case = frozen()[argv]
+    assert run(argv) == (case["exit"], case["stdout"])
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--freeze"]:
+        sys.exit(__doc__)
+    os.environ.pop("UMBRA_ORDER", None)
+    cases = []
+    for argv in COMMANDS:
+        code, stdout = run(argv)
+        cases.append({"argv": list(argv), "exit": code, "stdout": stdout})
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text(json.dumps(cases, indent=1, ensure_ascii=False) + "\n")

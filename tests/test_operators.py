@@ -4,6 +4,8 @@ from fractions import Fraction as Rat
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from umbra.errors import PreconditionError
 from umbra.operators import (
@@ -18,7 +20,17 @@ from umbra.operators import (
     lagrange_inversion,
     pincherle_derivative,
 )
-from umbra.series import INF, compositional_inverse, from_coeffs, identity, monomial, reciprocal
+from umbra.series import (
+    INF,
+    TruncatedSeries,
+    compositional_inverse,
+    formal_derivative,
+    from_coeffs,
+    identity,
+    int_pow,
+    monomial,
+    reciprocal,
+)
 
 
 def lower_factorial(n):
@@ -222,7 +234,91 @@ class TestCatalog:
         assert catalog("derivative").series.order == INF
 
 
+# -- Lagrange inversion against the residue formula it replaced ----------
+#
+# Oracle: [t^k] g(f^(-1)) = [t^(-1)] g f' f^(-1-k), by products of Laurent
+# series; it never forms the compositional inverse of f.
+
+
+def _residue_lagrange(f, g, cap):
+    """Coefficients of g(f^(-1)) from exponent val(g) up, until the window
+    of the residue refuses one or cap of them are found."""
+    base = g * formal_derivative(f)
+    finv = reciprocal(f)
+    m = g.valuation + 1
+    h = int_pow(finv, m) if m >= 0 else int_pow(f, -m)
+    out = []
+    while len(out) < cap:
+        prod = base * h
+        if prod.order <= -1:
+            break
+        out.append(prod.coefficient(-1))
+        h = h * finv
+    return out
+
+
+rat = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@st.composite
+def lagrange_cases(draw):
+    """(name, params, order, coeffs, g_order): a catalog delta operator at
+    order 3..24, and a Laurent g of valuation -3..3 given by a few exact
+    coefficients, truncated at g_order or exact (None)."""
+    name = draw(st.sampled_from(DELTA_NAMES))
+    params = {"b": draw(rat)} if name == "abel" else {}
+    d = draw(st.integers(-3, 3))
+    coeffs = {d: draw(rat.filter(bool))}
+    for e in range(d + 1, d + draw(st.integers(1, 4))):
+        coeffs[e] = draw(rat)
+    g_order = draw(st.none() | st.integers(d + 1, d + 12))
+    return name, params, draw(st.integers(3, 24)), coeffs, g_order
+
+
 class TestLagrangeInversion:
+    @given(lagrange_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_residue_oracle(self, case):
+        # equal on the residue's window; one coefficient further is either
+        # refused or equal to the same call with f and g known 8 orders
+        # further
+        name, params, order, coeffs, g_order = case
+
+        def inputs(extra):
+            f = catalog(name, params, order=order + extra)
+            return f, TruncatedSeries(coeffs, INF if g_order is None else g_order + extra)
+
+        f, g = inputs(0)
+        d = g.valuation
+        want = _residue_lagrange(f.series, g, cap=30)
+        top = d + len(want)
+        if want:
+            assert lagrange_inversion(f, g, top - 1) == want
+        try:
+            got = lagrange_inversion(f, g, top)
+        except PreconditionError as err:
+            assert "exceeds determined window" in str(err)
+        else:
+            assert got == lagrange_inversion(*inputs(8), top)
+            assert got[:-1] == want
+
+    def test_valuation_above_one_keeps_its_window(self):
+        # [t^k] g(f^(-1)) for g = t^2 + 3t^5 is determined to k = order,
+        # one past the inverse's own window
+        f = catalog("forward_difference", order=6)
+        g = monomial(2) + monomial(5, 3)
+        assert lagrange_inversion(f, g, 6) == _residue_lagrange(f.series, g, cap=5)
+        deeper = catalog("forward_difference", order=14)
+        assert lagrange_inversion(f, g, 6) == lagrange_inversion(deeper, g, 6)
+        with pytest.raises(PreconditionError, match="exceeds determined window"):
+            lagrange_inversion(f, g, 7)
+
+    def test_laurent_below_minus_one(self):
+        # [DERIVED] 1/log(1+t)^2 = t^-2 + t^-1 + 1/12 - t^2/240 + t^3/240
+        f = catalog("forward_difference", order=14)
+        cs = lagrange_inversion(f, monomial(-2), 3)
+        assert cs == [1, 1, Rat(1, 12), 0, Rat(-1, 240), Rat(1, 240)]
+
     def test_tree_series(self):
         # [DERIVED] inverse of t e^t has coefficients (-k)^(k-1)/k!
         f = catalog("abel", {"b": 1}, order=12)

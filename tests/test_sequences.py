@@ -1,15 +1,23 @@
 # Tests for binomial-type sequences: generator agreement, closed forms,
 # Taylor expansion, umbral composition, connection constants.
 from fractions import Fraction as Rat
+from itertools import count, islice
 from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbra import series
 from umbra.errors import PreconditionError
 from umbra.numbers import stirling_first, stirling_second
-from umbra.operators import DELTA_NAMES, DeltaOperator, Polynomial, catalog
+from umbra.operators import (
+    DELTA_NAMES,
+    DeltaOperator,
+    Polynomial,
+    apply_to_polynomial,
+    catalog,
+)
 from umbra.sequences import (
     BinomialSequence,
     ConnectionMatrix,
@@ -22,7 +30,15 @@ from umbra.sequences import (
     umbral_compose,
     verify_binomial_identity,
 )
-from umbra.series import compose, compositional_inverse
+from umbra.series import (
+    compose,
+    compositional_inverse,
+    formal_derivative,
+    int_pow,
+    monomial,
+    mul,
+    reciprocal,
+)
 
 
 def delta_catalog(order=16):
@@ -105,6 +121,74 @@ def binomial_cases(draw):
     return seq, n
 
 
+# -- the generators the power table replaced ------------------------------
+#
+# Oracles: the transfer formula, the Rodrigues recurrence and the conjugate
+# loop over powers of g. The first two apply operators to polynomials and
+# never form the compositional inverse; none of them shares the library's
+# table of integer numerators. Each yields rows n = 0, 1, ... until the
+# operator's window refuses one.
+
+
+def _transfer_oracle(f):
+    """p_n = f'(D) (f/D)^(-n-1) x^n."""
+    fs = f.series
+    fprime = formal_derivative(fs)
+    ginv = reciprocal(mul(fs, monomial(-1)))
+    yield Polynomial([1])
+    power = ginv
+    for n in count(1):
+        power = power * ginv
+        yield apply_to_polynomial(fprime * power, Polynomial.x_power(n))
+
+
+def _recurrence_oracle(f):
+    """p_n = x f'(D)^(-1) p_(n-1)."""
+    inv_fprime = reciprocal(formal_derivative(f.series))
+    p = Polynomial([1])
+    while True:
+        yield p
+        p = apply_to_polynomial(inv_fprime, p).mul_x()
+
+
+def _conjugate_oracle(g):
+    """p_n = sum_k n! [t^n] g^k x^k / k!, one power of g at a time."""
+    yield Polynomial([1])
+    for n in count(1):
+        coeffs = [Rat(0)]
+        for k in range(1, n + 1):
+            gk = int_pow(g, k)
+            if gk.order <= n:
+                raise PreconditionError("truncation too small for exact action")
+            coeffs.append(factorial(n) * gk.coefficient(n) / factorial(k))
+        yield Polynomial(coeffs)
+
+
+def _take(rows, cap):
+    """The rows an iterator yields before its window refuses, at most cap."""
+    out = []
+    try:
+        out.extend(islice(rows, cap))
+    except PreconditionError as err:
+        assert "truncation too small" in str(err)
+    return out
+
+
+def _library_rows(seq):
+    return (seq[n] for n in count())
+
+
+@st.composite
+def delta_operators(draw):
+    """A catalog delta operator at order 3..24; abel gets a random rational b."""
+    name = draw(st.sampled_from(DELTA_NAMES))
+    params = {"b": draw(small_rat)} if name == "abel" else {}
+    return catalog(name, params, order=draw(st.integers(3, 24)))
+
+
+CAP = 26  # rows asked of an operator whose window is unbounded
+
+
 class TestGenerators:
     def test_derivative_gives_powers(self):
         seq = generate_transfer(catalog("derivative"), 6)
@@ -141,12 +225,32 @@ class TestGenerators:
         assert seq[3] == Polynomial([0, -6, 6, -1])
 
     def test_transfer_equals_recurrence(self):
-        # two independent generation formulas must agree
+        # the library's rows against the two generation formulas it replaced
         for name, op in delta_catalog():
-            a = generate_transfer(op, 8)
-            b = generate_recurrence(op, 8)
-            for n in range(9):
-                assert a[n] == b[n], (name, n)
+            for generate in (generate_transfer, generate_recurrence):
+                rows = generate(op, 8).terms(8)
+                assert rows == _take(_transfer_oracle(op), 9), (name, generate)
+                assert rows == _take(_recurrence_oracle(op), 9), (name, generate)
+
+    @given(delta_operators())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_generator_oracles(self, op):
+        # every row inside the window: n below the order of the series. The
+        # recurrence has the same window; the transfer formula's is one row
+        # shorter, since f' loses a coefficient the rows never read.
+        rows = _take(_library_rows(generate_transfer(op)), CAP)
+        assert len(rows) == min(op.series.order, CAP)
+        assert rows == _take(_library_rows(generate_recurrence(op)), CAP)
+        assert rows == _take(_recurrence_oracle(op), CAP)
+        want = _take(_transfer_oracle(op), CAP)
+        assert len(want) >= len(rows) - 1
+        assert rows[: len(want)] == want
+
+    @given(delta_operators())
+    @settings(max_examples=20, deadline=None)
+    def test_conjugate_rows_match_power_loop(self, op):
+        got = _take(_library_rows(conjugate_sequence(op.series)), CAP)
+        assert got == _take(_conjugate_oracle(op.series), CAP)
 
     def test_defining_property(self):
         # f p_n = n p_{n-1}, p_0 = 1, p_n(0) = 0
@@ -166,6 +270,61 @@ class TestGenerators:
         seq = generate_transfer(catalog("forward_difference", order=5), 2)
         with pytest.raises(PreconditionError, match="truncation too small"):
             seq[6]
+
+    @pytest.mark.parametrize("eager", [0, 3])
+    def test_rows_are_paid_for_only_as_asked(self, monkeypatch, eager):
+        # an order-200 operator asked for n <= 3 builds no product wider
+        # than 8, whether the rows come eagerly or one index at a time
+        op = catalog("forward_difference", order=200)
+        widths = []
+        mul_trunc = series._mul_trunc
+
+        def recorded(a, b, w):
+            widths.append(w)
+            return mul_trunc(a, b, w)
+
+        monkeypatch.setattr(series, "_mul_trunc", recorded)
+        seq = generate_transfer(op, eager)
+        assert seq.terms(3) == [lower_factorial(n) for n in range(4)]
+        assert widths and max(widths) <= 8
+
+
+class TestWindows:
+    """Row n is determined while n is below the order of the series. The
+    last such row must agree with the operator known 8 orders further, and
+    the next one must be refused."""
+
+    @pytest.mark.parametrize("order", [3, 4, 16])
+    @pytest.mark.parametrize("name", DELTA_NAMES[1:])
+    def test_last_sequence_row(self, name, order):
+        params = {"b": Rat(-2, 3)} if name == "abel" else {}
+        op = catalog(name, params, order=order)
+        deeper = catalog(name, params, order=order + 8)
+        window = op.series.order
+        for generate in (generate_transfer, lambda f: conjugate_sequence(f.series)):
+            seq = generate(op)
+            assert seq[window - 1] == generate(deeper)[window - 1]
+            with pytest.raises(PreconditionError, match="truncation too small"):
+                seq[window]
+
+    @pytest.mark.parametrize("order", [3, 4, 16])
+    @pytest.mark.parametrize(
+        "pair",
+        [("backward_difference", "forward_difference"), ("abel", "laguerre"),
+         ("forward_difference", "abel"), ("derivative", "laguerre")],
+    )
+    def test_last_connection_row(self, pair, order):
+        def op(name, shift):
+            params = {"b": Rat(3, 5)} if name == "abel" else {}
+            return catalog(name, params, order=order + shift)
+
+        g, h = op(pair[0], 0), op(pair[1], 0)
+        window = min(g.series.order, h.series.order)
+        got = connection_constants(g, h, window - 1)
+        deeper = connection_constants(op(pair[0], 8), op(pair[1], 8), window - 1)
+        assert got.row(window - 1) == deeper.row(window - 1)
+        with pytest.raises(PreconditionError, match="truncation too small"):
+            connection_constants(g, h, window)
 
 
 class TestBinomialIdentity:
@@ -356,6 +515,18 @@ class TestConnectionConstants:
         for n in range(8):
             for k in range(n + 1):
                 assert c.entry(n, k) == stirling_first(n, k), (n, k)
+
+    @given(delta_operators(), delta_operators())
+    @settings(max_examples=20, deadline=None)
+    def test_rows_match_bridge_transfer(self, g, h):
+        # every row the transfer formula gives on the bridge h(g^(-1))
+        bridge = DeltaOperator(compose(h.series, compositional_inverse(g.series)))
+        want = _take(_transfer_oracle(bridge), CAP)
+        n = len(want) - 1
+        got = connection_constants(g, h, n)
+        assert [list(got.row(m)) for m in range(n + 1)] == [
+            [want[m].coefficient(k) for k in range(m + 1)] for m in range(n + 1)
+        ]
 
     def test_identity_connection(self):
         fd = catalog("forward_difference", order=16)

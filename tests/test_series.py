@@ -278,6 +278,63 @@ class TestCompose:
         g = from_coeffs([1, 1], start=2, order=9)  # val 2
         assert compose(f, g).order == min(9, 5 * 2)
 
+    def test_laurent_power_below_minus_one(self):
+        # the first negative power is 1/g^3, not 1/g
+        assert compose(monomial(-3), t) == monomial(-3)
+        g = from_coeffs([1, 1, 2], start=1, order=9)
+        for k in range(1, 5):
+            assert compose(monomial(-k), g) == int_pow(reciprocal(g), k), k
+
+    @given(
+        series_strategy(min_val=1, max_val=2, min_order=4, max_order=9),
+        st.dictionaries(st.integers(-4, 3), small_rat, min_size=1, max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_laurent_outer_matches_powers(self, g, fc):
+        # f(g) = sum_e c_e g^e, negative e through powers of 1/g
+        if g.is_zero:
+            return
+        r = reciprocal(g)
+        want = zero()
+        for e, c in fc.items():
+            want = want + (int_pow(g, e) if e >= 0 else int_pow(r, -e)).scale(c)
+        got = compose(TruncatedSeries(fc), g)
+        assert got.agrees_with(want)
+        assert got.order == min(want.order, g.order)
+
+    def test_terms_past_the_window_cost_no_products(self, monkeypatch):
+        # g = log(1+t) is known below t^16, so t^100000 reaches only
+        # exponents the result cannot claim: Horner starts at t^3
+        g = compositional_inverse(exp_series(t, order=16) - constant(1))
+        want = int_pow(g, 3).truncate(16)
+        calls = []
+        mul = TruncatedSeries.__mul__
+
+        def counted(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        assert compose(monomial(100000) + monomial(3), g) == want
+        assert len(calls) == 4
+
+    @given(
+        series_strategy(min_val=0, max_val=3, min_order=1, max_order=8),
+        st.dictionaries(st.integers(0, 30), small_rat, min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_dropped_terms_change_nothing(self, g, fc):
+        # against Horner over every exponent with the cap min(order_g, ...)
+        if not g.is_zero and g.valuation < 1:
+            return
+        f = TruncatedSeries(fc)
+        acc = zero()
+        for e in range(max(f.coeffs, default=-1), -1, -1):
+            acc = acc * g
+            if e in f.coeffs:
+                acc = acc + constant(f.coeffs[e])
+        assert compose(f, g) == acc.truncate(min(acc.order, g.order))
+
     @given(series_strategy(min_val=1, max_val=2, min_order=4, max_order=7))
     @settings(max_examples=20, deadline=None)
     def test_compose_linearity(self, g):
