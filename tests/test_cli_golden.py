@@ -1,8 +1,9 @@
 """Byte-identical CLI output.
 
-The eight README commands and every ``verify`` suite, at its default size
-and with ``--corrupt``, must print exactly the stdout and exit with exactly
-the code frozen in ``tests/data/cli_golden.json``. After a change that is
+The eight README commands, every ``verify`` suite at its default size and
+with ``--corrupt``, and a set of harmonic-log commands must print exactly
+the stdout and exit with exactly the code frozen in
+``tests/data/cli_golden.json``. After a change that is
 meant to alter that output, refreeze with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py --freeze
@@ -34,12 +35,22 @@ README_COMMANDS = (
     ("eval", "--op", "exp(D)-1", "--n", "0", "--x0", "10", "--prec", "25"),
 )
 
+# The logarithmic layer: negative ranges, plain output, numeric evaluation
+# and the suites that read log windows at a non-default depth.
+LOG_COMMANDS = (
+    ("logseq", "--op", "D*exp(D)", "--range=-6..2", "--depth", "10"),
+    ("logseq", "--op", "1-exp(-D)", "--range=-4..4", "--format", "plain"),
+    ("eval", "--op", "D*exp(D)", "--n", "-1", "--x0", "7/2"),
+    ("verify", "--suite", "golden", "--depth", "20"),
+    ("verify", "--suite", "abel_numeric", "--depth", "16"),
+)
+
 # README_COMMANDS already holds "verify --suite golden"; keep the first copy.
 COMMANDS = tuple(dict.fromkeys(README_COMMANDS + tuple(
     ("verify", "--suite", name, *flag)
     for name in SUITE_NAMES
     for flag in ((), ("--corrupt",))
-)))
+) + LOG_COMMANDS))
 
 
 def run(argv):
