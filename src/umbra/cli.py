@@ -326,16 +326,11 @@ def _cmd_eval(args, settings, params):
 
 def _render_csv(command: str, payload: dict) -> str:
     lines = []
-    if "rows" in payload and command in ("seq", "logseq"):
-        lines.append("n,degree,coefficient")
+    if "rows" in payload:
+        lines.append("n,degree,coefficient" if command in ("seq", "logseq") else "n,k,value")
         for row in payload["rows"]:
             for d in sorted(row["coeffs"], key=int):
                 lines.append(f"{row['n']},{d},{row['coeffs'][d]}")
-    elif "rows" in payload:  # connect
-        lines.append("n,k,value")
-        for row in payload["rows"]:
-            for k in sorted(row["coeffs"], key=int):
-                lines.append(f"{row['n']},{k},{row['coeffs'][k]}")
     elif "coefficients" in payload:
         lines.append("k,coefficient")
         for k in sorted(payload["coefficients"], key=int):
@@ -399,19 +394,14 @@ def _render_latex(command: str, payload: dict) -> str:
 
 def _render_plain(command: str, payload: dict) -> str:
     lines = []
-    if command == "seq":
+    if command in ("seq", "logseq"):
         for row in payload["rows"]:
-            items = sorted(
-                ((int(d), Rat(row["coeffs"][d])) for d in row["coeffs"]), reverse=True
-            )
-            lines.append(f"p_{row['n']}(x) = {_sum_plain(items, 'x')}")
-    elif command == "logseq":
-        for row in payload["rows"]:
-            items = sorted(
-                ((int(d), Rat(row["coeffs"][d])) for d in row["coeffs"]), reverse=True
-            )
-            body = _sum_plain(items, "L")
-            lines.append(f"p_{row['n']} = {body}   (window floor {row['floor']})")
+            items = sorted(((int(d), Rat(c)) for d, c in row["coeffs"].items()), reverse=True)
+            if command == "seq":
+                lines.append(f"p_{row['n']}(x) = {_sum_plain(items, 'x')}")
+            else:
+                body = _sum_plain(items, "L")
+                lines.append(f"p_{row['n']} = {body}   (window floor {row['floor']})")
     elif command == "connect":
         for row in payload["rows"]:
             cells = ", ".join(
@@ -584,7 +574,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {err}\n")
         return 2
     except PreconditionError as err:
-        sys.stderr.write(f"error: {err}\n")
+        hint = "; raise --order" if err.needed is not None else ""
+        sys.stderr.write(f"error: {err}{hint}\n")
         return 3
     except VerificationFailure as err:
         sys.stderr.write(f"error: {err}\n")

@@ -8,7 +8,12 @@ class UmbraError(Exception):
 
 class PreconditionError(UmbraError, ValueError):
     """An operation was called outside its domain (bad valuation, truncation
-    too small, and so on). The CLI maps these to exit code 3."""
+    too small, and so on). The CLI maps these to exit code 3. A refusal for
+    want of series order carries the orders ``needed`` and ``available``."""
+
+    def __init__(self, message: str, needed=None, available=None):
+        super().__init__(message)
+        self.needed, self.available = needed, available
 
 
 class VerificationFailure(UmbraError):

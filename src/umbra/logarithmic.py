@@ -17,8 +17,12 @@ the window:
     floor' = max(floor - valuation(T), top - order(T) + 1)
 
 Delta operators have logarithmic basic sequences extending their classical
-ones to all integer degrees: the residual series at degree -1 and its
-companions are produced by the same transfer formula used for polynomials.
+ones to all integer degrees. Since D^k maps degree j to roman(j)!/roman(j-k)!
+times degree j-k, every window here is read, not computed by an operator
+action: each coefficient is a roman-factorial multiple of one coefficient
+of a power of one series (Loeb-Rota logarithmic Lagrange inversion). The
+basic sequence reads f'(t) (f(t)/t)^(-n-1), the log conjugate sequence of
+g the powers of g/t, and Newton coefficients the powers of (e^t - 1)/t.
 """
 from __future__ import annotations
 
@@ -29,17 +33,8 @@ from typing import Mapping, Optional
 
 from .errors import PreconditionError
 from .numbers import roman_factorial, stirling_first
-from .operators import DeltaOperator, _delta_series, _series_of
-from .series import (
-    INF,
-    TruncatedSeries,
-    constant,
-    exp_series,
-    formal_derivative,
-    int_pow,
-    monomial,
-    mul,
-)
+from .operators import DeltaOperator, _delta_series, _series_of, catalog
+from .series import INF, _dense, _powers, formal_derivative, int_pow, monomial, mul, reciprocal
 
 NEG_INF = float("-inf")
 
@@ -149,34 +144,17 @@ class HarmonicLogSeries:
 
     def agrees_with(self, other: "HarmonicLogSeries") -> bool:
         """Coefficient equality on the overlap of the known windows."""
-        if self.order_t != other.order_t:
-            return False
         lo = max(self.floor, other.floor)
-        hi = max(
-            self.top if self.coeffs else lo,
-            other.top if other.coeffs else lo,
+        return self.order_t == other.order_t and all(
+            self.coeffs.get(d) == other.coeffs.get(d)
+            for d in self.coeffs.keys() | other.coeffs.keys()
+            if d >= lo
         )
-        if lo == NEG_INF:
-            lo = min(
-                min(self.coeffs, default=0), min(other.coeffs, default=0)
-            )
-        d = lo
-        while d <= hi:
-            if self.coeffs.get(d, Rat(0)) != other.coeffs.get(d, Rat(0)):
-                return False
-            d += 1
-        return True
 
     def __repr__(self):
-        if not self.coeffs:
-            body = "0"
-        else:
-            parts = []
-            for d in sorted(self.coeffs, reverse=True):
-                parts.append(f"{self.coeffs[d]}*L[{d}]")
-            body = " + ".join(parts)
+        body = " + ".join(f"{self.coeffs[d]}*L[{d}]" for d in sorted(self.coeffs, reverse=True))
         tail = "" if self.floor == NEG_INF else f" (floor {self.floor})"
-        return f"<order-{self.order_t} log series: {body}{tail}>"
+        return f"<order-{self.order_t} log series: {body or '0'}{tail}>"
 
 
 # -- basis elements ------------------------------------------------------
@@ -226,14 +204,8 @@ def apply_operator(T, s: HarmonicLogSeries) -> HarmonicLogSeries:
             out[d] = out.get(d, Rat(0)) + c * a * rj / roman_factorial(d)
     if ts.is_zero and ts.order == INF:
         return HarmonicLogSeries({}, NEG_INF, s.order_t)
-    top = s.top
-    floor_from_tail = (
-        NEG_INF if (ts.order == INF or top == NEG_INF) else top - ts.order + 1
-    )
-    floor_from_floor = NEG_INF if s.floor == NEG_INF else s.floor - ts.valuation
-    new_floor = max(floor_from_floor, floor_from_tail)
-    if new_floor != NEG_INF:
-        new_floor = int(new_floor)
+    # infinite orders and floors carry through as -infinity
+    new_floor = max(s.floor - ts.valuation, s.top - ts.order + 1)
     return HarmonicLogSeries(out, new_floor, s.order_t)
 
 
@@ -279,23 +251,46 @@ def skip(s: HarmonicLogSeries, to_t: int) -> HarmonicLogSeries:
 # -- logarithmic basic sequences ------------------------------------------
 
 
+def _cut(s, needed: int, depth: int):
+    """s cut to order ``needed``, refused when it is not known that far."""
+    if s.order < needed:
+        raise PreconditionError(
+            f"truncation too small for exact action: depth {depth} needs "
+            f"order {needed}, given {s.order}", needed=needed, available=s.order)
+    return s.truncate(needed)
+
+
+def _unit_powers(g, w: int, ks: range) -> dict:
+    """k -> (integer numerators, denominator) of (g/t)^k on its first w
+    coefficients (w + 1 for k = 0), k in ks, for g known to order w + 1:
+    positive powers from series._powers over g/t, negative over t/g."""
+    out = {0: ([1] + [0] * w, 1)}
+    if max(ks, default=0) > 0:
+        head = _dense([g.coefficient(e + 1) for e in range(w)])
+        out.update(zip(range(1, max(ks) + 1), _powers(*head, w)))
+    if min(ks, default=0) < 0:
+        r = reciprocal(g, order=w - 1)
+        head = _dense([r.coefficient(e - 1) for e in range(w)])
+        out.update(zip(range(-1, min(ks) - 1, -1), _powers(*head, w)))
+    return out
+
+
 def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     """Degree-n term of the logarithmic basic sequence of f, as a window
     of ``depth`` coefficients [n-depth+1, n] over the order-1 basis.
 
     Uses the transfer formula p_n = f'(D) (f/D)^(-n-1) lambda_n, valid for
-    every integer n; the classical polynomials reappear for n >= 0."""
+    every integer n; the classical polynomials reappear for n >= 0. Degree
+    n - k reads roman(n)!/roman(n-k)! [t^k] f'(t) (f(t)/t)^(-n-1), from f
+    cut to order depth + 1: the window is exact when f is known to order
+    depth + 1, and refused otherwise."""
     if depth < 1:
         raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
-    fs = _delta_series(f)
-    fprime = formal_derivative(fs)
-    g = mul(fs, monomial(-1))
-    transfer = mul(fprime, int_pow(g, -n - 1))
-    s = apply_operator(transfer, harmonic_log(n, 1))
-    target = n - depth + 1
-    if s.floor != NEG_INF and s.floor > target:
-        raise PreconditionError("truncation too small for exact action")
-    return s.truncate_floor(target)
+    fs = _cut(_delta_series(f), depth + 1, depth)
+    transfer = mul(formal_derivative(fs), int_pow(mul(fs, monomial(-1)), -n - 1))
+    rn = roman_factorial(n)
+    out = {n - k: rn / roman_factorial(n - k) * transfer.coefficient(k) for k in range(depth)}
+    return HarmonicLogSeries(out, n - depth + 1, 1)
 
 
 def residual_term(f, depth: int = 12) -> HarmonicLogSeries:
@@ -333,53 +328,52 @@ class LogBinomialSequence:
         return f"<log basic sequence of {op}, depth {self.depth}>"
 
 
-def _forward_difference_series(order: int) -> TruncatedSeries:
-    return exp_series(monomial(1, 1), order=order) - constant(1)
-
-
 def log_lower_factorial(n: int, depth: int = 12) -> HarmonicLogSeries:
     """Degree-n logarithmic lower factorial (x)_n^(1): the log basic
     sequence of the forward difference, as a window of ``depth``
     coefficients."""
-    order = depth + abs(n) + 3
-    return log_sequence(_forward_difference_series(order), n, depth)
+    return log_sequence(catalog("forward_difference", order=depth + 1), n, depth)
 
 
 def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:
     """Degree-n term of the logarithmic conjugate sequence of g: the
     window sum_k c_k lambda_k^(1) with c_k = <g^k lambda_n> / roman(k)!.
 
-    Deep windows need g known to high order: determining the coefficient
-    at degree n - j requires order(g) >= n + 2j + 2 roughly."""
-    gs = _delta_series(g)
-    lam = harmonic_log(n, 1)
-    out = {}
-    for k in range(n, n - depth, -1):
-        power = int_pow(gs, k) if k != 0 else constant(1)
-        image = apply_operator(power, lam)
-        if image.floor != NEG_INF and image.floor > 0:
-            raise PreconditionError("truncation too small for exact action")
-        out[k] = augmentation(image) / roman_factorial(k)
-    return HarmonicLogSeries(out, n - depth + 1, 1)
+    With u = g/t, degree n - j reads roman(n)!/roman(n-j)! [t^j] u^(n-j).
+    The window [n-depth+1, n] is exact when g is known to order depth + 1
+    (to order depth when it ends at degree 0, whose coefficient is exact),
+    and refused otherwise."""
+    lo = n - depth + 1
+    w = depth - (lo == 0)  # u is read on its first w coefficients
+    gs = _cut(_delta_series(g), w + 1, depth)
+    ks = range(n, lo - 1, -1)
+    powers = _unit_powers(gs, w, ks)
+    rn = roman_factorial(n)
+    out = {k: rn / roman_factorial(k) * Rat(powers[k][0][n - k], powers[k][1]) for k in ks}
+    return HarmonicLogSeries(out, lo, 1)
 
 
 def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
-    """Newton coefficients a_k of s over the logarithmic lower factorials:
+    """Newton coefficients a_k of s over the logarithmic lower factorials,
     a_k = <FD^k s> / roman(k)!, for the ``depth`` degrees below the top of
-    s. Exact for any window deep enough to determine them."""
-    if s.is_empty:
+    s. With v = FD/t each is one dot product over the powers of v,
+
+        a_k = sum_(j >= k) s_j roman(j)! [t^(j-k)] v^k / roman(k)!,
+
+    exact when s is known down to the lowest k, top - depth + 1; a
+    shallower window is refused."""
+    if s.is_empty or depth < 1:
         return {}
     top = s.top
-    order = 2 * depth + abs(top) + 6
-    fd = _forward_difference_series(order)
-    out = {}
-    for k in range(top, top - depth, -1):
-        power = int_pow(fd, k) if k != 0 else constant(1)
-        image = apply_operator(power, s)
-        if image.floor != NEG_INF and image.floor > 0:
-            raise PreconditionError("truncation too small for exact action")
-        out[k] = augmentation(image) / roman_factorial(k)
-    return out
+    lo = top - depth + 1
+    if s.floor > lo:
+        raise PreconditionError(f"truncation too small for exact action: depth {depth} "
+                                f"needs the window down to degree {lo}, given floor {s.floor}")
+    ks = range(top, lo - 1, -1)
+    powers = _unit_powers(catalog("forward_difference", order=depth + 1).series, depth, ks)
+    weighted = [(j, c * roman_factorial(j)) for j, c in s.coeffs.items()]
+    return {k: sum(c * powers[k][0][j - k] for j, c in weighted if j >= k)
+            / (powers[k][1] * roman_factorial(k)) for k in ks}
 
 
 # -- numeric boundary ----------------------------------------------------

@@ -28,6 +28,7 @@ from .errors import PreconditionError
 from .operators import (
     DeltaOperator,
     Polynomial,
+    ShiftInvariantOperator,
     _delta_series,
     apply_to_polynomial,
 )
@@ -50,13 +51,19 @@ class BinomialSequence:
     is raised when a term would need unknown series coefficients).
     """
 
-    __slots__ = ("operator", "generation_method", "_polys", "_step")
+    __slots__ = ("_operator", "generation_method", "_polys", "_step")
 
     def __init__(self, operator, generation_method, step):
-        self.operator = operator
+        self._operator = operator  # or a function building it on first read
         self.generation_method = generation_method
         self._polys = []
         self._step = step
+
+    @property
+    def operator(self):
+        if callable(self._operator) and not isinstance(self._operator, ShiftInvariantOperator):
+            self._operator = self._operator()
+        return self._operator
 
     def __getitem__(self, n: int) -> Polynomial:
         if n < 0:
@@ -130,11 +137,13 @@ def conjugate_sequence(g, n_max: int = 0) -> BinomialSequence:
 
     which form the basic sequence of the compositional inverse of g."""
     gs = _delta_series(g)
-    operator = None
-    try:
-        operator = DeltaOperator(compositional_inverse(gs), name="conjugate")
-    except PreconditionError:
-        pass
+
+    def operator():  # inverting g is paid for only when .operator is read
+        try:
+            return DeltaOperator(compositional_inverse(gs), name="conjugate")
+        except PreconditionError:
+            return None
+
     return _conjugate(operator, "conjugate", lambda w: gs, gs.order, n_max)
 
 

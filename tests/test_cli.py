@@ -149,6 +149,16 @@ class TestLogseqCommand:
         assert row["floor"] == -5
         assert row["order_t"] == 1
 
+    def test_refusal_names_the_order_needed(self, capsys):
+        # a window of depth 20 needs the operator to order 21; the default
+        # working order is 16, raised with --order
+        code, out, err = run_cli(capsys, "logseq", "--op", "exp(D)-1", "--n", "0", "--depth", "20")
+        assert (code, out) == (3, "")
+        assert "truncation too small" in err
+        assert "needs order 21, given 16" in err and "--order" in err
+        doc = run_json(capsys, "logseq", "--op", "exp(D)-1", "--n", "0", "--depth", "20", "--order", "21")
+        assert doc["result"]["rows"][0]["floor"] == -19
+
     def test_window_fields_present(self, capsys):
         # negative range bounds need the --range=A..B spelling
         doc = run_json(capsys, "logseq", "--op", "D", "--range=-2..2")

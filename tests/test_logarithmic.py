@@ -1,6 +1,8 @@
 # Tests for harmonic logarithms: windowed coefficient algebra, the roman
 # shift, logarithmic basic sequences with their Laurent tails, Newton
-# expansion, and the numeric evaluation boundary.
+# expansion, and the numeric evaluation boundary. The window generators
+# read coefficients of powers; the operator-action routes they replaced are
+# kept here as oracles.
 from decimal import Decimal
 from fractions import Fraction as Rat
 from math import comb, factorial
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbra import logarithmic
 from umbra.errors import PreconditionError
 from umbra.logarithmic import (
     NEG_INF,
@@ -35,11 +38,13 @@ from umbra.numbers import (
     roman_factorial,
     roman_number,
 )
-from umbra.operators import catalog
+from umbra.operators import DELTA_NAMES, catalog
 from umbra.series import (
     INF,
     TruncatedSeries,
+    constant,
     exp_series,
+    formal_derivative,
     from_coeffs,
     int_pow,
     monomial,
@@ -568,3 +573,171 @@ class TestNumericBoundary:
             evaluate_numeric(harmonic_log(0, 1), 0)
         with pytest.raises(PreconditionError, match="requires x0 > 0"):
             tail_bound(harmonic_log(0, 1), Rat(-3))
+
+
+# -- the operator-action routes, kept as oracles ---------------------------
+
+
+def _transfer_oracle(f, n, depth):
+    """log_sequence by applying f'(D) (f/D)^(-n-1) to lambda_n at the
+    operator's full order, then cutting to the window."""
+    fs = getattr(f, "series", f)
+    transfer = mul(formal_derivative(fs), int_pow(mul(fs, monomial(-1)), -n - 1))
+    s = apply_operator(transfer, harmonic_log(n, 1))
+    target = n - depth + 1
+    if s.floor != NEG_INF and s.floor > target:
+        raise PreconditionError("truncation too small for exact action")
+    return s.truncate_floor(target)
+
+
+def _per_degree_oracle(T, s, ks):
+    """<T^k s> / roman(k)! for k in ks: one int_pow, one apply_operator and
+    one augmentation per degree."""
+    out = {}
+    for k in ks:
+        image = apply_operator(int_pow(T, k), s)
+        if image.floor != NEG_INF and image.floor > 0:
+            raise PreconditionError("truncation too small for exact action")
+        out[k] = augmentation(image) / roman_factorial(k)
+    return out
+
+
+def _log_conjugate_oracle(g, n, depth):
+    g = getattr(g, "series", g)
+    out = _per_degree_oracle(g, harmonic_log(n, 1), range(n, n - depth, -1))
+    return HarmonicLogSeries(out, n - depth + 1, 1)
+
+
+def _newton_oracle(s, depth):
+    if s.is_empty:
+        return {}
+    top = s.top
+    fd = exp_series(monomial(1, 1), order=2 * depth + abs(top) + 6) - constant(1)
+    return _per_degree_oracle(fd, s, range(top, top - depth, -1))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as err:
+        assert "truncation too small" in str(err)
+        return "refused"
+
+
+@st.composite
+def delta_operators(draw):
+    """A catalog delta operator at order 2..24 (the derivative is exact);
+    abel gets a random rational b."""
+    name = draw(st.sampled_from(DELTA_NAMES))
+    params = {"b": draw(rationals)} if name == "abel" else {}
+    return catalog(name, params, order=draw(st.integers(2, 24)))
+
+
+@st.composite
+def log_windows(draw):
+    """A window of order 1 or 2 with its top at -8..8, exact or with a
+    floor up to 14 degrees below the top."""
+    top = draw(st.integers(-8, 8))
+    lo = top - draw(st.integers(0, 14))
+    coeffs = {d: draw(st.fractions(-9, 9, max_denominator=5)) for d in range(lo, top)}
+    coeffs[top] = draw(rationals)
+    floor = draw(st.sampled_from([NEG_INF, lo]))
+    return HarmonicLogSeries(coeffs, floor, draw(st.sampled_from([1, 2])))
+
+
+degrees = st.integers(-8, 8)
+depths = st.integers(1, 12)
+
+
+class TestReadsMatchOperatorActions:
+    @given(op=delta_operators(), n=degrees, depth=depths)
+    @settings(max_examples=80, deadline=None)
+    def test_log_sequence(self, op, n, depth):
+        assert _outcome(log_sequence, op, n, depth) == _outcome(_transfer_oracle, op, n, depth)
+
+    @given(op=delta_operators(), n=degrees, depth=depths)
+    @settings(max_examples=80, deadline=None)
+    def test_log_conjugate_sequence(self, op, n, depth):
+        assert _outcome(log_conjugate_sequence, op, n, depth) == _outcome(
+            _log_conjugate_oracle, op, n, depth
+        )
+
+    @given(s=log_windows(), depth=depths)
+    @settings(max_examples=60, deadline=None)
+    def test_newton_expand(self, s, depth):
+        assert _outcome(newton_expand, s, depth) == _outcome(_newton_oracle, s, depth)
+
+    def test_lower_factorials(self):
+        fd = catalog("forward_difference", order=40)
+        for n in range(-8, 9):
+            assert log_lower_factorial(n, 14) == _transfer_oracle(fd, n, 14), n
+
+    def test_exact_polynomial_delta(self):
+        # an exact D + D^2 is read at the order the window needs (the
+        # operator route needs an explicit order for its reciprocal); the
+        # windows equal the oracle's on the series known 8 orders further
+        exact = monomial(1) + monomial(2)
+        cut = exact.truncate(8 + 9)
+        for n in range(-5, 6):
+            assert log_sequence(exact, n, 8) == _transfer_oracle(cut, n, 8), n
+            assert log_conjugate_sequence(exact, n, 8) == _log_conjugate_oracle(cut, n, 8), n
+
+    def test_no_operator_action_on_the_read_path(self, monkeypatch):
+        calls = []
+        for name in ("apply_operator", "augmentation", "int_pow"):
+            real = getattr(logarithmic, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(logarithmic, name, counted)
+        fd = catalog("forward_difference", order=24)
+        window = log_sequence(fd, -1, 12)
+        log_conjugate_sequence(fd, 3, 12)
+        log_conjugate_sequence(fd, -3, 12)
+        newton_expand(window, 12)
+        log_lower_factorial(2, 12)
+        # one transfer power per log_sequence window, nothing per degree
+        assert calls == ["int_pow", "int_pow"]
+
+
+class TestExactWindowRules:
+    """Each window is determined exactly as far as its docstring says: at
+    that order it equals the window of the operator known 8 orders
+    further, and one order less is refused with the order it needed."""
+
+    @pytest.mark.parametrize("depth", [2, 5, 12])
+    @pytest.mark.parametrize("name", DELTA_NAMES[1:])
+    def test_log_sequence_needs_order_depth_plus_one(self, name, depth):
+        params = {"b": Rat(-2, 3)} if name == "abel" else {}
+        f = catalog(name, params, order=depth + 9).series
+        for n in range(-6, 7):
+            assert log_sequence(f.truncate(depth + 1), n, depth) == log_sequence(f, n, depth)
+            with pytest.raises(PreconditionError, match=f"needs order {depth + 1}, given {depth}") as err:
+                log_sequence(f.truncate(depth), n, depth)
+            assert (err.value.needed, err.value.available) == (depth + 1, depth)
+
+    @pytest.mark.parametrize("depth", [2, 5, 12])
+    @pytest.mark.parametrize("name", DELTA_NAMES[1:])
+    def test_log_conjugate_needs_order_depth_plus_one(self, name, depth):
+        params = {"b": Rat(5, 7)} if name == "abel" else {}
+        g = catalog(name, params, order=depth + 9).series
+        for n in range(-6, 13):
+            deeper = log_conjugate_sequence(g, n, depth)
+            assert log_conjugate_sequence(g.truncate(depth + 1), n, depth) == deeper
+            short = g.truncate(depth)
+            if n == depth - 1:
+                # the window ends at degree 0, whose coefficient is exact
+                assert log_conjugate_sequence(short, n, depth) == deeper
+            else:
+                with pytest.raises(PreconditionError, match=f"needs order {depth + 1}, given {depth}"):
+                    log_conjugate_sequence(short, n, depth)
+
+    @pytest.mark.parametrize("depth", [2, 6, 12])
+    def test_newton_needs_the_window_down_to_its_lowest_degree(self, depth):
+        deep = log_sequence(catalog("laguerre", order=40), 2, 30)
+        lo = 2 - depth + 1
+        assert newton_expand(deep.truncate_floor(lo), depth) == newton_expand(deep, depth)
+        with pytest.raises(PreconditionError, match=f"down to degree {lo}, given floor {lo + 1}"):
+            newton_expand(deep.truncate_floor(lo + 1), depth)

@@ -427,6 +427,40 @@ class TestConjugate:
         ok, witness = verify_binomial_identity(conj, 6)
         assert ok, witness
 
+    def test_operator_is_inverted_only_when_read(self, monkeypatch):
+        # rows read g itself; g is inverted once, on the first read of
+        # .operator, and umbral composition still receives that operator
+        from umbra import sequences
+
+        calls = []
+        inverse = sequences.compositional_inverse
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inverse(*args, **kwargs)
+
+        monkeypatch.setattr(sequences, "compositional_inverse", counted)
+        g = catalog("forward_difference", order=200).series
+        conj = conjugate_sequence(g, 3)
+        # the exponential polynomials, rows of Stirling numbers of the second kind
+        assert conj[3] == Polynomial([stirling_second(3, k) for k in range(4)])
+        assert calls == []
+        op = conj.operator
+        assert op.series == inverse(g)
+        assert conj.operator is op and len(calls) == 1
+        small = conjugate_sequence(catalog("forward_difference", order=12).series, 3)
+        composed = umbral_compose(small, small)
+        assert len(calls) == 2
+        assert composed.operator.series.agrees_with(
+            compose(small.operator.series, small.operator.series)
+        )
+
+    def test_exact_polynomial_has_no_operator(self):
+        # an exact non-monomial g has no inverse without an explicit order
+        conj = conjugate_sequence(monomial(1) + monomial(2), 4)
+        assert conj[2] == Polynomial([0, 2, 1])
+        assert conj.operator is None
+
 
 class TestTaylor:
     def test_powers_in_lower_factorials(self):
