@@ -1,10 +1,10 @@
 """Byte-identical CLI output.
 
 The eight README commands, every ``verify`` suite at its default size and
-with ``--corrupt``, and a set of harmonic-log commands must print exactly
-the stdout and exit with exactly the code frozen in
-``tests/data/cli_golden.json``. After a change that is
-meant to alter that output, refreeze with
+with ``--corrupt``, a set of harmonic-log commands and a set of composition
+commands must print exactly the stdout and exit with exactly the code frozen
+in ``tests/data/cli_golden.json``. After a change that is meant to alter that
+output, refreeze with
 
     PYTHONPATH=src python3 tests/test_cli_golden.py --freeze
 
@@ -45,12 +45,24 @@ LOG_COMMANDS = (
     ("verify", "--suite", "abel_numeric", "--depth", "16"),
 )
 
+# Composition paths: expansion in a basis with a high first outer power, a
+# Laurent outer series and a log outer series; connection constants; and
+# the inverse with its f(g(t)) = t certificate.
+COMPOSE_COMMANDS = (
+    ("expand", "--op", "D^2", "--op2", "exp(D)-1", "--n", "14"),
+    ("expand", "--op", "log(1+D)", "--op2", "1-exp(-D)", "--n", "10"),
+    ("expand", "--op", "D^-1", "--op2", "exp(D)-1", "--n", "8"),
+    ("connect", "--op", "D/(1-D)", "--op2", "D*exp(D)", "--n", "8"),
+    ("invert", "--op", "D+D^2", "--order", "20", "--n", "14"),
+    ("invert", "--op", "D/(1-D)", "--format", "plain"),
+)
+
 # README_COMMANDS already holds "verify --suite golden"; keep the first copy.
 COMMANDS = tuple(dict.fromkeys(README_COMMANDS + tuple(
     ("verify", "--suite", name, *flag)
     for name in SUITE_NAMES
     for flag in ((), ("--corrupt",))
-) + LOG_COMMANDS))
+) + LOG_COMMANDS + COMPOSE_COMMANDS))
 
 
 def run(argv):
