@@ -16,6 +16,14 @@ class PreconditionError(UmbraError, ValueError):
         self.needed, self.available = needed, available
 
 
+def require_order(what: str, needed, available):
+    """Refuse ``what`` when it needs a series known to order ``needed`` and
+    only ``available`` is known."""
+    if available < needed:
+        raise PreconditionError(f"{what} needs order {needed}, given {available}",
+                                needed=needed, available=available)
+
+
 class VerificationFailure(UmbraError):
     """An identity check that was expected to certify has failed. Carries a
     witness describing the failing point. The CLI maps these to exit code 4."""

@@ -31,10 +31,10 @@ from fractions import Fraction as Rat
 from functools import cache
 from typing import Mapping, Optional
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_order
 from .numbers import roman_factorial, stirling_first
 from .operators import DeltaOperator, _delta_series, _series_of, catalog
-from .series import INF, _dense, _powers, formal_derivative, int_pow, monomial, mul, reciprocal
+from .series import INF, _unit_powers, formal_derivative, int_pow, monomial, mul
 
 NEG_INF = float("-inf")
 
@@ -253,26 +253,8 @@ def skip(s: HarmonicLogSeries, to_t: int) -> HarmonicLogSeries:
 
 def _cut(s, needed: int, depth: int):
     """s cut to order ``needed``, refused when it is not known that far."""
-    if s.order < needed:
-        raise PreconditionError(
-            f"truncation too small for exact action: depth {depth} needs "
-            f"order {needed}, given {s.order}", needed=needed, available=s.order)
+    require_order(f"truncation too small for exact action: depth {depth}", needed, s.order)
     return s.truncate(needed)
-
-
-def _unit_powers(g, w: int, ks: range) -> dict:
-    """k -> (integer numerators, denominator) of (g/t)^k on its first w
-    coefficients (w + 1 for k = 0), k in ks, for g known to order w + 1:
-    positive powers from series._powers over g/t, negative over t/g."""
-    out = {0: ([1] + [0] * w, 1)}
-    if max(ks, default=0) > 0:
-        head = _dense([g.coefficient(e + 1) for e in range(w)])
-        out.update(zip(range(1, max(ks) + 1), _powers(*head, w)))
-    if min(ks, default=0) < 0:
-        r = reciprocal(g, order=w - 1)
-        head = _dense([r.coefficient(e - 1) for e in range(w)])
-        out.update(zip(range(-1, min(ks) - 1, -1), _powers(*head, w)))
-    return out
 
 
 def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
@@ -343,6 +325,8 @@ def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:
     The window [n-depth+1, n] is exact when g is known to order depth + 1
     (to order depth when it ends at degree 0, whose coefficient is exact),
     and refused otherwise."""
+    if depth < 1:
+        raise PreconditionError(f"log_conjugate_sequence needs depth >= 1, got {depth}")
     lo = n - depth + 1
     w = depth - (lo == 0)  # u is read on its first w coefficients
     gs = _cut(_delta_series(g), w + 1, depth)
@@ -362,7 +346,9 @@ def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
 
     exact when s is known down to the lowest k, top - depth + 1; a
     shallower window is refused."""
-    if s.is_empty or depth < 1:
+    if depth < 1:
+        raise PreconditionError(f"newton_expand needs depth >= 1, got {depth}")
+    if s.is_empty:
         return {}
     top = s.top
     lo = top - depth + 1

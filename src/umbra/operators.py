@@ -16,7 +16,7 @@ from fractions import Fraction as Rat
 from math import factorial
 from typing import Mapping, Optional, Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_order
 from .series import (
     INF,
     TruncatedSeries,
@@ -251,8 +251,8 @@ def expand_in_basis(T, Q, k_max: Optional[int] = None) -> list:
                 "expansion of exact series requires an explicit k_max"
             )
         k_max = comp.order - 1
-    if k_max >= comp.order:
-        raise PreconditionError("expansion order exceeds determined window")
+    require_order(f"expansion order exceeds determined window: coefficient {k_max} of "
+                  "the composite", k_max + 1, comp.order)
     return [factorial(k) * comp.coefficient(k) for k in range(k_max + 1)]
 
 
@@ -261,10 +261,9 @@ def lagrange_inversion(f, g, k_max: int) -> list:
     exponents d..k_max where d is the valuation of g.
 
     g may be a Laurent series (negative d): composition reaches its
-    negative powers through the reciprocal of the inverse. For d > 1 it is
-    read as (g/t^(d-1))(f^(-1)) (f^(-1))^(d-1): a composite claims nothing
-    at or past the order of f^(-1), and the product is determined d - 1
-    coefficients further."""
+    negative powers through the reciprocal of the inverse. The composite's
+    window is the ring rule of compose; for d >= 1 it reaches d - 1
+    coefficients past the order of f^(-1)."""
     fs = _delta_series(f)
     gs = _series_of(g)
     if gs.is_zero:
@@ -273,10 +272,9 @@ def lagrange_inversion(f, g, k_max: int) -> list:
     # enough of the inverse for t^k_max: its reciprocal's window is two
     # shorter than its own, and each further power of that one shorter
     finv = compositional_inverse(fs, order=max(k_max, d) + 2 - min(d, 0))
-    s = max(d - 1, 0)
-    comp = compose(gs * monomial(-s), finv) * int_pow(finv, s)
-    if k_max >= comp.order:
-        raise PreconditionError("k_max exceeds determined window")
+    comp = compose(gs, finv)
+    require_order(f"k_max exceeds determined window: coefficient {k_max} of the composite",
+                  k_max + 1, comp.order)
     return [comp.coefficient(k) for k in range(d, k_max + 1)]
 
 

@@ -24,7 +24,7 @@ from itertools import islice
 from math import comb, factorial
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import PreconditionError, require_order
 from .operators import (
     DeltaOperator,
     Polynomial,
@@ -34,7 +34,7 @@ from .operators import (
 )
 from .series import (
     _dense,
-    _powers,
+    _unit_powers,
     compose,
     compositional_inverse,
     exp_series,
@@ -84,30 +84,28 @@ class BinomialSequence:
 def _conjugate(operator, method, source, window, n_max) -> BinomialSequence:
     """The conjugate sequence p_n(x) = sum_k n! [t^n] g^k x^k / k! of the
     delta series g that ``source(w)`` gives determined below t^w; rows n
-    below ``window`` are determined.
+    below ``window`` are determined, and row n needs order n + 1.
 
-    Its one table holds the powers u^1..u^s of u = g/t on their first s
-    coefficients, as integer numerators over one denominator each, which
-    serves every row n <= s. A row past s rebuilds it at least twice as
+    Row n reads the positive rows u^1..u^n of the kernel's power table of
+    u = g/t, which holds rows up to some s on their first s coefficients
+    and serves every row n <= s. A row past s rebuilds it at least twice as
     wide, so a sequence pays only for the rows it is asked for."""
-    powers = []
+    powers = {}
 
     def step(n, _polys):
         if n == 0:
             return Polynomial([1])
-        if n >= window:
-            raise PreconditionError("truncation too small for exact action")
-        if n > len(powers):
+        require_order(f"truncation too small for exact action: row {n}", n + 1, window)
+        if n >= len(powers):  # rows 0..s
             size = min(max(n, n_max, 2 * len(powers)), window - 1)
-            g = source(size + 1)
-            u, ud = _dense([g.coefficient(e) for e in range(1, size + 1)])
-            powers[:] = islice(_powers(u, ud, size), size)
+            powers.update(_unit_powers(source(size + 1), size, range(size + 1)))
         fn = factorial(n)
         return Polynomial([0] + [
-            Rat(fn * p[n - k], factorial(k) * pd)
-            for k, (p, pd) in enumerate(powers[:n], start=1)
+            Rat(fn * powers[k][0][n - k], factorial(k) * powers[k][1])
+            for k in range(1, n + 1)
         ])
 
+    require_order(f"truncation too small for exact action: row {n_max}", n_max + 1, window)
     seq = BinomialSequence(operator, method, step)
     seq.terms(n_max)
     return seq

@@ -13,7 +13,9 @@ unless it is provably exact:
   add       order = min(order_f, order_g)
   mul       order = min(order_f + val_g, order_g + val_f)
   recip     order = order_f - 2 * val_f
-  compose   order = min(ring-derived order, order_g, order_f * val_g)
+  compose   order = min(order_f * val_g, and for each exponent e of f:
+                        order_g + (e - 1) * val_g  if e >= 1,
+                        order_recip + (e + 1) * val_g  if e <= -1)
 
 The zero series is represented with an empty coefficient table and
 valuation equal to its order.
@@ -22,6 +24,9 @@ Every product and reciprocal runs on one exact kernel: a run of
 coefficients becomes a dense list of integer numerators over one common
 denominator (the representation of FLINT's fmpq_poly), the arithmetic is
 done on those integers, and only the results become Fractions again.
+Every chain of powers (composition, the compositional inverse, and the
+conjugate rows and log windows built on them) is read off one signed
+power table of g/t^val_g, _unit_powers.
 """
 from __future__ import annotations
 
@@ -85,14 +90,21 @@ def _reduce(nums, den):
     return [x // g for x in nums], den // g
 
 
-def _powers(u, ud, w):
-    """u, u^2, u^3, ... on their first w coefficients, for integer
-    numerators u over ud: each power is one truncated product of the one
-    before, reduced by the gcd of its numerators and denominator."""
-    p, pd = u, ud
+def _powers(u, ud, w, first=1):
+    """u^first, u^(first+1), ... on their first w coefficients, for integer
+    numerators u over ud: u^first by repeated squaring, then each power one
+    truncated product of the one before, every product reduced by the gcd
+    of its numerators and denominator."""
+    p, b, n = None, (u, ud), first
+    while n:
+        if n & 1:
+            p = b if p is None else _reduce(_mul_trunc(p[0], b[0], w), p[1] * b[1])
+        n >>= 1
+        if n:
+            b = _reduce(_mul_trunc(b[0], b[0], w), b[1] * b[1])
     while True:
-        yield p, pd
-        p, pd = _reduce(_mul_trunc(p, u, w), pd * ud)
+        yield p
+        p = _reduce(_mul_trunc(p[0], u, w), p[1] * ud)
 
 
 def _dense_mul(x, y, w):
@@ -201,12 +213,10 @@ class TruncatedSeries:
     def agrees_with(self, other: "TruncatedSeries") -> bool:
         """Equality of coefficients on the overlap of the two known windows."""
         bound = min(self.order, other.order)
-        lo = min(self.valuation, other.valuation)
-        if lo >= bound:
-            return True
         return all(
-            self.coeffs.get(e, Rat(0)) == other.coeffs.get(e, Rat(0))
-            for e in range(int(lo), int(bound))
+            self.coeffs.get(e, 0) == other.coeffs.get(e, 0)
+            for e in self.coeffs.keys() | other.coeffs.keys()
+            if e < bound
         )
 
     def __repr__(self):
@@ -282,6 +292,23 @@ def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
     return f * g
 
 
+def _out_order(window, order, what: str):
+    """A result's window: the one its input determines, cut at ``order``.
+    An exact input (an infinite window) needs an explicit order."""
+    if window == INF and order is None:
+        raise PreconditionError(f"{what} of an exact series requires an explicit order")
+    return window if order is None else min(window, _check_order(order))
+
+
+def _recip_order(f: TruncatedSeries, order=None):
+    """The window of 1/f, order_f - 2*val_f cut at ``order``; exact only
+    for a monomial f. Refused for a zero f."""
+    if f.is_zero:
+        raise PreconditionError("non-invertible: zero series")
+    window = f.order - 2 * f.valuation
+    return window if len(f.coeffs) == 1 and order is None else _out_order(window, order, "reciprocal")
+
+
 def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
     """Multiplicative inverse 1/f.
 
@@ -290,22 +317,10 @@ def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
     order_f - 2*val_f. Exact inputs need an explicit result order unless
     they are monomials, whose inverses are again exact monomials.
     """
-    if f.is_zero:
-        raise PreconditionError("non-invertible: zero series")
+    result_order = _recip_order(f, order)
     v = f.valuation
-    if f.order == INF:
-        if len(f.coeffs) == 1:
-            out = monomial(-v, 1 / f.coeffs[v])
-            return out.truncate(order) if order is not None else out
-        if order is None:
-            raise PreconditionError(
-                "reciprocal of an exact series requires an explicit order"
-            )
-        result_order = _check_order(order)
-    else:
-        result_order = f.order - 2 * v
-        if order is not None:
-            result_order = min(result_order, _check_order(order))
+    if f.order == INF and len(f.coeffs) == 1:
+        return monomial(-v, 1 / f.coeffs[v]).truncate(result_order)
     # Number of result coefficients, counting from exponent -v.
     length = result_order + v
     if length <= 0:
@@ -329,6 +344,26 @@ def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
     return TruncatedSeries(
         {-v + k: Rat(x, rd) for k, x in enumerate(r)}, result_order
     )
+
+
+def _unit_powers(g: TruncatedSeries, w: int, ks) -> dict:
+    """The kernel's one signed power table: k -> (integer numerators,
+    denominator) of u^k for u = g/t^v, v = val(g), on its first w
+    coefficients (w + 1 for k = 0), for every k in ks, read from g known to
+    order v + w. Positive rows are _powers over u, negative rows _powers
+    over 1/u = t^v/g. Each sign's rows run from the one of ks nearest
+    zero, reached by repeated squaring, to the farthest."""
+    v = g.valuation
+    out = {0: ([1] + [0] * w, 1)}
+    pos, neg = [k for k in ks if k > 0], [-k for k in ks if k < 0]
+    if pos:
+        head = _dense([g.coefficient(v + e) for e in range(w)])
+        out.update(zip(range(min(pos), max(pos) + 1), _powers(*head, w, min(pos))))
+    if neg:
+        r = reciprocal(g, order=w - v)
+        head = _dense([r.coefficient(e - v) for e in range(w)])
+        out.update(zip(range(-min(neg), -max(neg) - 1, -1), _powers(*head, w, min(neg))))
+    return out
 
 
 def int_pow(f: TruncatedSeries, n: int, order=None) -> TruncatedSeries:
@@ -358,37 +393,38 @@ def formal_derivative(f: TruncatedSeries) -> TruncatedSeries:
 
 def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeries:
     """Substitute g into f. Requires val(g) >= 1 so the result is well
-    defined coefficientwise; f may be a Laurent series (negative powers of
-    g are handled through the reciprocal)."""
+    defined coefficientwise; f may be a Laurent series.
+
+    With g = t^v u, f(g) = sum_e f_e t^(ev) u^e is read off the signed
+    power table of u. The window is the ring rule: the least of
+    order_f * v, order_g + (e-1) v for each e >= 1 in f, and R + (e+1) v
+    for each e <= -1 in f, where R = min(order_g - 2v, order) is the
+    window of 1/g. Terms whose t^(ev) lies at or past the window are left
+    out; exact f and g give an exact result."""
     if not g.is_zero and g.valuation < 1:
         raise PreconditionError("composition requires positive valuation")
-    # g^e starts at e*val_g, so a term with e*val_g >= order_g only reaches
-    # exponents the result cannot claim: leave it out of Horner.
-    limit = -(-g.order // g.valuation) if g.order != INF and g.valuation > 0 else INF
-    top = max((e for e in f.coeffs if 0 <= e < limit), default=-1)
-    # Nonnegative part of f, evaluated by Horner from the top exponent down.
-    acc = zero()
-    for e in range(top, -1, -1):
-        acc = acc * g
-        c = f.coeffs.get(e)
-        if c is not None:
-            acc = acc + constant(c)
-    # Negative part of f through powers of 1/g.
-    neg = sorted((e for e in f.coeffs if e < 0), reverse=True)
-    if neg:
-        r = reciprocal(g, order=order)
-        rpow, power = constant(1), 0
-        for e in neg:
-            rpow, power = rpow * int_pow(r, -e - power), -e
-            acc = acc + rpow.scale(f.coeffs[e])
-    result = acc
-    # Never claim more than the window formula min(order_g, order_f*val_g)
-    # allows: the unknown tail of g enters at order_g and the unknown tail
-    # of f enters at order_f*val_g.
-    cap = min(result.order, g.order)
-    if f.order != INF:
-        cap = min(cap, _mul_order(f.order, g.valuation))
-    return result.truncate(cap)
+    v = g.valuation
+    at = {e: _mul_order(e, v) for e in f.coeffs}  # t^(ev), where term e starts
+    window = _mul_order(f.order, v)
+    if min(at, default=0) < 0:
+        window = min(window, _recip_order(g, order) + _mul_order(min(at) + 1, v))
+    if max(at, default=0) > 0:
+        window = min(window, g.order + _mul_order(min(e for e in at if e > 0) - 1, v))
+    kept = sorted(e for e in at if at[e] < window)
+    if not kept:
+        return zero(window)
+    lo = at[kept[0]]
+    # an exact result ends at the top exponent of its highest term
+    top = window if window != INF else kept[-1] * max(g.coeffs, default=0) + 1
+    # row e is read on exponents [ev, top); row 0 is the constant 1
+    table = _unit_powers(g, top - min((at[e] for e in kept if e), default=top), kept)
+    weights, den = _dense([f.coeffs[e] / table[e][1] for e in kept])
+    out = [0] * (top - lo)
+    for e, x in zip(kept, weights):
+        row, i = table[e][0], at[e] - lo
+        out[i : i + len(row)] = map(
+            operator.add, out[i : i + len(row)], map(operator.mul, row, repeat(x)))
+    return TruncatedSeries({lo + i: Rat(c, den) for i, c in enumerate(out)}, window)
 
 
 def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
@@ -398,14 +434,7 @@ def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
         raise PreconditionError("exp_series requires positive valuation")
     if f.is_zero and f.order == INF:
         return constant(1)
-    if f.order == INF:
-        if order is None:
-            raise PreconditionError(
-                "exp_series of an exact series requires an explicit order"
-            )
-        n_out = _check_order(order)
-    else:
-        n_out = f.order if order is None else min(f.order, _check_order(order))
+    n_out = _out_order(f.order, order, "exp_series")
     if n_out <= 0:
         return zero(n_out)
     y = [Rat(0)] * n_out
@@ -426,14 +455,7 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
         raise PreconditionError("log_series requires constant term 1")
     if f.order == INF and len(f.coeffs) == 1:
         return zero()
-    if f.order == INF:
-        if order is None:
-            raise PreconditionError(
-                "log_series of an exact series requires an explicit order"
-            )
-        n_out = _check_order(order)
-    else:
-        n_out = f.order if order is None else min(f.order, _check_order(order))
+    n_out = _out_order(f.order, order, "log_series")
     if n_out <= 0:
         return zero(n_out)
     l = [Rat(0)] * n_out
@@ -449,9 +471,9 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 
 # -- compositional inverse ----------------------------------------------
 #
-# Lagrange reversion: with h = t/f, the inverse g has [t^k] g = [t^(k-1)] h^k / k.
-# The powers h^k come from the kernel's _powers on integer numerators; only
-# the output coefficients become Fractions.
+# Lagrange reversion: with u = f/t, the inverse g has
+# [t^k] g = [t^(k-1)] u^(-k) / k, read from the negative rows of the power
+# table; only the output coefficients become Fractions.
 
 
 def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
@@ -463,22 +485,9 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     monomials need an explicit order."""
     if f.is_zero or f.valuation != 1:
         raise PreconditionError("not a delta series")
-    if f.order == INF:
-        if len(f.coeffs) == 1:
-            return monomial(1, 1 / f.coeffs[1])
-        if order is None:
-            raise PreconditionError(
-                "compositional inverse of an exact series requires an explicit order"
-            )
-        n_out = _check_order(order)
-    else:
-        n_out = f.order if order is None else min(f.order, _check_order(order))
-    if n_out <= 2:
-        # Only the linear coefficient is determined (or nothing at all).
-        return TruncatedSeries({1: 1 / f.coeffs[1]}, n_out)
-    w = n_out - 1  # h = t/f is needed on exponents [0, w)
-    unit = TruncatedSeries({e - 1: c for e, c in f.coeffs.items()}, f.order - 1)
-    recip = reciprocal(unit, order=w)
-    powers = _powers(*_dense([recip.coefficient(k) for k in range(w)]), w)
-    g = {k: Rat(p[k - 1], k * pd) for k, (p, pd) in zip(range(1, n_out), powers)}
+    if f.order == INF and len(f.coeffs) == 1:
+        return monomial(1, 1 / f.coeffs[1])
+    n_out = _out_order(f.order, order, "compositional inverse")
+    powers = _unit_powers(f, n_out - 1, range(-1, -n_out, -1))
+    g = {k: Rat(powers[-k][0][k - 1], k * powers[-k][1]) for k in range(1, n_out)}
     return TruncatedSeries(g, n_out)

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbra import series
 from umbra.cli import main
 from umbra.operators import (
     Polynomial,
@@ -126,6 +127,13 @@ class TestSeqCommand:
         assert (code, out) == (3, "")
         assert "truncation too small" in err
 
+    def test_refusal_names_the_order_needed(self, capsys):
+        # row 20 needs the operator to order 21; the default is 16
+        code, out, err = run_cli(capsys, "seq", "--op", "exp(D)-1", "--n", "20")
+        assert (code, out) == (3, "")
+        assert "truncation too small" in err
+        assert "row 20 needs order 21, given 16; raise --order" in err
+
     def test_range_and_n_conflict(self, capsys):
         code, _, err = run_cli(
             capsys, "seq", "--op", "D", "--n", "1", "--range", "0..2"
@@ -190,18 +198,42 @@ class TestExpandCommand:
     @pytest.mark.parametrize("op", ["D^100000", "(D+D^2)^100000"])
     def test_high_power_past_the_window(self, capsys, monkeypatch, op):
         # both vanish below D^16 in the forward-difference basis; composing
-        # costs a few products, not one per exponent of the outer series
-        calls = []
-        mul = TruncatedSeries.__mul__
+        # costs a few products, not one per exponent of the outer series:
+        # the power table reaches the one outer power by repeated squaring
+        calls, kernel_calls = [], []
+        mul, mul_trunc = TruncatedSeries.__mul__, series._mul_trunc
 
         def counted(self, other):
             calls.append(1)
             return mul(self, other)
 
+        def kernel_counted(*args):
+            kernel_calls.append(1)
+            return mul_trunc(*args)
+
         monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        monkeypatch.setattr(series, "_mul_trunc", kernel_counted)
         doc = run_json(capsys, "expand", "--op", op, "--op2", "exp(D)-1", "--n", "6")
         assert set(doc["result"]["coefficients"].values()) == {"0"}
         assert len(calls) < 40
+        assert len(kernel_calls) < 100
+
+    def test_first_outer_power_two_reaches_past_the_order(self, capsys):
+        # D^2 in the forward-difference basis reads g^2 for g = log(1+t),
+        # known one order past g itself: coefficient 16 at the default
+        # order 16 equals the one at order 24
+        doc = run_json(capsys, "expand", "--op", "D^2", "--op2", "exp(D)-1", "--n", "16")
+        assert doc["result"]["coefficients"]["16"] == "8678326003200"
+        deeper = run_json(capsys, "expand", "--op", "D^2", "--op2", "exp(D)-1",
+                          "--n", "16", "--order", "24")
+        assert doc["result"] == deeper["result"]
+
+    def test_refusal_names_the_order_needed(self, capsys):
+        code, out, err = run_cli(capsys, "expand", "--op", "D^2", "--op2", "exp(D)-1", "--n", "17")
+        assert (code, out) == (3, "")
+        assert "expansion order exceeds determined window" in err
+        assert "coefficient 17 of the composite needs order 18, given 17" in err
+        assert err.endswith("; raise --order\n")
 
     def test_default_basis_is_derivative(self, capsys):
         # [TRIVIAL] expanding exp(D) in powers of D gives all ones
@@ -238,6 +270,14 @@ class TestInvertCommand:
         assert "Newton" not in err
 
 
+    def test_refusal_names_the_order_needed(self, capsys):
+        code, out, err = run_cli(capsys, "invert", "--op", "exp(D)-1", "--n", "16")
+        assert (code, out) == (3, "")
+        assert "k_max exceeds determined window" in err
+        assert "coefficient 16 of the composite needs order 17, given 16" in err
+        assert err.endswith("; raise --order\n")
+
+
 class TestConnectCommand:
     def test_upper_to_lower_closed_form(self, capsys):
         # [DERIVED] row n=4 of the lower-in-terms-of-upper matrix:
@@ -253,6 +293,14 @@ class TestConnectCommand:
         doc = run_json(capsys, "connect", "--op", "D", "--op2", "D", "--n", "3")
         for n, row in enumerate(doc["result"]["rows"]):
             assert row["coeffs"] == ({str(n): "1"} if n else {"0": "1"})
+
+
+    def test_refusal_names_the_order_needed(self, capsys):
+        # the bridge series is known to the lesser of the two orders
+        code, out, err = run_cli(capsys, "connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1",
+                                 "--n", "20", "--order", "18")
+        assert (code, out) == (3, "")
+        assert "row 20 needs order 21, given 18; raise --order" in err
 
 
 class TestVerifyCommand:

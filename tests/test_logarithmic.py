@@ -396,6 +396,16 @@ class TestLogSequences:
         with pytest.raises(PreconditionError, match=f"depth >= 1, got {depth}"):
             log_sequence(fd, 0, depth)
 
+    @pytest.mark.parametrize("depth", [0, -2])
+    def test_nonpositive_depth_raises_everywhere(self, depth):
+        # the log conjugate and Newton windows refuse it as log_sequence
+        # does, instead of an empty window with its floor above its top
+        fd = catalog("forward_difference", order=24)
+        with pytest.raises(PreconditionError, match=f"log_conjugate_sequence needs depth >= 1, got {depth}"):
+            log_conjugate_sequence(fd, 3, depth)
+        with pytest.raises(PreconditionError, match=f"newton_expand needs depth >= 1, got {depth}"):
+            newton_expand(harmonic_log(-1), depth)
+
     def test_sequence_caches_terms(self):
         seq = LogBinomialSequence(catalog("forward_difference", order=20), depth=6)
         a = seq[2]

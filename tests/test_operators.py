@@ -313,6 +313,19 @@ class TestLagrangeInversion:
         with pytest.raises(PreconditionError, match="exceeds determined window"):
             lagrange_inversion(f, g, 7)
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("name", ["forward_difference", "abel", "laguerre"])
+    def test_valuation_above_one_reads_one_composite(self, name, d):
+        # g(f^(-1)) for g of valuation d is read from one composite, with
+        # no (f^(-1))^(d-1) split: the residue formula's window and values,
+        # one coefficient further refused
+        f = catalog(name, {"b": Rat(2, 3)} if name == "abel" else {}, order=10)
+        g = monomial(d, 2) + monomial(d + 1, -1) + monomial(d + 3, Rat(1, 3))
+        want = _residue_lagrange(f.series, g, cap=30)
+        assert lagrange_inversion(f, g, d + len(want) - 1) == want
+        with pytest.raises(PreconditionError, match="exceeds determined window"):
+            lagrange_inversion(f, g, d + len(want))
+
     def test_laurent_below_minus_one(self):
         # [DERIVED] 1/log(1+t)^2 = t^-2 + t^-1 + 1/12 - t^2/240 + t^3/240
         f = catalog("forward_difference", order=14)

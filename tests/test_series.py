@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbra import series
 from umbra.errors import PreconditionError
 from umbra.series import (
     INF,
     TruncatedSeries,
+    _mul_order,
     compose,
     compositional_inverse,
     constant,
@@ -70,6 +72,15 @@ class TestConstruction:
         assert s.order == 3
         with pytest.raises(PreconditionError, match="beyond truncation order"):
             s.coefficient(3)
+
+    def test_agreement_of_exact_series(self):
+        # two exact series agree on every exponent, so their stored
+        # coefficients decide it
+        assert (t + monomial(5)).agrees_with(monomial(5) + t)
+        assert not t.agrees_with(monomial(2))
+        assert t.agrees_with(t.truncate(10**9))
+        assert not monomial(10**9).agrees_with(zero())
+        assert not zero().agrees_with(monomial(10**9))
 
     def test_known_zero_below_valuation(self):
         s = from_coeffs([5], start=2, order=4)
@@ -300,23 +311,26 @@ class TestCompose:
             want = want + (int_pow(g, e) if e >= 0 else int_pow(r, -e)).scale(c)
         got = compose(TruncatedSeries(fc), g)
         assert got.agrees_with(want)
-        assert got.order == min(want.order, g.order)
+        assert got.order == want.order
 
     def test_terms_past_the_window_cost_no_products(self, monkeypatch):
-        # g = log(1+t) is known below t^16, so t^100000 reaches only
-        # exponents the result cannot claim: Horner starts at t^3
+        # g = log(1+t) is known below t^16, so g^3 is known below t^18 and
+        # t^100000 reaches only exponents the result cannot claim: the
+        # power table holds u, u^2, u^3 for u = g/t, two products
         g = compositional_inverse(exp_series(t, order=16) - constant(1))
-        want = int_pow(g, 3).truncate(16)
+        want = int_pow(g, 3)
+        assert want.order == 18
         calls = []
-        mul = TruncatedSeries.__mul__
+        mul_trunc = series._mul_trunc
 
-        def counted(self, other):
+        def counted(*args):
             calls.append(1)
-            return mul(self, other)
+            return mul_trunc(*args)
 
-        monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+        monkeypatch.setattr(series, "_mul_trunc", counted)
+        monkeypatch.setattr(TruncatedSeries, "__mul__", None)
         assert compose(monomial(100000) + monomial(3), g) == want
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     @given(
         series_strategy(min_val=0, max_val=3, min_order=1, max_order=8),
@@ -324,7 +338,7 @@ class TestCompose:
     )
     @settings(max_examples=60, deadline=None)
     def test_dropped_terms_change_nothing(self, g, fc):
-        # against Horner over every exponent with the cap min(order_g, ...)
+        # against Horner over every exponent, at its own ring-rule order
         if not g.is_zero and g.valuation < 1:
             return
         f = TruncatedSeries(fc)
@@ -333,7 +347,7 @@ class TestCompose:
             acc = acc * g
             if e in f.coeffs:
                 acc = acc + constant(f.coeffs[e])
-        assert compose(f, g) == acc.truncate(min(acc.order, g.order))
+        assert compose(f, g) == acc
 
     @given(series_strategy(min_val=1, max_val=2, min_order=4, max_order=7))
     @settings(max_examples=20, deadline=None)
@@ -343,6 +357,133 @@ class TestCompose:
         lhs = compose(f1 + f2, g)
         rhs = compose(f1, g) + compose(f2, g)
         assert lhs.agrees_with(rhs)
+
+
+# -- composition against its two oracles ---------------------------------
+#
+# The ring rule: f(g) = sum_e f_e g^e, each power from int_pow, negative
+# ones through reciprocal(g, order), cut where the unknown tail of f enters
+# at order_f * val_g. And the Horner composition compose used before the
+# power table, whose windows also stopped at order_g.
+
+
+def _ring_oracle(f, g, order):
+    if not g.is_zero and g.valuation < 1:
+        raise PreconditionError("composition requires positive valuation")
+    acc = zero()
+    for e, c in f.coeffs.items():
+        power = int_pow(g, e) if e >= 0 else int_pow(reciprocal(g, order), -e)
+        acc = acc + power.scale(c)
+    return acc.truncate(_mul_order(f.order, g.valuation))
+
+
+def _horner_compose(f, g, order=None):
+    if not g.is_zero and g.valuation < 1:
+        raise PreconditionError("composition requires positive valuation")
+    limit = -(-g.order // g.valuation) if g.order != INF and g.valuation > 0 else INF
+    acc = zero()
+    for e in range(max((e for e in f.coeffs if 0 <= e < limit), default=-1), -1, -1):
+        acc = acc * g
+        if e in f.coeffs:
+            acc = acc + constant(f.coeffs[e])
+    neg = sorted((e for e in f.coeffs if e < 0), reverse=True)
+    if neg:
+        r = reciprocal(g, order=order)
+        rpow, power = constant(1), 0
+        for e in neg:
+            rpow, power = rpow * int_pow(r, -e - power), -e
+            acc = acc + rpow.scale(f.coeffs[e])
+    return acc.truncate(min(acc.order, g.order, _mul_order(f.order, g.valuation)))
+
+
+@st.composite
+def compose_cases(draw):
+    """(f, g, order): a Laurent f over t^-4..t^8, exact or truncated; a g of
+    valuation 1..3, exact or truncated; order None or 2..10."""
+    fc = draw(st.dictionaries(st.integers(-4, 8), small_rat, min_size=1, max_size=5))
+    f = TruncatedSeries(fc, draw(st.just(INF) | st.integers(-3, 10)))
+    v = draw(st.integers(1, 3))
+    gc = draw(st.lists(small_rat, min_size=1, max_size=5))
+    gc[0] = gc[0] or Rat(1)
+    g = TruncatedSeries(dict(enumerate(gc, start=v)), draw(st.just(INF) | st.integers(v + 1, v + 9)))
+    return f, g, draw(st.none() | st.integers(2, 10))
+
+
+class TestComposeRingRule:
+    @given(compose_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_ring_oracle(self, case):
+        # values, window and refusals
+        f, g, order = case
+        try:
+            want = _ring_oracle(f, g, order)
+        except PreconditionError as err:
+            with pytest.raises(PreconditionError) as got:
+                compose(f, g, order)
+            assert str(got.value) == str(err)
+        else:
+            assert compose(f, g, order) == want
+
+    @given(compose_cases(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_widened_window_is_determined(self, case, data):
+        # Horner on g known 8 orders past the result's window (the new
+        # coefficients arbitrary) agrees with the result on all of it
+        f, g, order = case
+        try:
+            got = compose(f, g, order)
+        except PreconditionError:
+            return
+        if g.order == INF or got.order == INF:
+            return
+        top = max(g.order, got.order + 8)
+        tail = data.draw(st.lists(small_rat, min_size=top - g.order, max_size=top - g.order))
+        longer = TruncatedSeries({**g.coeffs, **dict(enumerate(tail, start=g.order))}, top)
+        want = _horner_compose(f, longer, order)
+        assert want.order >= got.order
+        assert got.agrees_with(want)
+
+    def test_wider_than_horner_past_order_g(self):
+        # [DERIVED] g = log(1+t) known below t^16: (g^2)'s window is
+        # order_g + val_g = 17, Horner stopped at 16
+        g = log_series(from_coeffs([1, 1], order=INF), order=16)
+        got = compose(monomial(2), g)
+        assert _horner_compose(monomial(2), g).order == 16
+        assert got == int_pow(g, 2) and got.order == 17
+
+    def test_one_high_outer_power_costs_few_products(self, monkeypatch):
+        # [DERIVED] g^100000 for g known below t^16 is known below
+        # t^100015; the table reaches u^100000 by repeated squaring
+        g = compositional_inverse(exp_series(t, order=16) - constant(1))
+        want = int_pow(g, 100000)
+        calls = []
+        mul_trunc = series._mul_trunc
+
+        def counted(*args):
+            calls.append(1)
+            return mul_trunc(*args)
+
+        monkeypatch.setattr(series, "_mul_trunc", counted)
+        got = compose(monomial(100000), g)
+        assert got == want and got.order == 100015
+        assert len(calls) < 2 * 17
+
+    def test_exact_inputs_give_an_exact_result(self):
+        f = monomial(-2, 3) + monomial(0, 1) + monomial(3, -1)
+        g = monomial(2, 5)
+        assert compose(f, g) == monomial(-4, Rat(3, 25)) + constant(1) + monomial(6, -125)
+        assert compose(from_coeffs([1, 2, 1]), t + monomial(2)) == _ring_oracle(
+            from_coeffs([1, 2, 1]), t + monomial(2), None)
+
+    def test_refusals(self):
+        with pytest.raises(PreconditionError, match="positive valuation"):
+            compose(t, constant(1) + t)
+        with pytest.raises(PreconditionError, match="non-invertible"):
+            compose(monomial(-1), zero(5))
+        with pytest.raises(PreconditionError, match="explicit order"):
+            compose(monomial(-1), t + monomial(2))
+        assert compose(monomial(-1), t + monomial(2), 3) == _ring_oracle(
+            monomial(-1), t + monomial(2), 3)
 
 
 # -- compositional inverse ----------------------------------------------
