@@ -305,8 +305,8 @@ def _recip_order(f: TruncatedSeries, order=None):
     for a monomial f. Refused for a zero f."""
     if f.is_zero:
         raise PreconditionError("non-invertible: zero series")
-    window = f.order - 2 * f.valuation
-    return window if len(f.coeffs) == 1 and order is None else _out_order(window, order, "reciprocal")
+    window, single = f.order - 2 * f.valuation, len(f.coeffs) == 1
+    return window if single and order is None else _out_order(window, order, "reciprocal")
 
 
 def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
