@@ -46,8 +46,9 @@ LOG_COMMANDS = (
 )
 
 # Composition paths: expansion in a basis with a high first outer power, a
-# Laurent outer series and a log outer series; connection constants; and
-# the inverse with its f(g(t)) = t certificate.
+# Laurent outer series and a log outer series; connection constants; the
+# inverse with its f(g(t)) = t certificate; and basic sequences, inverses
+# and connection constants at working orders 24 to 40.
 COMPOSE_COMMANDS = (
     ("expand", "--op", "D^2", "--op2", "exp(D)-1", "--n", "14"),
     ("expand", "--op", "log(1+D)", "--op2", "1-exp(-D)", "--n", "10"),
@@ -55,6 +56,10 @@ COMPOSE_COMMANDS = (
     ("connect", "--op", "D/(1-D)", "--op2", "D*exp(D)", "--n", "8"),
     ("invert", "--op", "D+D^2", "--order", "20", "--n", "14"),
     ("invert", "--op", "D/(1-D)", "--format", "plain"),
+    ("seq", "--op", "abel(b)", "--param", "b=17/29", "--order", "24", "--range", "0..22"),
+    ("invert", "--op", "laguerre", "--order", "40", "--n", "38"),
+    ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--order", "24", "--n", "20"),
+    ("seq", "--op", "log(1+D)", "--order", "30", "--range", "20..28"),
 )
 
 # README_COMMANDS already holds "verify --suite golden"; keep the first copy.
