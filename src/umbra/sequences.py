@@ -7,19 +7,20 @@ satisfy the binomial identity
     p_n(x + a) = sum_k C(n, k) p_k(a) p_{n-k}(x),
 
 which is certified here on an exact rational grid large enough to pin down
-the bivariate polynomial. Every basic sequence is built one way: as the
-conjugate sequence of the compositional inverse g of f,
+the bivariate polynomial. Every basic sequence is built one way: by
+Rota's transfer formula p_n(x) = x (D/f(D))^n x^(n-1), which Lagrange
+inversion turns into a read of the negative powers of f/t,
 
-    p_n(x) = sum_k n! [t^n] g^k x^k / k!,
+    p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] (f/t)^(-n) x^k,
 
-read from one table of the powers of g. Conjugate sequences and
-connection-constant matrices between any two bases read the same table;
+so f is never inverted. A conjugate sequence, p_n(x) =
+sum_k n! [t^n] g^k x^k / k!, and connection-constant matrices between any
+two bases read the positive powers of g/t from the same kernel table;
 generalized Taylor expansion and umbral composition complete the module.
 """
 from __future__ import annotations
 
 from fractions import Fraction as Rat
-from functools import partial
 from itertools import islice
 from math import comb, factorial
 from typing import Sequence
@@ -81,7 +82,7 @@ class BinomialSequence:
         return f"<basic sequence of {op} via {label}, {len(self._polys)} cached>"
 
 
-def _conjugate(operator, method, source, window, n_max) -> BinomialSequence:
+def _conjugate(operator, method, source, window, n_max, transfer=False) -> BinomialSequence:
     """The conjugate sequence p_n(x) = sum_k n! [t^n] g^k x^k / k! of the
     delta series g that ``source(w)`` gives determined below t^w; rows n
     below ``window`` are determined, and row n needs order n + 1.
@@ -89,16 +90,27 @@ def _conjugate(operator, method, source, window, n_max) -> BinomialSequence:
     Row n reads the positive rows u^1..u^n of the kernel's power table of
     u = g/t, which holds rows up to some s on their first s coefficients
     and serves every row n <= s. A row past s rebuilds it at least twice as
-    wide, so a sequence pays only for the rows it is asked for."""
+    wide, so a sequence pays only for the rows it is asked for.
+
+    With ``transfer``, ``source(w)`` gives f and g is its inverse, never
+    built: by Lagrange, [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n), so row n is
+    Rota's transfer formula p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] u^(-n) x^k
+    for u = f/t, read off the negative row -n of the same table of f."""
     powers = {}
 
     def step(n, _polys):
         if n == 0:
             return Polynomial([1])
         require_order(f"truncation too small for exact action: row {n}", n + 1, window)
-        if n >= len(powers):  # rows 0..s
+        if n >= len(powers):  # rows 0..s, or 0..-s with transfer
             size = min(max(n, n_max, 2 * len(powers)), window - 1)
-            powers.update(_unit_powers(source(size + 1), size, range(size + 1)))
+            rows = range(0, -size - 1, -1) if transfer else range(size + 1)
+            powers.update(_unit_powers(source(size + 1), size, rows))
+        if transfer:
+            (num, den), fn = powers[-n], factorial(n - 1)
+            return Polynomial([0] + [
+                Rat(fn * num[n - k], factorial(k - 1) * den) for k in range(1, n + 1)
+            ])
         fn = factorial(n)
         return Polynomial([0] + [
             Rat(fn * powers[k][0][n - k], factorial(k) * powers[k][1])
@@ -112,15 +124,17 @@ def _conjugate(operator, method, source, window, n_max) -> BinomialSequence:
 
 
 def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
-    """Basic sequence of f: the conjugate sequence of its compositional
-    inverse g, p_n(x) = sum_k n! [t^n] g^k x^k / k!. Row n is determined
-    while n is below the order of f.
+    """Basic sequence of f by Rota's transfer formula,
+    p_n(x) = x (D/f(D))^n x^(n-1), which reads
+    p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] (f/t)^(-n) x^k off the negative
+    powers of f/t; f is never inverted. Row n is determined while n is
+    below the order of f.
 
     Terms beyond n_max are still available by indexing; n_max only controls
     how much is precomputed eagerly.
     """
     fs = _delta_series(f)
-    return _conjugate(f, "transfer", partial(compositional_inverse, fs), fs.order, n_max)
+    return _conjugate(f, "transfer", lambda w: fs, fs.order, n_max, transfer=True)
 
 
 def generate_recurrence(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
@@ -243,12 +257,12 @@ def umbral_compose(q, p: BinomialSequence) -> BinomialSequence:
                 acc = acc + p[k].scale(c)
         return acc
 
-    operator = None
-    if q_seq is not None and q_seq.operator is not None and p.operator is not None:
-        operator = DeltaOperator(
-            compose(q_seq.operator.series, p.operator.series), name="umbral"
-        )
-    return BinomialSequence(operator, "umbral", step)
+    def operator():  # composing the two operators is paid for only when read
+        if q_seq.operator is None or p.operator is None:
+            return None
+        return DeltaOperator(compose(q_seq.operator.series, p.operator.series), name="umbral")
+
+    return BinomialSequence(operator if q_seq is not None else None, "umbral", step)
 
 
 def ramey_sequence(f: DeltaOperator, b, n_max: int = 0) -> BinomialSequence:

@@ -23,7 +23,10 @@ valuation equal to its order.
 Every product and reciprocal runs on one exact kernel: a run of
 coefficients becomes a dense list of integer numerators over one common
 denominator (the representation of FLINT's fmpq_poly), the arithmetic is
-done on those integers, and only the results become Fractions again.
+done on those integers, and only the results become Fractions again. A
+product with fewer pairs of stored terms than its span is the exception:
+it multiplies term by term, so a sparse exact product costs its terms,
+not its degree.
 Every chain of powers (composition, the compositional inverse, and the
 conjugate rows and log windows built on them) is read off one signed
 power table of g/t^val_g, _unit_powers.
@@ -32,8 +35,8 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction as Rat
-from itertools import repeat
-from math import gcd, lcm
+from itertools import islice, repeat
+from math import gcd, isqrt, lcm
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -186,6 +189,12 @@ class TruncatedSeries:
             return TruncatedSeries({}, order)
         v = self.valuation + other.valuation
         w = min(max(self.coeffs) + max(other.coeffs) + 1, order) - v
+        if len(self.coeffs) * len(other.coeffs) < w:  # fewer term pairs than the span
+            out = {}
+            for e, c in self.coeffs.items():
+                for d, b in other.coeffs.items():
+                    out[e + d] = out.get(e + d, 0) + c * b
+            return TruncatedSeries(out, order)  # drops the exponents past the window
         # the operand with fewer stored coefficients goes first (see _mul_trunc)
         f, g = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
         product = _dense_mul(_run(f, w), _run(g, w), w)
@@ -471,9 +480,12 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 
 # -- compositional inverse ----------------------------------------------
 #
-# Lagrange reversion: with u = f/t, the inverse g has
-# [t^k] g = [t^(k-1)] u^(-k) / k, read from the negative rows of the power
-# table; only the output coefficients become Fractions.
+# Lagrange reversion by power projection (Brent-Kung, J. ACM 25(4), 1978):
+# with r = t/f, [t^k] g = [t^(k-1)] r^k / k. Writing k = jm + i with
+# m about sqrt(w), r^k = r^i (r^m)^j, so the baby steps r^0..r^m (negative
+# rows of the power table) and the giant steps (r^m)^j cost about 2 sqrt(w)
+# products, and each coefficient is one integer dot product of a baby row
+# with a giant row. Only the output coefficients become Fractions.
 
 
 def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
@@ -488,6 +500,15 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     if f.order == INF and len(f.coeffs) == 1:
         return monomial(1, 1 / f.coeffs[1])
     n_out = _out_order(f.order, order, "compositional inverse")
-    powers = _unit_powers(f, n_out - 1, range(-1, -n_out, -1))
-    g = {k: Rat(powers[-k][0][k - 1], k * powers[-k][1]) for k in range(1, n_out)}
+    w = n_out - 1  # coefficients t^1..t^w
+    if w <= 0:
+        return zero(n_out)
+    m = isqrt(w - 1) + 1
+    baby = _unit_powers(f, w, range(0, -m - 1, -1))
+    giant = [baby[0], *islice(_powers(*baby[-m], w), w // m)]  # (r^m)^0..(r^m)^(w/m)
+    g = {}
+    for k in range(1, n_out):
+        j, i = divmod(k, m)
+        (a, ad), (b, bd) = baby[-i], giant[j]
+        g[k] = Rat(sum(map(operator.mul, a[:k], reversed(b[:k]))), k * ad * bd)
     return TruncatedSeries(g, n_out)

@@ -189,6 +189,35 @@ def delta_operators(draw):
 CAP = 26  # rows asked of an operator whose window is unbounded
 
 
+def _inverse_conjugate_rows(fs, n):
+    """Rows 0..n as the conjugate sequence of the inverse g of f, known to
+    order n + 2: the route that reads the transfer formula off g's own
+    table instead of off the negative powers of f/t."""
+    return conjugate_sequence(compositional_inverse(fs, order=n + 2)).terms(n)
+
+
+@st.composite
+def delta_series(draw):
+    """A delta series: a catalog operator's series at order 3..24, a
+    truncated random series of order 2..24, or an exact polynomial."""
+    kind = draw(st.sampled_from(("catalog", "truncated", "exact")))
+    if kind == "catalog":
+        return draw(delta_operators()).series
+    linear = draw(small_rat.filter(bool))
+    if kind == "truncated":
+        higher = draw(st.lists(small_rat, max_size=22))
+        return series.from_coeffs([0, linear, *higher])
+    higher = draw(st.lists(small_rat, max_size=4))
+    return series.from_coeffs([0, linear, *higher], order=series.INF)
+
+
+def _rows_or_refusal(rows, *args):
+    try:
+        return rows(*args)
+    except PreconditionError as err:
+        return str(err)
+
+
 class TestGenerators:
     def test_derivative_gives_powers(self):
         seq = generate_transfer(catalog("derivative"), 6)
@@ -245,6 +274,39 @@ class TestGenerators:
         want = _take(_transfer_oracle(op), CAP)
         assert len(want) >= len(rows) - 1
         assert rows[: len(want)] == want
+
+    @given(delta_series(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_transfer_read_matches_conjugate_of_inverse(self, fs, data):
+        # rows 0..n, or the same refusal at row = order when n reaches it
+        n = data.draw(st.integers(0, min(fs.order + 2, CAP)))
+        got = _rows_or_refusal(lambda: generate_transfer(DeltaOperator(fs)).terms(n))
+        assert got == _rows_or_refusal(_inverse_conjugate_rows, fs, n)
+
+    @pytest.mark.parametrize(
+        "name, order", [("abel", 48), ("forward_difference", 128), ("laguerre", 40)]
+    )
+    def test_transfer_inverts_nothing(self, monkeypatch, name, order):
+        # rows 0..n_max cost at most n_max products and no inversion
+        op = catalog(name, {"b": Rat(17, 29)} if name == "abel" else {}, order=order)
+        n_max = order - 2
+        calls = []
+        mul_trunc = series._mul_trunc
+
+        def counted(a, b, w):
+            calls.append(w)
+            return mul_trunc(a, b, w)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the transfer read inverted its operator")
+
+        monkeypatch.setattr(series, "_mul_trunc", counted)
+        monkeypatch.setattr(series, "compositional_inverse", refused)
+        from umbra import sequences
+        monkeypatch.setattr(sequences, "compositional_inverse", refused)
+        seq = generate_transfer(op, n_max)
+        assert len(calls) <= n_max
+        assert seq[n_max].degree == n_max
 
     @given(delta_operators())
     @settings(max_examples=20, deadline=None)
@@ -429,7 +491,8 @@ class TestConjugate:
 
     def test_operator_is_inverted_only_when_read(self, monkeypatch):
         # rows read g itself; g is inverted once, on the first read of
-        # .operator, and umbral composition still receives that operator
+        # .operator, and umbral composition builds its operator from that
+        # one on its own first read of .operator
         from umbra import sequences
 
         calls = []
@@ -450,10 +513,11 @@ class TestConjugate:
         assert conj.operator is op and len(calls) == 1
         small = conjugate_sequence(catalog("forward_difference", order=12).series, 3)
         composed = umbral_compose(small, small)
-        assert len(calls) == 2
+        assert len(calls) == 1  # composing the operators waits for .operator too
         assert composed.operator.series.agrees_with(
             compose(small.operator.series, small.operator.series)
         )
+        assert len(calls) == 2
 
     def test_exact_polynomial_has_no_operator(self):
         # an exact non-monomial g has no inverse without an explicit order

@@ -4,7 +4,7 @@ from fractions import Fraction as Rat
 from math import factorial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from umbra import series
@@ -233,6 +233,15 @@ def kernel_operands(draw):
     return TruncatedSeries(coeffs, order)
 
 
+@st.composite
+def sparse_operands(draw):
+    """Nonzero series of at most four terms spread over exponents -5..60,
+    exact or truncated."""
+    exponents = draw(st.lists(st.integers(-5, 60), min_size=1, max_size=4, unique=True))
+    order = draw(st.just(INF) | st.integers(min(exponents) + 1, 70))
+    return TruncatedSeries({e: draw(small_rat.filter(bool)) for e in exponents}, order)
+
+
 def _shape(f):
     return f.coeffs, f.order, f.valuation
 
@@ -254,6 +263,27 @@ class TestKernelOracles:
                 reciprocal(f, order)
         else:
             assert _shape(reciprocal(f, order)) == _shape(_fraction_reciprocal(f, order))
+
+    def test_sparse_exact_product_pays_per_term_pair(self, monkeypatch):
+        # two terms times one: two coefficient products, not a dense run
+        # over a span of a million exponents
+        calls = []
+        monkeypatch.setattr(series, "_mul_trunc", lambda *args: calls.append(args))
+        p = (monomial(0) + monomial(10**6)) * monomial(1)
+        assert _shape(p) == ({1: 1, 1000001: 1}, INF, 1)
+        assert calls == []
+
+    @given(sparse_operands(), sparse_operands())
+    @settings(max_examples=80, deadline=None)
+    def test_sparse_product_matches_dense_oracle(self, f, g):
+        # operands with fewer term pairs than the span of their product
+        order = min(f.order + g.valuation, g.order + f.valuation)
+        v = f.valuation + g.valuation
+        w = min(max(f.coeffs) + max(g.coeffs) + 1, order) - v
+        assume(len(f.coeffs) * len(g.coeffs) < w)
+        a, b = ([h.coeffs.get(h.valuation + i, Rat(0)) for i in range(w)] for h in (f, g))
+        dense = TruncatedSeries(dict(enumerate(_dense_mul(a, b, w), start=v)), order)
+        assert _shape(f * g) == _shape(dense)
 
 
 # -- composition ---------------------------------------------------------
@@ -557,7 +587,72 @@ def delta_inputs(draw):
     return from_coeffs([0, linear, *higher]), draw(st.none() | st.integers(1, n))
 
 
+def _chain_inverse(f, order=None):
+    """The inverse by Lagrange reversion over every negative row of the
+    power table, [t^k] g = [t^(k-1)] (t/f)^k / k: one full-width product
+    per output coefficient, where the library projects onto baby and giant
+    steps."""
+    if f.is_zero or f.valuation != 1:
+        raise PreconditionError("not a delta series")
+    if f.order == INF and len(f.coeffs) == 1:
+        return monomial(1, 1 / f.coeffs[1])
+    n_out = series._out_order(f.order, order, "compositional inverse")
+    powers = series._unit_powers(f, n_out - 1, range(-1, -n_out, -1))
+    g = {k: Rat(powers[-k][0][k - 1], k * powers[-k][1]) for k in range(1, n_out)}
+    return TruncatedSeries(g, n_out)
+
+
+@st.composite
+def inverse_cases(draw):
+    """(f, order) of every shape the inverse meets: truncated delta series
+    of order 2..41, exact delta polynomials and monomials, series that are
+    not delta, and result orders -2..40 or none."""
+    kind = draw(st.sampled_from(("truncated", "exact", "monomial", "other")))
+    order = draw(st.none() | st.integers(-2, 40))
+    linear = draw(small_rat.filter(bool))
+    if kind == "truncated":
+        n = draw(st.integers(2, 41))
+        higher = draw(st.lists(small_rat, min_size=n - 2, max_size=n - 2))
+        return from_coeffs([0, linear, *higher]), order
+    if kind == "exact":
+        higher = draw(st.lists(small_rat, min_size=1, max_size=4))
+        return from_coeffs([0, linear, *higher], order=INF), order
+    if kind == "monomial":
+        return monomial(1, linear, order=draw(st.just(INF) | st.integers(2, 41))), order
+    return draw(kernel_operands()), order
+
+
+def _outcome(inverse, f, order):
+    """The shape of an inverse, or the text of its refusal."""
+    try:
+        return _shape(inverse(f, order=order))
+    except PreconditionError as err:
+        return str(err)
+
+
 class TestCompositionalInverse:
+    @given(inverse_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_chain_oracle(self, case):
+        f, order = case
+        assert _outcome(compositional_inverse, f, order) == _outcome(_chain_inverse, f, order)
+
+    def test_order_128_costs_few_products(self, monkeypatch):
+        # baby steps r^1..r^12 and giant steps (r^12)^2..(r^12)^10 for the
+        # 127 coefficients, where a chain over every row makes 126 products
+        f = exp_series(t, order=128) - constant(1)
+        calls = []
+        mul_trunc = series._mul_trunc
+
+        def counted(a, b, w):
+            calls.append(w)
+            return mul_trunc(a, b, w)
+
+        monkeypatch.setattr(series, "_mul_trunc", counted)
+        g = compositional_inverse(f)
+        assert len(calls) <= 24
+        assert [g.coefficient(k) for k in (1, 2, 127)] == [1, Rat(-1, 2), Rat(1, 127)]
+
     @given(delta_inputs())
     @settings(max_examples=40, deadline=None)
     def test_matches_newton_oracle(self, case):
