@@ -35,14 +35,22 @@ README_COMMANDS = (
     ("eval", "--op", "exp(D)-1", "--n", "0", "--x0", "10", "--prec", "25"),
 )
 
-# The logarithmic layer: negative ranges, plain output, numeric evaluation
-# and the suites that read log windows at a non-default depth.
+# The logarithmic layer: negative ranges, plain and csv output, numeric
+# evaluation, the suites that read log windows at a non-default depth, and
+# windows and evaluations at depth 24 from operators known to order 25.
 LOG_COMMANDS = (
     ("logseq", "--op", "D*exp(D)", "--range=-6..2", "--depth", "10"),
     ("logseq", "--op", "1-exp(-D)", "--range=-4..4", "--format", "plain"),
     ("eval", "--op", "D*exp(D)", "--n", "-1", "--x0", "7/2"),
     ("verify", "--suite", "golden", "--depth", "20"),
     ("verify", "--suite", "abel_numeric", "--depth", "16"),
+    ("logseq", "--op", "laguerre", "--order", "25", "--depth", "24", "--range=-24..11"),
+    ("logseq", "--op", "abel(b)", "--param", "b=17/29", "--order", "25", "--depth", "24",
+     "--range=-3..3", "--format", "csv"),
+    ("logseq", "--op", "D+D^2", "--order", "13", "--range=-5..5"),
+    ("eval", "--op", "D*exp(D)", "--n", "0", "--x0", "67/5", "--order", "25", "--depth", "24",
+     "--prec", "30"),
+    ("eval", "--op", "log(1+D)", "--n", "3", "--x0", "9/2", "--format", "plain"),
 )
 
 # Composition paths: expansion in a basis with a high first outer power, a
