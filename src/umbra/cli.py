@@ -140,11 +140,6 @@ def _parse_range(args, fallback) -> range:
 # -- value rendering ------------------------------------------------------
 
 
-def _rat_str(q: Rat) -> str:
-    q = Rat(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _rat_latex(q: Rat) -> str:
     q = Rat(q)
     if q.denominator == 1:
@@ -154,9 +149,7 @@ def _rat_latex(q: Rat) -> str:
 
 
 def _jsonable(value):
-    if isinstance(value, Rat):
-        return _rat_str(value)
-    if isinstance(value, Decimal):
+    if isinstance(value, (Rat, Decimal)):
         return str(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
@@ -168,17 +161,17 @@ def _jsonable(value):
 
 
 def _poly_coeffs(p: Polynomial) -> dict:
-    return {str(d): _rat_str(c) for d, c in enumerate(p.coeffs) if c != 0}
+    return {str(d): str(c) for d, c in enumerate(p.coeffs) if c != 0}
 
 
 def _term_plain(c: Rat, var: str, d: int, first: bool) -> str:
     sign = "-" if c < 0 else ("" if first else "+")
     mag = abs(Rat(c))
     if d == 0:
-        body = _rat_str(mag)
+        body = str(mag)
     else:
         v = var if d == 1 else (f"{var}^({d})" if d < 0 else f"{var}^{d}")
-        body = v if mag == 1 else f"{_rat_str(mag)}*{v}"
+        body = v if mag == 1 else f"{mag}*{v}"
     return f"{sign}{body}" if first else f"{sign} {body}"
 
 
@@ -224,7 +217,7 @@ def _cmd_logseq(args, settings, params):
             {
                 "n": n,
                 "basis": "lambda_k^(1)",
-                "coeffs": {str(d): _rat_str(c) for d, c in sorted(s.coeffs.items())},
+                "coeffs": {str(d): str(c) for d, c in sorted(s.coeffs.items())},
                 "floor": None if s.is_exact else int(s.floor),
                 "top": int(n),
                 "order_t": 1,
@@ -242,7 +235,7 @@ def _cmd_expand(args, settings, params):
     return {
         "operator": pretty(ttree),
         "basis": basis.name,
-        "coefficients": {str(k): _rat_str(c) for k, c in enumerate(coeffs)},
+        "coefficients": {str(k): str(c) for k, c in enumerate(coeffs)},
     }, True
 
 
@@ -261,7 +254,7 @@ def _cmd_invert(args, settings, params):
     status = "match" if residual.is_zero else "mismatch"
     payload = {
         "operator": op.name,
-        "coefficients": {str(k): _rat_str(c) for k, c in enumerate(coeffs, start=1)},
+        "coefficients": {str(k): str(c) for k, c in enumerate(coeffs, start=1)},
         "cross_check": status,
     }
     if status != "match":
@@ -282,7 +275,7 @@ def _cmd_connect(args, settings, params):
         {
             "n": n,
             "coeffs": {
-                str(k): _rat_str(matrix.entry(n, k))
+                str(k): str(matrix.entry(n, k))
                 for k in range(n + 1)
                 if matrix.entry(n, k) != 0
             },
@@ -313,7 +306,7 @@ def _cmd_eval(args, settings, params):
     return {
         "operator": op.name,
         "n": n,
-        "x0": _rat_str(args.x0),
+        "x0": str(args.x0),
         "precision": args.prec,
         "value": str(value),
         "tail_bound": None if bound is None else str(bound),

@@ -20,9 +20,10 @@ Delta operators have logarithmic basic sequences extending their classical
 ones to all integer degrees. Since D^k maps degree j to roman(j)!/roman(j-k)!
 times degree j-k, every window here is read, not computed by an operator
 action: each coefficient is a roman-factorial multiple of one coefficient
-of a power of one series (Loeb-Rota logarithmic Lagrange inversion). The
-basic sequence reads f'(t) (f(t)/t)^(-n-1), the log conjugate sequence of
-g the powers of g/t, and Newton coefficients the powers of (e^t - 1)/t.
+of a power of one series (Loeb-Rota logarithmic Lagrange inversion), read
+off the kernel's signed power table. The basic sequence reads f'(t) times
+row -(n+1) of the table of f(t)/t, the log conjugate sequence of g the
+rows of g/t, and Newton coefficients the rows of (e^t - 1)/t.
 """
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from typing import Mapping, Optional
 from .errors import PreconditionError, require_order
 from .numbers import roman_factorial, stirling_first
 from .operators import DeltaOperator, _delta_series, _series_of, catalog
-from .series import INF, _unit_powers, formal_derivative, int_pow, monomial, mul
+from .series import INF, _dense, _mul_trunc, _unit_powers
 
 NEG_INF = float("-inf")
 
@@ -263,15 +264,18 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
 
     Uses the transfer formula p_n = f'(D) (f/D)^(-n-1) lambda_n, valid for
     every integer n; the classical polynomials reappear for n >= 0. Degree
-    n - k reads roman(n)!/roman(n-k)! [t^k] f'(t) (f(t)/t)^(-n-1), from f
-    cut to order depth + 1: the window is exact when f is known to order
+    n - k reads roman(n)!/roman(n-k)! [t^k] f'(t) (f(t)/t)^(-n-1): row
+    -(n+1) of the power table of f cut to order depth + 1, times f' in one
+    integer product. The window is exact when f is known to order
     depth + 1, and refused otherwise."""
     if depth < 1:
         raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
     fs = _cut(_delta_series(f), depth + 1, depth)
-    transfer = mul(formal_derivative(fs), int_pow(mul(fs, monomial(-1)), -n - 1))
+    row, rd = _unit_powers(fs, depth, (-n - 1,))[-n - 1]
+    fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
+    transfer = _mul_trunc(fprime, row, depth)
     rn = roman_factorial(n)
-    out = {n - k: rn / roman_factorial(n - k) * transfer.coefficient(k) for k in range(depth)}
+    out = {n - k: rn / roman_factorial(n - k) * Rat(transfer[k], fd * rd) for k in range(depth)}
     return HarmonicLogSeries(out, n - depth + 1, 1)
 
 
@@ -379,7 +383,8 @@ def evaluate_numeric(s: HarmonicLogSeries, x0, precision: int = 28) -> Decimal:
         for d, c in sorted(s.coeffs.items()):
             base = _dec(c) * xv**d
             for i, m in monomial_expansion(d, s.order_t).items():
-                total += base * _dec(m) * lv**i
+                # (log x)^0 is 1 even at x = 1, where Decimal refuses 0**0
+                total += base * _dec(m) * (lv**i if i else 1)
         ctx.prec = precision
         return +total
 

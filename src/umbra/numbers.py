@@ -12,7 +12,7 @@ from functools import cache, reduce
 from math import factorial
 from typing import Iterable
 
-from .series import INF, constant, from_coeffs, int_pow, mul, reciprocal
+from .series import INF, _unit_powers, constant, from_coeffs, mul, reciprocal
 
 Rat = Fraction
 
@@ -78,10 +78,11 @@ def stirling_second(n: int, k: int) -> Rat:
 # higher-order numbers B_{k,n} come from the n-th power of that series.
 @cache
 def _bernoulli_gen_power(n: int, order: int) -> tuple[Rat, ...]:
-    # (t/(e^t - 1))^n as plain coefficients
-    base = from_coeffs([Rat(1, factorial(k + 1)) for k in range(order)])  # (e^t - 1)/t
-    power = int_pow(reciprocal(base), n)
-    return tuple(power.coefficient(d) for d in range(order))
+    # (t/(e^t - 1))^n as plain coefficients: row -n of the power table of
+    # (e^t - 1)/t
+    base = from_coeffs([Rat(1, factorial(k + 1)) for k in range(order)])
+    row, den = _unit_powers(base, order, (-n,))[-n]
+    return tuple(Rat(x, den) for x in row[:order])
 
 
 def bernoulli(k: int) -> Rat:

@@ -22,9 +22,8 @@ tree into a TruncatedSeries at a chosen working order.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction as Rat
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ParseError, PreconditionError
 from .operators import ShiftInvariantOperator, catalog
@@ -64,38 +63,32 @@ _ATOM_EXPECTED = ("a number", "'D'", "an operator name", "'('", "'-'")
 # -- abstract syntax ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Number:
+class Number(NamedTuple):
     value: Rat
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(NamedTuple):
     """D, a catalog operator without arguments, or a parameter name."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Call:
+class Call(NamedTuple):
     name: str
     args: Tuple["Node", ...]
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: "Node"
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str
     left: "Node"
     right: "Node"
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: "Node"
     exponent: int
 
@@ -106,8 +99,7 @@ Node = (Number, Symbol, Call, Neg, BinOp, Pow)
 # -- tokenizer ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "number", "ident", one of "+-*/^(),", or "end"
     text: str
     pos: int  # 1-based offset of the first character
@@ -295,8 +287,7 @@ def pretty(node) -> str:
         return f"({out})" if _level(child) < minimum else out
 
     if isinstance(node, Number):
-        v = node.value
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+        return str(node.value)
     if isinstance(node, Symbol):
         return node.name
     if isinstance(node, Call):

@@ -27,9 +27,9 @@ done on those integers, and only the results become Fractions again. A
 product with fewer pairs of stored terms than its span is the exception:
 it multiplies term by term, so a sparse exact product costs its terms,
 not its degree.
-Every chain of powers (composition, the compositional inverse, and the
-conjugate rows and log windows built on them) is read off one signed
-power table of g/t^val_g, _unit_powers.
+Every chain of powers (composition, the compositional inverse, the
+conjugate rows and log windows built on them, and the Bernoulli powers)
+is read off one signed power table of g/t^val_g, _unit_powers.
 """
 from __future__ import annotations
 

@@ -10,7 +10,7 @@ which gives the command-line negative control for exit code 4.
 """
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import localcontext
 from fractions import Fraction as Rat
 from math import comb, factorial
 from typing import Mapping, Optional
@@ -18,6 +18,7 @@ from typing import Mapping, Optional
 from .errors import PreconditionError
 from .logarithmic import (
     LogBinomialSequence,
+    _dec,
     apply_operator,
     augmentation,
     evaluate_numeric,
@@ -306,17 +307,16 @@ def _suite_golden(depth, corrupt):
 # -- numeric suite --------------------------------------------------------
 
 
-def _decimal_of(q: Rat) -> Decimal:
-    return Decimal(q.numerator) / Decimal(q.denominator)
-
-
 def _suite_abel_numeric(params, depth, corrupt):
     a = params.get("a", Rat(1))
     b = params.get("b", Rat(2))
     x = params.get("x", Rat(5))
-    tol = _decimal_of(params.get("tol", DEFAULT_TOLERANCE))
-    if x <= 0 or x <= abs(b):
+    tol = params.get("tol", DEFAULT_TOLERANCE)
+    if not x > abs(b) > 0:
         raise PreconditionError("abel_numeric requires x0 > |b| > 0")
+    if tol <= 0:
+        raise PreconditionError(f"abel_numeric requires tol > 0, got {tol}")
+    tol = _dec(tol)
     op = catalog("abel", {"b": b}, order=3 * depth + 10)
     seq = LogBinomialSequence(op, depth=depth + 2)
     checks = 0
@@ -339,9 +339,7 @@ def _suite_abel_numeric(params, depth, corrupt):
             break
     with localcontext() as ctx:
         ctx.prec = 40
-        lhs_val = (_decimal_of(x) + _decimal_of(a)).ln() + _decimal_of(
-            Rat(b) / (x + a)
-        )
+        lhs_val = (_dec(x) + _dec(a)).ln() + _dec(Rat(b) / (x + a))
     diff1 = abs(evaluate_numeric(rhs, x, 30) - lhs_val)
     checks += 1
     if witness is None and diff1 >= tol:
@@ -363,8 +361,8 @@ def _suite_abel_numeric(params, depth, corrupt):
         if acc.coeffs != {-2: b}:
             witness = {"identity": 2, "kind": "window collapse", "got": repr(acc)}
             break
-        diff2 = abs(evaluate_numeric(acc, x, 30) - _decimal_of(Rat(b) / x**2))
-        if _decimal_of(x) ** acc.floor < tol:
+        diff2 = abs(evaluate_numeric(acc, x, 30) - _dec(Rat(b) / x**2))
+        if _dec(x) ** acc.floor < tol:
             checks += 1
             if diff2 >= tol:
                 witness = {"identity": 2, "kind": "numeric", "difference": str(diff2)}

@@ -322,6 +322,14 @@ class TestVerifyCommand:
         assert float(result["difference_1"]) < 1e-7
         assert float(result["difference_2"]) == 0.0
 
+    @pytest.mark.parametrize("param", ["b=0", "tol=0", "tol=-1/2"])
+    def test_numeric_suite_refuses_degenerate_parameters(self, capsys, param):
+        # b = 0 and a tolerance no difference can meet are refused, not
+        # reported as failures of the identities
+        code, out, err = run_cli(capsys, "verify", "--suite", "abel_numeric", "--param", param)
+        assert (code, out) == (3, "")
+        assert "abel_numeric requires" in err
+
     def test_corrupt_flag_reports_witness(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "golden", "--corrupt", "--depth", "8"
@@ -345,6 +353,11 @@ class TestEvalCommand:
         assert value.startswith("2.35175258906")
         bound = doc["result"]["tail_bound"]
         assert bound is not None and float(bound) < 1e-10
+
+    def test_at_one(self, capsys):
+        # ln 1 = 0, and (log x)^0 is still 1 there
+        doc = run_json(capsys, "eval", "--op", "exp(D)-1", "--n", "0", "--x0", "1")
+        assert doc["result"]["x0"] == "1"
 
     def test_rational_point(self, capsys):
         # [TRIVIAL] the degree -2 log element of D is x^(-2), an exact

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import logarithmic
+from umbra import logarithmic, series
 from umbra.errors import PreconditionError
 from umbra.logarithmic import (
     NEG_INF,
@@ -528,6 +528,14 @@ class TestNumericBoundary:
     def test_log_at_one_vanishes(self):
         assert evaluate_numeric(harmonic_log(0, 1), 1, 20) == 0
 
+    def test_at_one_only_the_log_free_term_survives(self):
+        # at x = 1 every (log x)^i with i >= 1 vanishes and (log x)^0 is 1
+        for t in range(3):
+            for n in range(-4, 5):
+                want = Rat(monomial_expansion(n, t).get(0, 0))
+                got = evaluate_numeric(harmonic_log(n, t), 1)
+                assert got == Decimal(want.numerator) / Decimal(want.denominator), (n, t)
+
     def test_order_two_element(self):
         # lambda_(-1)^(2) = 2 log(x)/x
         import decimal
@@ -694,22 +702,32 @@ class TestReadsMatchOperatorActions:
 
     def test_no_operator_action_on_the_read_path(self, monkeypatch):
         calls = []
-        for name in ("apply_operator", "augmentation", "int_pow"):
-            real = getattr(logarithmic, name)
 
-            def counted(*args, _real=real, _name=name, **kwargs):
-                calls.append(_name)
-                return _real(*args, **kwargs)
+        def count(owner, attr, name):
+            real = getattr(owner, attr)
 
-            monkeypatch.setattr(logarithmic, name, counted)
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counted)
+
+        for name in ("apply_operator", "augmentation", "_unit_powers"):
+            count(logarithmic, name, name)
+        # the series product is counted wherever it is reached from
+        for name in ("int_pow", "mul", "formal_derivative"):
+            count(series, name, name)
+        for attr in ("__mul__", "__rmul__"):
+            count(TruncatedSeries, attr, "mul")
         fd = catalog("forward_difference", order=24)
         window = log_sequence(fd, -1, 12)
         log_conjugate_sequence(fd, 3, 12)
         log_conjugate_sequence(fd, -3, 12)
         newton_expand(window, 12)
         log_lower_factorial(2, 12)
-        # one transfer power per log_sequence window, nothing per degree
-        assert calls == ["int_pow", "int_pow"]
+        # one read of the power table per window, nothing per degree and
+        # no series product
+        assert calls == ["_unit_powers"] * 5
 
 
 class TestExactWindowRules:

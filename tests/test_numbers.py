@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra.numbers import (
+    _bernoulli_gen_power,
     bernoulli,
     bernoulli_higher,
     elementary_symmetric,
@@ -23,6 +24,7 @@ from umbra.numbers import (
     stirling_first,
     stirling_second,
 )
+from umbra.series import from_coeffs, int_pow, reciprocal
 
 
 class TestRomanFactorial:
@@ -262,6 +264,15 @@ class TestBernoulli:
                     for j in range(k + 1)
                 )
                 assert lhs == rhs, (k, n, m)
+
+    @given(n=st.integers(1, 11), order=st.integers(1, 39))
+    @settings(max_examples=60, deadline=None)
+    def test_generating_power_matches_series_route(self, n, order):
+        # the power read off the signed power table equals the reciprocal
+        # of (e^t - 1)/t raised by repeated series products
+        base = from_coeffs([Rat(1, factorial(k + 1)) for k in range(order)])
+        power = int_pow(reciprocal(base), n)
+        assert _bernoulli_gen_power(n, order) == tuple(power.coefficient(d) for d in range(order))
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
