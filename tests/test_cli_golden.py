@@ -36,8 +36,9 @@ README_COMMANDS = (
 )
 
 # The logarithmic layer: negative ranges, plain and csv output, numeric
-# evaluation, the suites that read log windows at a non-default depth, and
-# windows and evaluations at depth 24 from operators known to order 25.
+# evaluation, the suites that read log windows at a non-default depth or
+# parameter, and windows and evaluations at depth 24 from operators known
+# to order 25.
 LOG_COMMANDS = (
     ("logseq", "--op", "D*exp(D)", "--range=-6..2", "--depth", "10"),
     ("logseq", "--op", "1-exp(-D)", "--range=-4..4", "--format", "plain"),
@@ -51,12 +52,17 @@ LOG_COMMANDS = (
     ("eval", "--op", "D*exp(D)", "--n", "0", "--x0", "67/5", "--order", "25", "--depth", "24",
      "--prec", "30"),
     ("eval", "--op", "log(1+D)", "--n", "3", "--x0", "9/2", "--format", "plain"),
+    ("verify", "--suite", "logbinomial", "--param", "a=17/29", "--depth", "16"),
+    ("verify", "--suite", "logbinomial", "--corrupt", "--param", "a=-3/5"),
+    ("logseq", "--op", "log(1+D)", "--order", "25", "--depth", "24", "--range=-3..3"),
 )
 
 # Composition paths: expansion in a basis with a high first outer power, a
 # Laurent outer series and a log outer series; connection constants; the
-# inverse with its f(g(t)) = t certificate; and basic sequences, inverses
-# and connection constants at working orders 24 to 40.
+# inverse with its f(g(t)) = t certificate; basic sequences, inverses
+# and connection constants at working orders 24 to 40; log outer series
+# at orders 20 to 24; and the Pincherle suite, whose operators act on
+# polynomials.
 COMPOSE_COMMANDS = (
     ("expand", "--op", "D^2", "--op2", "exp(D)-1", "--n", "14"),
     ("expand", "--op", "log(1+D)", "--op2", "1-exp(-D)", "--n", "10"),
@@ -68,6 +74,10 @@ COMPOSE_COMMANDS = (
     ("invert", "--op", "laguerre", "--order", "40", "--n", "38"),
     ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--order", "24", "--n", "20"),
     ("seq", "--op", "log(1+D)", "--order", "30", "--range", "20..28"),
+    ("verify", "--suite", "pincherle", "--format", "plain"),
+    ("invert", "--op", "log(1+D)", "--order", "24", "--n", "22"),
+    ("expand", "--op", "log(1+D^2)", "--op2", "exp(D)-1", "--order", "20", "--n", "18"),
+    ("seq", "--op", "log(1+D)+D^2", "--order", "20", "--range", "0..8"),
 )
 
 # README_COMMANDS already holds "verify --suite golden"; keep the first copy.
