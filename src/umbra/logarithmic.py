@@ -10,8 +10,10 @@ well.
 A HarmonicLogSeries is a window of exactly known coefficients over this
 basis: everything above the top stored degree is known to be zero, the
 window [floor, top] is exact, and nothing is claimed below the floor. A
-floor of -infinity means the series is exact. Operators move both ends of
-the window:
+floor of -infinity means the series is exact. An operator acts by one
+series product (stored at t^(-j) and scaled by roman(j)!, degree j is
+moved by D^k to t^(k-j)), and the product's window rule moves both ends
+of the window:
 
     top'   = top - valuation(T)
     floor' = max(floor - valuation(T), top - order(T) + 1)
@@ -34,8 +36,8 @@ from typing import Mapping, Optional
 
 from .errors import PreconditionError, require_order
 from .numbers import roman_factorial, stirling_first
-from .operators import DeltaOperator, _delta_series, _series_of, catalog
-from .series import INF, _dense, _mul_trunc, _unit_powers
+from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
+from .series import _dense, _mul_trunc, _unit_powers
 
 NEG_INF = float("-inf")
 
@@ -94,8 +96,9 @@ class HarmonicLogSeries:
         return self.coeffs.get(d, Rat(0))
 
     def truncate_floor(self, new_floor: int) -> "HarmonicLogSeries":
-        """Forget coefficients below new_floor (floors can only rise)."""
-        if new_floor != NEG_INF and self.floor != NEG_INF and new_floor < self.floor:
+        """Forget coefficients below new_floor (floors can only rise: an
+        exact floor of -infinity is refused for a window that has a floor)."""
+        if new_floor < self.floor:
             raise PreconditionError("truncation too small for exact action")
         return HarmonicLogSeries(
             {d: c for d, c in self.coeffs.items() if d >= new_floor},
@@ -192,22 +195,14 @@ def apply_operator(T, s: HarmonicLogSeries) -> HarmonicLogSeries:
 
     Each D^k sends degree j to roman(j)!/roman(j-k)! times degree j-k; no
     term is annihilated for order t >= 1, so negative k acts as well. The
-    result window is
+    action is one series product (operators._act) of T with the window
+    stored at t^(-j), known below t^(1 - floor); the result's floor is one
+    minus that product's order, which is the window rule
 
         top' = top - val(T),  floor' = max(floor - val(T), top - order(T) + 1).
     """
-    ts = _series_of(T)
-    out = {}
-    for j, c in s.coeffs.items():
-        rj = roman_factorial(j)
-        for k, a in ts.coeffs.items():
-            d = j - k
-            out[d] = out.get(d, Rat(0)) + c * a * rj / roman_factorial(d)
-    if ts.is_zero and ts.order == INF:
-        return HarmonicLogSeries({}, NEG_INF, s.order_t)
-    # infinite orders and floors carry through as -infinity
-    new_floor = max(s.floor - ts.valuation, s.top - ts.order + 1)
-    return HarmonicLogSeries(out, new_floor, s.order_t)
+    image, order = _act(_series_of(T), s.coeffs, 1 - s.floor)
+    return HarmonicLogSeries(image, 1 - order, s.order_t)
 
 
 def roman_shift(s: HarmonicLogSeries) -> HarmonicLogSeries:

@@ -17,6 +17,7 @@ from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError, require_order
+from .numbers import roman_factorial
 from .series import (
     INF,
     TruncatedSeries,
@@ -79,13 +80,8 @@ class Polynomial:
         return Polynomial((Rat(0),) + self.coeffs)
 
     def shift(self, a) -> "Polynomial":
-        """The polynomial p(x + a)."""
-        a = Rat(a)
-        acc = Polynomial()
-        xa = Polynomial([a, Rat(1)])
-        for c in reversed(self.coeffs):
-            acc = acc * xa + Polynomial([c])
-        return acc
+        """The polynomial p(x + a): the action of E^a = exp(aD)."""
+        return apply_to_polynomial(exp_series(monomial(1, a), order=self.degree + 1), self)
 
     def scale(self, c) -> "Polynomial":
         c = Rat(c)
@@ -210,6 +206,19 @@ def _delta_series(x) -> TruncatedSeries:
     return s
 
 
+def _act(series: TruncatedSeries, coeffs: Mapping[int, Rat], order=INF):
+    """The action of a series in D on sum_j c_j L_j, for coeffs {j: c_j},
+    where D^k sends degree j to roman(j)!/roman(j-k)! times degree j - k
+    (on monomials x^j and on harmonic logarithms of every order). Stored
+    at t^(-j) and scaled by roman(j)!, degree j is moved by D^k to t^(k-j),
+    so the action is one product with the window [-top, order). Returns
+    the image as {degree: coefficient} and the order of that product:
+    degree d is determined when t^(-d) lies below it."""
+    scaled = TruncatedSeries({-j: c * roman_factorial(j) for j, c in coeffs.items()}, order)
+    image = series * scaled
+    return {-e: c / roman_factorial(-e) for e, c in image.coeffs.items()}, image.order
+
+
 def apply_to_polynomial(T, p: Polynomial) -> Polynomial:
     """Apply sum a_k D^k to p. Exactness demands the series window cover
     every derivative that can act: order > deg(p)."""
@@ -218,14 +227,8 @@ def apply_to_polynomial(T, p: Polynomial) -> Polynomial:
         raise PreconditionError("negative powers of D undefined on polynomials")
     if s.order <= p.degree:
         raise PreconditionError("truncation too small for exact action")
-    acc = Polynomial()
-    deriv = p
-    for k in range(0, p.degree + 1):
-        c = s.coeffs.get(k)
-        if c is not None:
-            acc = acc + deriv.scale(c)
-        deriv = deriv.derivative()
-    return acc
+    image, _ = _act(s, dict(enumerate(p.coeffs)))
+    return Polynomial([image.get(d, 0) for d in range(p.degree + 1)])
 
 
 def pincherle_derivative(T) -> ShiftInvariantOperator:

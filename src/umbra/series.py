@@ -459,23 +459,15 @@ def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 
 
 def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
-    """log(f) for a series with constant term 1, by l' = f'/f."""
+    """log(f) for a series with constant term 1, the integral of f'/f:
+    f' times 1/f known to one order below the result's."""
     if f.coeffs.get(0) != 1 or f.valuation != 0:
         raise PreconditionError("log_series requires constant term 1")
     if f.order == INF and len(f.coeffs) == 1:
         return zero()
     n_out = _out_order(f.order, order, "log_series")
-    if n_out <= 0:
-        return zero(n_out)
-    l = [Rat(0)] * n_out
-    for n in range(1, n_out):
-        acc = Rat(0)
-        for j in range(1, n):
-            fc = f.coeffs.get(n - j)
-            if fc is not None:
-                acc += j * l[j] * fc
-        l[n] = f.coeffs.get(n, Rat(0)) - acc / n
-    return TruncatedSeries({k: l[k] for k in range(1, n_out)}, n_out)
+    quotient = formal_derivative(f) * reciprocal(f, order=n_out - 1)
+    return TruncatedSeries({e + 1: c / (e + 1) for e, c in quotient.coeffs.items()}, n_out)
 
 
 # -- compositional inverse ----------------------------------------------

@@ -662,6 +662,16 @@ class TestSubprocessControls:
         proc = self.run("verify", "--suite", "abel", "--n", "3")
         assert proc.returncode == 0
 
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        # both cost start-up time in every process; the parse nodes are
+        # NamedTuples so that neither is needed
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, umbra.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
     def test_byte_determinism_across_processes(self):
         args = ("logseq", "--op", "abel(1/3)", "--range=-2..2", "--depth", "6")
         first = self.run(*args)

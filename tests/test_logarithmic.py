@@ -121,6 +121,14 @@ class TestWindowAlgebra:
         with pytest.raises(PreconditionError, match="truncation too small"):
             s.truncate_floor(-5)
 
+    def test_truncate_floor_refuses_an_exact_floor_under_a_window(self):
+        # a floor of -infinity would claim every degree below the window is
+        # zero; it is only a no-op on a window that is already exact
+        s = log_sequence(catalog("forward_difference"), -1, 4)
+        with pytest.raises(PreconditionError, match="truncation too small"):
+            s.truncate_floor(NEG_INF)
+        assert harmonic_log(2).truncate_floor(NEG_INF) == harmonic_log(2)
+
     def test_add_same_order(self):
         a = HarmonicLogSeries({1: 1, 0: 2}, floor=-2)
         b = HarmonicLogSeries({0: -2, -1: 3}, floor=-1)
@@ -596,12 +604,29 @@ class TestNumericBoundary:
 # -- the operator-action routes, kept as oracles ---------------------------
 
 
+def _action_oracle(T, s):
+    """apply_operator by the double loop over window and operator terms,
+    with the window rule stated by hand rather than read off a product."""
+    ts = getattr(T, "series", T)
+    out = {}
+    for j, c in s.coeffs.items():
+        rj = roman_factorial(j)
+        for k, a in ts.coeffs.items():
+            d = j - k
+            out[d] = out.get(d, Rat(0)) + c * a * rj / roman_factorial(d)
+    if ts.is_zero and ts.order == INF:
+        return HarmonicLogSeries({}, NEG_INF, s.order_t)
+    # infinite orders and floors carry through as -infinity
+    new_floor = max(s.floor - ts.valuation, s.top - ts.order + 1)
+    return HarmonicLogSeries(out, new_floor, s.order_t)
+
+
 def _transfer_oracle(f, n, depth):
     """log_sequence by applying f'(D) (f/D)^(-n-1) to lambda_n at the
     operator's full order, then cutting to the window."""
     fs = getattr(f, "series", f)
     transfer = mul(formal_derivative(fs), int_pow(mul(fs, monomial(-1)), -n - 1))
-    s = apply_operator(transfer, harmonic_log(n, 1))
+    s = _action_oracle(transfer, harmonic_log(n, 1))
     target = n - depth + 1
     if s.floor != NEG_INF and s.floor > target:
         raise PreconditionError("truncation too small for exact action")
@@ -609,11 +634,11 @@ def _transfer_oracle(f, n, depth):
 
 
 def _per_degree_oracle(T, s, ks):
-    """<T^k s> / roman(k)! for k in ks: one int_pow, one apply_operator and
-    one augmentation per degree."""
+    """<T^k s> / roman(k)! for k in ks: one int_pow, one operator action
+    and one augmentation per degree."""
     out = {}
     for k in ks:
-        image = apply_operator(int_pow(T, k), s)
+        image = _action_oracle(int_pow(T, k), s)
         if image.floor != NEG_INF and image.floor > 0:
             raise PreconditionError("truncation too small for exact action")
         out[k] = augmentation(image) / roman_factorial(k)
@@ -665,6 +690,41 @@ def log_windows(draw):
 
 degrees = st.integers(-8, 8)
 depths = st.integers(1, 12)
+
+
+@st.composite
+def laurent_operators(draw):
+    """A series in D of valuation -3..4 with up to six terms (zeros among
+    them), exact or truncated just past its terms or further; a zero
+    series when it has no terms."""
+    val = draw(st.integers(-3, 4))
+    n = draw(st.integers(0, 6))
+    order = draw(st.just(INF) | st.integers(val + n, val + n + 3))
+    return TruncatedSeries({val + i: draw(st.fractions(-4, 4, max_denominator=6))
+                            for i in range(n)}, order)
+
+
+# windows of order 0, 1 or 2: exact, with a floor, or empty
+action_windows = st.one_of(
+    log_windows(),
+    log_windows().map(lambda s: skip(s, 0)),
+    st.builds(HarmonicLogSeries, st.just({}), st.sampled_from([NEG_INF, -3, 0, 4]),
+              st.sampled_from([0, 1, 2])),
+)
+
+
+class TestActionMatchesDoubleLoop:
+    @given(T=laurent_operators(), s=action_windows)
+    @settings(max_examples=120, deadline=None)
+    def test_apply_operator(self, T, s):
+        assert apply_operator(T, s) == _action_oracle(T, s)
+
+    def test_catalog_operators_on_sequence_windows(self):
+        s = log_sequence(catalog("laguerre", order=14), -2, 10)
+        for name in ("forward_difference", "abel", "shift", "weierstrass", "bernoulli_op"):
+            for order in (2, 4, 9, 14):
+                T = catalog(name, {"a": Rat(7, 2), "b": Rat(17, 29)}, order=order)
+                assert apply_operator(T, s) == _action_oracle(T, s), (name, order)
 
 
 class TestReadsMatchOperatorActions:

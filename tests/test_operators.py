@@ -365,3 +365,59 @@ class TestLagrangeInversion:
         e = catalog("shift", {"a": 1}, order=8)
         with pytest.raises(PreconditionError, match="not a delta series"):
             lagrange_inversion(e, identity(), 3)
+
+
+# -- the polynomial action against the loops it replaced -------------------
+#
+# Oracles: a_k D^k p summed over successive derivatives, and p(x + a) by
+# Horner's rule in x + a. Neither goes through the product that the library
+# acts by.
+
+
+def _derivative_oracle(T, p):
+    s = getattr(T, "series", T)
+    acc, deriv = Polynomial(), p
+    for k in range(p.degree + 1):
+        c = s.coeffs.get(k)
+        if c is not None:
+            acc = acc + deriv.scale(c)
+        deriv = deriv.derivative()
+    return acc
+
+
+def _horner_shift(p, a):
+    acc, xa = Polynomial(), Polynomial([a, 1])
+    for c in reversed(p.coeffs):
+        acc = acc * xa + Polynomial([c])
+    return acc
+
+
+@st.composite
+def polynomial_actions(draw):
+    """(T, p): a polynomial of degree up to 8 and a series in D with up to
+    six terms, exact or known just far enough (order > deg p) or further;
+    zero series included."""
+    p = Polynomial(draw(st.lists(rat, max_size=9)))
+    order = draw(st.just(INF) | st.integers(p.degree + 1, p.degree + 5))
+    exponents = draw(st.lists(st.integers(0, 12), max_size=6, unique=True))
+    return TruncatedSeries({e: draw(rat) for e in exponents}, order), p
+
+
+class TestActionOracles:
+    @given(polynomial_actions())
+    @settings(max_examples=100, deadline=None)
+    def test_polynomial_action_matches_derivative_loop(self, case):
+        T, p = case
+        assert apply_to_polynomial(T, p) == _derivative_oracle(T, p)
+
+    @given(st.lists(rat, max_size=14), rat)
+    @settings(max_examples=100, deadline=None)
+    def test_shift_matches_horner(self, coeffs, a):
+        p = Polynomial(coeffs)
+        assert p.shift(a) == _horner_shift(p, a)
+
+    def test_operators_act_through_the_same_product(self):
+        p = Polynomial([3, 0, -1, 2])
+        for name in CATALOG_NAMES:
+            T = catalog(name, {"a": Rat(5, 3), "b": Rat(-2, 7)}, order=6)
+            assert T(p) == _derivative_oracle(T, p), name

@@ -737,6 +737,16 @@ class TestCompositionalInverse:
 
 # -- exp, log, powers, derivative ----------------------------------------
 
+def _recurrence_log(f, n_out):
+    """log f on [1, n_out) by the Fraction recurrence
+    n l_n = n f_n - sum_(0<j<n) j l_j f_(n-j), with no series product."""
+    l = [Rat(0)] * max(n_out, 1)
+    for n in range(1, n_out):
+        acc = sum((j * l[j] * f.coeffs.get(n - j, 0) for j in range(1, n)), Rat(0))
+        l[n] = f.coeffs.get(n, Rat(0)) - acc / n
+    return TruncatedSeries(dict(enumerate(l)), n_out)
+
+
 class TestTranscendental:
     def test_exp_coefficients(self):
         e = exp_series(t, order=10)
@@ -766,6 +776,20 @@ class TestTranscendental:
             exp_series(from_coeffs([1, 1], order=5))
         with pytest.raises(PreconditionError, match="explicit order"):
             exp_series(monomial(2))
+
+    @given(st.lists(small_rat, max_size=9), st.none() | st.integers(1, 10),
+           st.none() | st.integers(-2, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_log_matches_recurrence_oracle(self, tail, width, order):
+        f = TruncatedSeries({0: 1, **dict(enumerate(tail, 1))}, INF if width is None else width)
+        if f.order == INF and len(f.coeffs) > 1 and order is None:
+            with pytest.raises(PreconditionError, match="explicit order"):
+                log_series(f, order)
+        elif f.order == INF and len(f.coeffs) == 1:
+            assert _shape(log_series(f, order)) == _shape(zero())
+        else:
+            n_out = f.order if order is None else min(f.order, order)
+            assert _shape(log_series(f, order)) == _shape(_recurrence_log(f, n_out))
 
     def test_log_preconditions(self):
         with pytest.raises(PreconditionError, match="constant term 1"):
