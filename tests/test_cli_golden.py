@@ -61,8 +61,9 @@ LOG_COMMANDS = (
 # Laurent outer series and a log outer series; connection constants; the
 # inverse with its f(g(t)) = t certificate; basic sequences, inverses
 # and connection constants at working orders 24 to 40; log outer series
-# at orders 20 to 24; and the Pincherle suite, whose operators act on
-# polynomials.
+# at orders 20 to 24; the Pincherle suite, whose operators act on
+# polynomials; and deep basic-sequence rows, connection constants and an
+# expansion in a basis at orders 40 to 48.
 COMPOSE_COMMANDS = (
     ("expand", "--op", "D^2", "--op2", "exp(D)-1", "--n", "14"),
     ("expand", "--op", "log(1+D)", "--op2", "1-exp(-D)", "--n", "10"),
@@ -78,6 +79,10 @@ COMPOSE_COMMANDS = (
     ("invert", "--op", "log(1+D)", "--order", "24", "--n", "22"),
     ("expand", "--op", "log(1+D^2)", "--op2", "exp(D)-1", "--order", "20", "--n", "18"),
     ("seq", "--op", "log(1+D)+D^2", "--order", "20", "--range", "0..8"),
+    ("seq", "--op", "abel(b)", "--param", "b=17/29", "--order", "48", "--range", "40..46"),
+    ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--order", "40", "--n", "38"),
+    ("expand", "--op", "shift(a)", "--op2", "exp(D)-1", "--param", "a=19/23", "--order", "40",
+     "--n", "38"),
 )
 
 # README_COMMANDS already holds "verify --suite golden"; keep the first copy.
