@@ -227,7 +227,7 @@ def apply_to_polynomial(T, p: Polynomial) -> Polynomial:
         raise PreconditionError("negative powers of D undefined on polynomials")
     if s.order <= p.degree:
         raise PreconditionError("truncation too small for exact action")
-    image, _ = _act(s, dict(enumerate(p.coeffs)))
+    image, _ = _act(s.truncate(p.degree + 1), dict(enumerate(p.coeffs)))
     return Polynomial([image.get(d, 0) for d in range(p.degree + 1)])
 
 

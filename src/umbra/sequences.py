@@ -34,6 +34,7 @@ from .operators import (
     apply_to_polynomial,
 )
 from .series import (
+    _chain,
     _dense,
     _unit_powers,
     compose,
@@ -87,25 +88,27 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
     delta series g that ``source(w)`` gives determined below t^w; rows n
     below ``window`` are determined, and row n needs order n + 1.
 
-    Row n reads the positive rows u^1..u^n of the kernel's power table of
-    u = g/t, which holds rows up to some s on their first s coefficients
-    and serves every row n <= s. A row past s rebuilds it at least twice as
-    wide, so a sequence pays only for the rows it is asked for.
+    Row n reads u^k = (g/t)^k at index n - k, k = 1..n; serving rows n <= s,
+    u^k is built on its first s - k + 1 coefficients, ascending from u. A
+    row past s rebuilds the table at least twice as wide.
 
     With ``transfer``, ``source(w)`` gives f and g is its inverse, never
     built: by Lagrange, [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n), so row n is
     Rota's transfer formula p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] u^(-n) x^k
-    for u = f/t, read off the negative row -n of the same table of f."""
+    for u = f/t, read off u^(-n) on its first n coefficients: u^(-s) by
+    squaring over 1/u, then descending by u, u^(-k) on its first k."""
     powers = {}
 
     def step(n, _polys):
         if n == 0:
             return Polynomial([1])
         require_order(f"truncation too small for exact action: row {n}", n + 1, window)
-        if n >= len(powers):  # rows 0..s, or 0..-s with transfer
-            size = min(max(n, n_max, 2 * len(powers)), window - 1)
-            rows = range(0, -size - 1, -1) if transfer else range(size + 1)
-            powers.update(_unit_powers(source(size + 1), size, rows))
+        if n > len(powers):  # rows 1..s, or -s..-1 with transfer
+            s = min(max(n, n_max, 2 * len(powers)), window - 1)
+            first = -s if transfer else 1
+            table = _unit_powers(source(s + 1), s, (1, first))
+            rows = _chain(table[first], *table[1], range(s, 0, -1))
+            powers.update(zip(range(first, first + s), rows))
         if transfer:
             (num, den), fn = powers[-n], factorial(n - 1)
             return Polynomial([0] + [

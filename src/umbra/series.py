@@ -24,16 +24,17 @@ Every product and reciprocal runs on one exact kernel: a run of
 coefficients becomes a dense list of integer numerators over one common
 denominator (the representation of FLINT's fmpq_poly), the arithmetic is
 done on those integers, and only the results become Fractions again. A
-product with fewer pairs of stored terms than its span is the exception:
-it multiplies term by term, so a sparse exact product costs its terms,
-not its degree.
-Every chain of powers (composition, the compositional inverse, the
-conjugate rows and log windows built on them, and the Bernoulli powers)
-is read off one signed power table of g/t^val_g, _unit_powers.
+product with no more pairs of stored terms than its span is the
+exception: it multiplies term by term, so a sparse exact product costs
+its terms, not its degree.
+Every chain of powers is a _chain of truncated products, each row only as
+wide as it is read, started from the signed power table of g/t^val_g,
+_unit_powers; compose adds Brent-Kung, about 2 sqrt(N) products.
 """
 from __future__ import annotations
 
 import operator
+from bisect import bisect
 from fractions import Fraction as Rat
 from itertools import islice, repeat
 from math import gcd, isqrt, lcm
@@ -93,11 +94,19 @@ def _reduce(nums, den):
     return [x // g for x in nums], den // g
 
 
+def _chain(start, u, ud, widths):
+    """start, start*u, start*u^2, ... for integer numerators u over ud, on a
+    non-increasing run of widths (start is given on the first), each product
+    reduced by the gcd of its numerators and denominator."""
+    p = None
+    for w in widths:
+        p = start if p is None else _reduce(_mul_trunc(p[0], u, w), p[1] * ud)
+        yield p
+
+
 def _powers(u, ud, w, first=1):
     """u^first, u^(first+1), ... on their first w coefficients, for integer
-    numerators u over ud: u^first by repeated squaring, then each power one
-    truncated product of the one before, every product reduced by the gcd
-    of its numerators and denominator."""
+    numerators u over ud: u^first by repeated squaring, then a _chain."""
     p, b, n = None, (u, ud), first
     while n:
         if n & 1:
@@ -105,9 +114,7 @@ def _powers(u, ud, w, first=1):
         n >>= 1
         if n:
             b = _reduce(_mul_trunc(b[0], b[0], w), b[1] * b[1])
-    while True:
-        yield p
-        p = _reduce(_mul_trunc(p[0], u, w), p[1] * ud)
+    return _chain(p, u, ud, repeat(w))
 
 
 def _dense_mul(x, y, w):
@@ -189,7 +196,7 @@ class TruncatedSeries:
             return TruncatedSeries({}, order)
         v = self.valuation + other.valuation
         w = min(max(self.coeffs) + max(other.coeffs) + 1, order) - v
-        if len(self.coeffs) * len(other.coeffs) < w:  # fewer term pairs than the span
+        if len(self.coeffs) * len(other.coeffs) <= w:  # no more term pairs than the span
             out = {}
             for e, c in self.coeffs.items():
                 for d, b in other.coeffs.items():
@@ -400,12 +407,33 @@ def formal_derivative(f: TruncatedSeries) -> TruncatedSeries:
     )
 
 
+def _brent_kung(coeffs, g: TruncatedSeries, m: int, top: int):
+    """(numerators, denominator) of sum_e coeffs[e] g^e, e >= 0, on [0, top) by
+    Brent-Kung 2.1: Horner in the giant step g^m over blocks of m outer
+    coefficients, each a scalar-times-row sum of the baby steps g^0..g^(m-1).
+    g's unknown tail counts as zero; the caller keeps only what it can't reach."""
+    gn = _dense([g.coeffs.get(e, Rat(0)) for e in range(top)])
+    baby = [([1], 1), *islice(_chain(gn, *gn, repeat(top)), m)]
+    giant, gd = baby.pop()
+    weights, den = _dense([coeffs.get(e, Rat(0)) / baby[e % m][1] for e in range(max(coeffs) + 1)])
+    acc, ad = [], 1
+    for j in range(max(coeffs) // m, -1, -1):
+        d = lcm(ad * gd, den)  # the block's denominator is den
+        acc = [x * (d // (ad * gd)) for x in _mul_trunc(acc, giant, top)]
+        for (row, _), x in zip(baby, weights[j * m : j * m + m]):
+            x *= d // den
+            acc[: len(row)] = map(operator.add, acc[: len(row)], map(operator.mul, row, repeat(x)))
+        acc, ad = _reduce(acc, d)
+    return acc, ad
+
+
 def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeries:
     """Substitute g into f. Requires val(g) >= 1 so the result is well
     defined coefficientwise; f may be a Laurent series.
 
-    With g = t^v u, f(g) = sum_e f_e t^(ev) u^e is read off the signed
-    power table of u. The window is the ring rule: the least of
+    With g = t^v u, f(g) = sum_e f_e t^(ev) u^e, the terms read off the
+    signed power table of u, or the nonnegative ones by _brent_kung where
+    that makes fewer products. The window is the ring rule: the least of
     order_f * v, order_g + (e-1) v for each e >= 1 in f, and R + (e+1) v
     for each e <= -1 in f, where R = min(order_g - 2v, order) is the
     window of 1/g. Terms whose t^(ev) lies at or past the window are left
@@ -422,23 +450,32 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
     kept = sorted(e for e in at if at[e] < window)
     if not kept:
         return zero(window)
-    lo = at[kept[0]]
     # an exact result ends at the top exponent of its highest term
     top = window if window != INF else kept[-1] * max(g.coeffs, default=0) + 1
+    # products: m - 1 powers and one per block, or squaring to row p and one per row above
+    p, m = min((e for e in kept if e > 0), default=0), isqrt(max(kept[-1], 0)) + 1
+    fast = p and m - 1 + kept[-1] // m < p.bit_length() + bin(p).count("1") - 2 + kept[-1] - p
+    rows = [e for e in kept if e < 0 or not fast]
     # row e is read on exponents [ev, top); row 0 is the constant 1
-    table = _unit_powers(g, top - min((at[e] for e in kept if e), default=top), kept)
-    weights, den = _dense([f.coeffs[e] / table[e][1] for e in kept])
+    table = _unit_powers(g, top - min((at[e] for e in rows if e), default=top), rows)
+    terms = [(at[e], f.coeffs[e], table[e]) for e in rows]
+    if fast:
+        terms.append((0, Rat(1), _brent_kung({e: f.coeffs[e] for e in kept if e >= 0}, g, m, top)))
+    lo = min(start for start, _, _ in terms)
+    weights, den = _dense([c / row[1] for _, c, row in terms])
     out = [0] * (top - lo)
-    for e, x in zip(kept, weights):
-        row, i = table[e][0], at[e] - lo
+    for (start, _, (row, _)), x in zip(terms, weights):
+        i = start - lo
         out[i : i + len(row)] = map(
             operator.add, out[i : i + len(row)], map(operator.mul, row, repeat(x)))
     return TruncatedSeries({lo + i: Rat(c, den) for i, c in enumerate(out)}, window)
 
 
 def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
-    """exp(f) for a series with valuation >= 1, by the differential
-    recurrence y' = f'y. Exact inputs need an explicit order."""
+    """exp(f) for a series with valuation >= 1, by n y_n = sum_j j f_j y_(n-j)
+    over the stored terms f_j, on numerators over one denominator as in
+    reciprocal; only the max(j) still read are rescaled. Exact inputs need
+    an explicit order."""
     if not f.is_zero and f.valuation < 1:
         raise PreconditionError("exp_series requires positive valuation")
     if f.is_zero and f.order == INF:
@@ -446,16 +483,16 @@ def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
     n_out = _out_order(f.order, order, "exp_series")
     if n_out <= 0:
         return zero(n_out)
-    y = [Rat(0)] * n_out
-    y[0] = Rat(1)
+    js = sorted(j for j in f.coeffs if j < n_out)
+    a, ad = _dense([j * f.coeffs[j] for j in js])
+    out, y, yd = {0: Rat(1)}, [1], 1  # y[-j] is the numerator of y_(n-j)
     for n in range(1, n_out):
-        acc = Rat(0)
-        for j in range(1, n + 1):
-            fj = f.coeffs.get(j)
-            if fj is not None:
-                acc += j * fj * y[n - j]
-        y[n] = acc / n
-    return TruncatedSeries({k: y[k] for k in range(n_out)}, n_out)
+        q = out[n] = Rat(sum(c * y[-j] for j, c in zip(js[: bisect(js, n)], a)), n * ad * yd)
+        m = q.denominator // gcd(q.denominator, yd)  # yd * m = lcm(yd, den)
+        if m != 1:
+            y, yd = [x * m for x in y[-js[-1] :]], yd * m
+        y.append(q.numerator * (yd // q.denominator))
+    return TruncatedSeries(out, n_out)
 
 
 def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:

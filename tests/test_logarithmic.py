@@ -181,6 +181,13 @@ class TestDerivativeAction:
                 want = roman_factorial(n) / roman_factorial(n - k)
                 assert s == harmonic_log(n - k, 1).scale(want)
 
+    def test_one_term_action_skips_the_dense_kernel(self, monkeypatch):
+        # D on L_3: one term times one term, multiplied term by term
+        calls = []
+        monkeypatch.setattr(series, "_dense", lambda *args: calls.append(args))
+        image = apply_operator(catalog("derivative"), harmonic_log(3))
+        assert image.coeffs == {2: 3} and calls == []
+
     def test_exact_operator_preserves_exactness(self):
         img = apply_operator(catalog("derivative"), harmonic_log(3, 2))
         assert img.is_exact

@@ -410,6 +410,24 @@ class TestActionOracles:
         T, p = case
         assert apply_to_polynomial(T, p) == _derivative_oracle(T, p)
 
+    def test_product_spans_only_the_degrees_kept(self, monkeypatch):
+        # the forward difference known to order 25 on a degree-6 polynomial:
+        # T is cut to order 7 first, so the product's window [v, order)
+        # holds at most the 7 degrees kept, not the 24 the whole T reaches
+        T = catalog("forward_difference", order=25)
+        p = Polynomial([3, 0, -1, 2, Rat(5, 7), -7, 1])
+        widths = []
+        mul = TruncatedSeries.__mul__
+
+        def spied(a, b):
+            out = mul(a, b)
+            widths.append(out.order - a.valuation - b.valuation)
+            return out
+
+        monkeypatch.setattr(TruncatedSeries, "__mul__", spied)
+        assert apply_to_polynomial(T, p) == _derivative_oracle(T, p)
+        assert widths and max(widths) <= p.degree + 1
+
     @given(st.lists(rat, max_size=14), rat)
     @settings(max_examples=100, deadline=None)
     def test_shift_matches_horner(self, coeffs, a):

@@ -287,14 +287,16 @@ class TestGenerators:
         "name, order", [("abel", 48), ("forward_difference", 128), ("laguerre", 40)]
     )
     def test_transfer_inverts_nothing(self, monkeypatch, name, order):
-        # rows 0..n_max cost at most n_max products and no inversion
+        # rows 0..n_max cost at most n_max^3 / 3 coefficient pairs, counted
+        # as _mul_trunc makes them, and no inversion: at its full width the
+        # table would make about n_max^3 / 2
         op = catalog(name, {"b": Rat(17, 29)} if name == "abel" else {}, order=order)
         n_max = order - 2
-        calls = []
+        pairs = []
         mul_trunc = series._mul_trunc
 
         def counted(a, b, w):
-            calls.append(w)
+            pairs.append(sum(min(len(b), w - i) for i, x in enumerate(a[:w]) if x))
             return mul_trunc(a, b, w)
 
         def refused(*args, **kwargs):
@@ -305,7 +307,7 @@ class TestGenerators:
         from umbra import sequences
         monkeypatch.setattr(sequences, "compositional_inverse", refused)
         seq = generate_transfer(op, n_max)
-        assert len(calls) <= n_max
+        assert sum(pairs) <= n_max**3 // 3
         assert seq[n_max].degree == n_max
 
     @given(delta_operators())

@@ -1,7 +1,9 @@
 # Tests for the truncated Laurent series engine: frozen expansions computed
 # independently ([DERIVED]) plus ring-axiom property tests.
 from fractions import Fraction as Rat
-from math import factorial
+import operator
+from itertools import repeat
+from math import ceil, factorial, sqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,7 +14,10 @@ from umbra.errors import PreconditionError
 from umbra.series import (
     INF,
     TruncatedSeries,
+    _dense,
     _mul_order,
+    _recip_order,
+    _unit_powers,
     compose,
     compositional_inverse,
     constant,
@@ -276,11 +281,11 @@ class TestKernelOracles:
     @given(sparse_operands(), sparse_operands())
     @settings(max_examples=80, deadline=None)
     def test_sparse_product_matches_dense_oracle(self, f, g):
-        # operands with fewer term pairs than the span of their product
+        # operands with no more term pairs than the span of their product
         order = min(f.order + g.valuation, g.order + f.valuation)
         v = f.valuation + g.valuation
         w = min(max(f.coeffs) + max(g.coeffs) + 1, order) - v
-        assume(len(f.coeffs) * len(g.coeffs) < w)
+        assume(len(f.coeffs) * len(g.coeffs) <= w)
         a, b = ([h.coeffs.get(h.valuation + i, Rat(0)) for i in range(w)] for h in (f, g))
         dense = TruncatedSeries(dict(enumerate(_dense_mul(a, b, w), start=v)), order)
         assert _shape(f * g) == _shape(dense)
@@ -516,6 +521,119 @@ class TestComposeRingRule:
             monomial(-1), t + monomial(2), 3)
 
 
+# -- Brent-Kung composition against the power table ------------------------
+#
+# Oracle: the row-per-exponent composition compose used before Brent-Kung,
+# every term f_e t^(ev) u^e read off the signed power table of u = g/t^v.
+
+
+def _table_compose(f, g, order=None):
+    if not g.is_zero and g.valuation < 1:
+        raise PreconditionError("composition requires positive valuation")
+    v = g.valuation
+    at = {e: _mul_order(e, v) for e in f.coeffs}
+    window = _mul_order(f.order, v)
+    if min(at, default=0) < 0:
+        window = min(window, _recip_order(g, order) + _mul_order(min(at) + 1, v))
+    if max(at, default=0) > 0:
+        window = min(window, g.order + _mul_order(min(e for e in at if e > 0) - 1, v))
+    kept = sorted(e for e in at if at[e] < window)
+    if not kept:
+        return zero(window)
+    lo = at[kept[0]]
+    top = window if window != INF else kept[-1] * max(g.coeffs, default=0) + 1
+    table = _unit_powers(g, top - min((at[e] for e in kept if e), default=top), kept)
+    weights, den = _dense([f.coeffs[e] / table[e][1] for e in kept])
+    out = [0] * (top - lo)
+    for e, x in zip(kept, weights):
+        row, i = table[e][0], at[e] - lo
+        out[i : i + len(row)] = map(
+            operator.add, out[i : i + len(row)], map(operator.mul, row, repeat(x)))
+    return TruncatedSeries({lo + i: Rat(c, den) for i, c in enumerate(out)}, window)
+
+
+def _outcome_of(fn, *args):
+    try:
+        return _shape(fn(*args))
+    except PreconditionError as err:
+        return str(err)
+
+
+@st.composite
+def outer_and_inner(draw):
+    """(f, g, order): f Laurent, sparse (t^3 + t^40 among them), dense to
+    t^30 or zero; g of valuation 1..3 with up to five terms, or zero; each
+    exact or truncated; order None or 2..12."""
+    kind = draw(st.sampled_from(("laurent", "sparse", "dense", "zero")))
+    if kind == "laurent":
+        exponents = draw(st.lists(st.integers(-4, 8), min_size=1, max_size=5, unique=True))
+    elif kind == "sparse":
+        exponents = draw(st.just([3, 40]) | st.lists(
+            st.integers(0, 45), min_size=1, max_size=3, unique=True))
+    elif kind == "dense":
+        exponents = range(draw(st.integers(0, 3)), draw(st.integers(5, 31)))
+    else:
+        exponents = ()
+    f = TruncatedSeries({e: draw(small_rat) for e in exponents},
+                        draw(st.just(INF) | st.integers(-3, 48)))
+    v = draw(st.integers(1, 3))
+    gc = draw(st.lists(small_rat, max_size=5))
+    g = TruncatedSeries(dict(enumerate(gc, start=v)), draw(st.just(INF) | st.integers(v, 130)))
+    return f, g, draw(st.none() | st.integers(2, 12))
+
+
+class TestBrentKung:
+    @given(outer_and_inner())
+    @settings(max_examples=250, deadline=None)
+    def test_matches_table_and_horner(self, case):
+        # values, windows and refusal texts of the table oracle; values of
+        # Horner on the overlap of the two windows
+        f, g, order = case
+        got = _outcome_of(compose, f, g, order)
+        assert got == _outcome_of(_table_compose, f, g, order)
+        if isinstance(got, str):
+            return
+        try:
+            want = _horner_compose(f, g, order)
+        except PreconditionError:
+            return
+        assert compose(f, g, order).agrees_with(want)
+
+    def test_sparse_outer_takes_few_products(self, monkeypatch):
+        # t^3 + t^40: Brent-Kung with m = 7 makes the powers g^2..g^7 and
+        # six Horner steps, the first on an empty accumulator, where the
+        # table would make 39 rows
+        g = log_series(from_coeffs([1, 1], order=INF), order=48)
+        f = monomial(3) + monomial(40)
+        want = _table_compose(f, g)
+        calls = []
+        mul_trunc = series._mul_trunc
+
+        def counted(*args):
+            calls.append(1)
+            return mul_trunc(*args)
+
+        monkeypatch.setattr(series, "_mul_trunc", counted)
+        assert compose(f, g) == want
+        assert len(calls) == 12
+
+    def test_dense_outer_at_order_128_costs_few_products(self, monkeypatch):
+        # [DERIVED] exp(log(1 + t)) - 1 = t; m = 12 makes the powers
+        # g^2..g^12 and 11 Horner steps
+        f = exp_series(t, order=128) - constant(1)
+        g = log_series(from_coeffs([1, 1], order=INF), order=128)
+        calls = []
+        mul_trunc = series._mul_trunc
+
+        def counted(*args):
+            calls.append(1)
+            return mul_trunc(*args)
+
+        monkeypatch.setattr(series, "_mul_trunc", counted)
+        assert compose(f, g) == t.truncate(128)
+        assert len(calls) <= 2 * ceil(sqrt(128)) + 2
+
+
 # -- compositional inverse ----------------------------------------------
 #
 # Oracle: the inverse by Newton iteration, g <- g - (f(g) - t)/f'(g), on
@@ -747,6 +865,25 @@ def _recurrence_log(f, n_out):
     return TruncatedSeries(dict(enumerate(l)), n_out)
 
 
+def _loop_exp(f, order=None):
+    """exp f by the Fraction loop n y_n = sum_(1<=j<=n) j f_j y_(n-j) over
+    every j, with the preconditions of exp_series."""
+    if not f.is_zero and f.valuation < 1:
+        raise PreconditionError("exp_series requires positive valuation")
+    if f.is_zero and f.order == INF:
+        return constant(1)
+    if f.order == INF and order is None:
+        raise PreconditionError("exp_series of an exact series requires an explicit order")
+    n_out = f.order if order is None else min(f.order, order)
+    if n_out <= 0:
+        return zero(n_out)
+    y = [Rat(1)]
+    for n in range(1, n_out):
+        acc = sum((j * f.coeffs[j] * y[n - j] for j in range(1, n + 1) if j in f.coeffs), Rat(0))
+        y.append(acc / n)
+    return TruncatedSeries(dict(enumerate(y)), n_out)
+
+
 class TestTranscendental:
     def test_exp_coefficients(self):
         e = exp_series(t, order=10)
@@ -770,6 +907,12 @@ class TestTranscendental:
     def test_exp_log_inverse_pair(self):
         f = from_coeffs([0, 2, -1, Rat(3, 5), 0, 1], order=8)
         assert log_series(exp_series(f)).agrees_with(f)
+
+    @given(kernel_operands() | sparse_operands(), st.none() | st.integers(-2, 14))
+    @settings(max_examples=150, deadline=None)
+    def test_exp_matches_loop_oracle(self, f, order):
+        # values, windows and refusal texts
+        assert _outcome_of(exp_series, f, order) == _outcome_of(_loop_exp, f, order)
 
     def test_exp_preconditions(self):
         with pytest.raises(PreconditionError, match="positive valuation"):
