@@ -7,104 +7,102 @@ maps the degree-n element to roman(n) times the degree n-1 element, with
 no degree ever annihilated (for t >= 1), so negative powers of D act as
 well.
 
-A HarmonicLogSeries is a window of exactly known coefficients over this
-basis: everything above the top stored degree is known to be zero, the
-window [floor, top] is exact, and nothing is claimed below the floor. A
-floor of -infinity means the series is exact. An operator acts by one
-series product (stored at t^(-j) and scaled by roman(j)!, degree j is
-moved by D^k to t^(k-j)), and the product's window rule moves both ends
-of the window:
+A HarmonicLogSeries is a window sum c_d lambda_d known exactly from its
+floor up and known zero above its top stored degree, held as the
+reflected truncated series sum c_d t^(-d), known below t^(1 - floor); a
+floor of -infinity means the series is exact. Its arithmetic is the
+series' arithmetic. Scaled by roman(d)!, degree d is moved by D^k to
+t^(k-d), so an operator T acts by one series product, and the product
+rule for the series' order is the window rule:
 
     top'   = top - valuation(T)
     floor' = max(floor - valuation(T), top - order(T) + 1)
 
 Delta operators have logarithmic basic sequences extending their classical
-ones to all integer degrees. Since D^k maps degree j to roman(j)!/roman(j-k)!
-times degree j-k, every window here is read, not computed by an operator
-action: each coefficient is a roman-factorial multiple of one coefficient
-of a power of one series (Loeb-Rota logarithmic Lagrange inversion), read
-off the kernel's signed power table. The basic sequence reads f'(t) times
-row -(n+1) of the table of f(t)/t, the log conjugate sequence of g the
-rows of g/t, and Newton coefficients the rows of (e^t - 1)/t.
+ones to all integer degrees. Every window here is read, not computed by an
+operator action: degree n - k is roman(n)!/roman(n-k)!, the falling product
+roman(n) roman(n-1) ... roman(n-k+1), times one coefficient of a power of
+one series (Loeb-Rota logarithmic Lagrange inversion), read off the
+kernel's signed power table. The basic sequence reads f'(t) times row
+-(n+1) of the table of f(t)/t, the log conjugate sequence of g the rows of
+g/t, and Newton coefficients the rows of (e^t - 1)/t.
 """
 from __future__ import annotations
 
 from decimal import Decimal, localcontext
 from fractions import Fraction as Rat
 from functools import cache
+from itertools import accumulate
+from operator import mul
 from typing import Mapping, Optional
 
 from .errors import PreconditionError, require_order
-from .numbers import roman_factorial, stirling_first
+from .numbers import roman_factorial, roman_number, stirling_first
 from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
-from .series import _dense, _mul_trunc, _unit_powers
+from .series import INF, TruncatedSeries, _dense, _mul_trunc, _unit_powers
 
 NEG_INF = float("-inf")
 
 
 class HarmonicLogSeries:
-    """A window of harmonic-logarithm coefficients of a fixed order t.
+    """A window of harmonic-logarithm coefficients of a fixed order t, held
+    as the reflected ``series``: c_d at t^(-d), known below t^(1 - floor).
+    coeffs maps degree -> nonzero rational coefficient; degrees below
+    ``floor`` are unknown."""
 
-    coeffs maps degree -> nonzero rational coefficient. Degrees above the
-    top stored degree are known zero; degrees below ``floor`` are unknown.
-    """
-
-    __slots__ = ("order_t", "coeffs", "floor")
+    __slots__ = ("order_t", "series")
 
     def __init__(self, coeffs: Mapping[int, Rat] = (), floor=NEG_INF, order_t: int = 1):
         if not (isinstance(order_t, int) and order_t >= 0):
             raise PreconditionError("order t must be a nonnegative integer")
-        if not (floor == NEG_INF or isinstance(floor, int)):
-            raise PreconditionError("floor must be an integer or -infinity")
-        clean = {}
-        for d, c in dict(coeffs).items():
-            if d < floor:
-                continue
-            if order_t == 0 and d < 0:
-                # harmonic logarithms of order zero vanish in negative degree
-                continue
-            c = Rat(c)
-            if c != 0:
-                clean[int(d)] = c
-        if order_t == 0 and floor <= 0:
-            # everything below degree zero is known zero at order zero
-            floor = NEG_INF
+        _check_floor(floor)
+        self._hold(TruncatedSeries({-d: c for d, c in dict(coeffs).items()}, 1 - floor), order_t)
+
+    def _hold(self, series: TruncatedSeries, order_t: int) -> "HarmonicLogSeries":
+        if order_t == 0 and series.order >= 1:
+            # harmonic logarithms of order zero vanish in negative degree, so
+            # at a floor <= 0 everything below degree zero is known zero
+            series = TruncatedSeries({e: c for e, c in series.coeffs.items() if e <= 0})
         self.order_t = order_t
-        self.coeffs = clean
-        self.floor = floor
+        self.series = series
+        return self
 
     # -- structure queries ------------------------------------------------
 
     @property
+    def coeffs(self) -> dict:
+        """degree -> nonzero coefficient, read off the series on each call."""
+        return {-e: c for e, c in self.series.coeffs.items()}
+
+    @property
+    def floor(self):
+        """Lowest known degree; -infinity for an exact series."""
+        return 1 - self.series.order
+
+    @property
     def top(self):
         """Highest known nonzero degree; floor - 1 for an empty window."""
-        if self.coeffs:
-            return max(self.coeffs)
-        return self.floor - 1 if self.floor != NEG_INF else NEG_INF
+        return -self.series.valuation
 
     @property
     def is_exact(self) -> bool:
-        return self.floor == NEG_INF
+        return self.series.order == INF
 
     @property
     def is_empty(self) -> bool:
-        return not self.coeffs
+        return self.series.is_zero
 
     def coefficient(self, d: int) -> Rat:
-        if self.floor != NEG_INF and d < self.floor:
+        if -d >= self.series.order:
             raise PreconditionError("coefficient below window floor")
-        return self.coeffs.get(d, Rat(0))
+        return self.series.coefficient(-d)
 
     def truncate_floor(self, new_floor: int) -> "HarmonicLogSeries":
         """Forget coefficients below new_floor (floors can only rise: an
         exact floor of -infinity is refused for a window that has a floor)."""
         if new_floor < self.floor:
             raise PreconditionError("truncation too small for exact action")
-        return HarmonicLogSeries(
-            {d: c for d, c in self.coeffs.items() if d >= new_floor},
-            new_floor,
-            self.order_t,
-        )
+        return _window(self.series.truncate(1 - _check_floor(new_floor)), self.order_t)
 
     # -- linear structure -------------------------------------------------
 
@@ -113,52 +111,50 @@ class HarmonicLogSeries:
             return NotImplemented
         if self.order_t != other.order_t:
             raise PreconditionError("cannot add series of different orders")
-        out = dict(self.coeffs)
-        for d, c in other.coeffs.items():
-            out[d] = out.get(d, Rat(0)) + c
-        return HarmonicLogSeries(out, max(self.floor, other.floor), self.order_t)
+        return _window(self.series + other.series, self.order_t)
 
     def __neg__(self):
-        return HarmonicLogSeries(
-            {d: -c for d, c in self.coeffs.items()}, self.floor, self.order_t
-        )
+        return _window(-self.series, self.order_t)
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c) -> "HarmonicLogSeries":
-        c = Rat(c)
-        if c == 0:
-            return HarmonicLogSeries({}, NEG_INF, self.order_t)
-        return HarmonicLogSeries(
-            {d: c * v for d, v in self.coeffs.items()}, self.floor, self.order_t
-        )
+        return _window(self.series.scale(c), self.order_t)
 
     def __eq__(self, other):
         if not isinstance(other, HarmonicLogSeries):
             return NotImplemented
-        return (
-            self.order_t == other.order_t
-            and self.floor == other.floor
-            and self.coeffs == other.coeffs
-        )
+        return self.order_t == other.order_t and self.series == other.series
 
     def __hash__(self):
-        return hash((self.order_t, self.floor, frozenset(self.coeffs.items())))
+        return hash((self.order_t, self.series))
 
     def agrees_with(self, other: "HarmonicLogSeries") -> bool:
         """Coefficient equality on the overlap of the known windows."""
-        lo = max(self.floor, other.floor)
-        return self.order_t == other.order_t and all(
-            self.coeffs.get(d) == other.coeffs.get(d)
-            for d in self.coeffs.keys() | other.coeffs.keys()
-            if d >= lo
-        )
+        return self.order_t == other.order_t and self.series.agrees_with(other.series)
 
     def __repr__(self):
-        body = " + ".join(f"{self.coeffs[d]}*L[{d}]" for d in sorted(self.coeffs, reverse=True))
-        tail = "" if self.floor == NEG_INF else f" (floor {self.floor})"
+        body = " + ".join(f"{c}*L[{-e}]" for e, c in sorted(self.series.coeffs.items()))
+        tail = "" if self.is_exact else f" (floor {self.floor})"
         return f"<order-{self.order_t} log series: {body or '0'}{tail}>"
+
+
+def _check_floor(floor):
+    if not (floor == NEG_INF or isinstance(floor, int)):
+        raise PreconditionError("floor must be an integer or -infinity")
+    return floor
+
+
+def _window(series: TruncatedSeries, order_t: int) -> HarmonicLogSeries:
+    """The window of order t held by a reflected series."""
+    return HarmonicLogSeries.__new__(HarmonicLogSeries)._hold(series, order_t)
+
+
+def _falling(n: int, depth: int) -> list:
+    """roman(n)!/roman(n-k)! for k < depth, each the product of roman(n - i)
+    over i < k, so no factorial is formed."""
+    return list(accumulate(map(roman_number, range(n, n - depth + 1, -1)), mul, initial=1))
 
 
 # -- basis elements ------------------------------------------------------
@@ -195,33 +191,25 @@ def apply_operator(T, s: HarmonicLogSeries) -> HarmonicLogSeries:
 
     Each D^k sends degree j to roman(j)!/roman(j-k)! times degree j-k; no
     term is annihilated for order t >= 1, so negative k acts as well. The
-    action is one series product (operators._act) of T with the window
-    stored at t^(-j), known below t^(1 - floor); the result's floor is one
-    minus that product's order, which is the window rule
+    action is one series product (operators._act) of T with the reflected
+    window, known below t^(1 - floor); the result's floor is one minus that
+    product's order, which is the window rule
 
         top' = top - val(T),  floor' = max(floor - val(T), top - order(T) + 1).
     """
-    image, order = _act(_series_of(T), s.coeffs, 1 - s.floor)
-    return HarmonicLogSeries(image, 1 - order, s.order_t)
+    return _window(_act(_series_of(T), s.series), s.order_t)
 
 
 def roman_shift(s: HarmonicLogSeries) -> HarmonicLogSeries:
     """The shift degree n -> n+1 that annihilates degree -1 (the map
     sigma); together with D it satisfies the commutation rule
-    [D, sigma] = identity on every order t >= 1."""
-    out = {}
-    for j, c in s.coeffs.items():
-        if j != -1:
-            out[j + 1] = c
-    if s.floor == NEG_INF:
-        floor = NEG_INF
-    elif s.floor == 0:
-        # degree 0 of the image comes only from degree -1, which is
-        # annihilated, so it is known zero even though -1 is below floor
-        floor = 0
-    else:
-        floor = s.floor + 1
-    return HarmonicLogSeries(out, floor, s.order_t)
+    [D, sigma] = identity on every order t >= 1. On the reflected series
+    it drops t^1 (degree -1) and shifts the rest by t^(-1)."""
+    w = s.series
+    # at floor 0, degree 0 of the image comes only from degree -1, which is
+    # annihilated, so it is known zero even though -1 is below floor
+    order = w.order if w.order == 1 else w.order - 1
+    return _window(TruncatedSeries({e - 1: c for e, c in w.coeffs.items() if e != 1}, order), s.order_t)
 
 
 def augmentation(s: HarmonicLogSeries, t: Optional[int] = None) -> Rat:
@@ -232,9 +220,9 @@ def augmentation(s: HarmonicLogSeries, t: Optional[int] = None) -> Rat:
         t = s.order_t
     if t != s.order_t:
         return Rat(0)
-    if s.floor != NEG_INF and s.floor > 0:
+    if s.floor > 0:
         raise PreconditionError("augmentation outside window")
-    return s.coeffs.get(0, Rat(0))
+    return s.series.coefficient(0)
 
 
 def skip(s: HarmonicLogSeries, to_t: int) -> HarmonicLogSeries:
@@ -269,9 +257,8 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     row, rd = _unit_powers(fs, depth, (-n - 1,))[-n - 1]
     fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
     transfer = _mul_trunc(fprime, row, depth)
-    rn = roman_factorial(n)
-    out = {n - k: rn / roman_factorial(n - k) * Rat(transfer[k], fd * rd) for k in range(depth)}
-    return HarmonicLogSeries(out, n - depth + 1, 1)
+    window = {k - n: Rat(r * x, fd * rd) for k, (r, x) in enumerate(zip(_falling(n, depth), transfer))}
+    return _window(TruncatedSeries(window, depth - n), 1)
 
 
 def residual_term(f, depth: int = 12) -> HarmonicLogSeries:
@@ -329,11 +316,10 @@ def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:
     lo = n - depth + 1
     w = depth - (lo == 0)  # u is read on its first w coefficients
     gs = _cut(_delta_series(g), w + 1, depth)
-    ks = range(n, lo - 1, -1)
-    powers = _unit_powers(gs, w, ks)
-    rn = roman_factorial(n)
-    out = {k: rn / roman_factorial(k) * Rat(powers[k][0][n - k], powers[k][1]) for k in ks}
-    return HarmonicLogSeries(out, lo, 1)
+    powers = _unit_powers(gs, w, range(n, lo - 1, -1))
+    window = {j - n: Rat(r * powers[n - j][0][j], powers[n - j][1])
+              for j, r in enumerate(_falling(n, depth))}
+    return _window(TruncatedSeries(window, depth - n), 1)
 
 
 def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
@@ -356,9 +342,11 @@ def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
                                 f"needs the window down to degree {lo}, given floor {s.floor}")
     ks = range(top, lo - 1, -1)
     powers = _unit_powers(catalog("forward_difference", order=depth + 1).series, depth, ks)
-    weighted = [(j, c * roman_factorial(j)) for j, c in s.coeffs.items()]
+    # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]
+    falling = _falling(top, depth)
+    weighted = [(j, c / falling[top - j]) for j, c in s.coeffs.items() if j >= lo]
     return {k: sum(c * powers[k][0][j - k] for j, c in weighted if j >= k)
-            / (powers[k][1] * roman_factorial(k)) for k in ks}
+            * Rat(falling[top - k], powers[k][1]) for k in ks}
 
 
 # -- numeric boundary ----------------------------------------------------
@@ -396,18 +384,14 @@ def tail_bound(s: HarmonicLogSeries, x0, precision: int = 28) -> Optional[Decima
         return Decimal(0)
     if s.is_empty:
         return None
-    degrees = sorted(s.coeffs)
-    ratios = [
-        abs(s.coeffs[d]) / abs(s.coeffs[d + 1])
-        for d in degrees
-        if d + 1 in s.coeffs
-    ]
+    coeffs = s.coeffs
+    ratios = [abs(coeffs[d]) / abs(coeffs[d + 1]) for d in coeffs if d + 1 in coeffs]
     if not ratios:
         return None
     rho = max(ratios)
     if rho >= x0:
         return None
-    anchor = abs(s.coeffs.get(s.floor, Rat(0))) or max(abs(c) for c in s.coeffs.values())
+    anchor = abs(coeffs.get(s.floor, Rat(0))) or max(abs(c) for c in coeffs.values())
     with localcontext() as ctx:
         ctx.prec = precision + 10
         xv = Decimal(x0.numerator) / Decimal(x0.denominator)

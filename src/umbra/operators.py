@@ -206,17 +206,16 @@ def _delta_series(x) -> TruncatedSeries:
     return s
 
 
-def _act(series: TruncatedSeries, coeffs: Mapping[int, Rat], order=INF):
-    """The action of a series in D on sum_j c_j L_j, for coeffs {j: c_j},
-    where D^k sends degree j to roman(j)!/roman(j-k)! times degree j - k
-    (on monomials x^j and on harmonic logarithms of every order). Stored
-    at t^(-j) and scaled by roman(j)!, degree j is moved by D^k to t^(k-j),
-    so the action is one product with the window [-top, order). Returns
-    the image as {degree: coefficient} and the order of that product:
-    degree d is determined when t^(-d) lies below it."""
-    scaled = TruncatedSeries({-j: c * roman_factorial(j) for j, c in coeffs.items()}, order)
+def _act(series: TruncatedSeries, window: TruncatedSeries) -> TruncatedSeries:
+    """The action of a series in D on sum_j c_j L_j, held reflected with c_j
+    at t^(-j), where D^k sends degree j to roman(j)!/roman(j-k)! times
+    degree j - k (on monomials x^j and on harmonic logarithms of every
+    order). Scaled by roman(j)!, degree j is moved by D^k to t^(k-j), so the
+    action is one product; the image comes back reflected, with the order
+    of that product: degree d is determined when t^(-d) lies below it."""
+    scaled = TruncatedSeries({e: c * roman_factorial(-e) for e, c in window.coeffs.items()}, window.order)
     image = series * scaled
-    return {-e: c / roman_factorial(-e) for e, c in image.coeffs.items()}, image.order
+    return TruncatedSeries({e: c / roman_factorial(-e) for e, c in image.coeffs.items()}, image.order)
 
 
 def apply_to_polynomial(T, p: Polynomial) -> Polynomial:
@@ -227,8 +226,8 @@ def apply_to_polynomial(T, p: Polynomial) -> Polynomial:
         raise PreconditionError("negative powers of D undefined on polynomials")
     if s.order <= p.degree:
         raise PreconditionError("truncation too small for exact action")
-    image, _ = _act(s.truncate(p.degree + 1), dict(enumerate(p.coeffs)))
-    return Polynomial([image.get(d, 0) for d in range(p.degree + 1)])
+    image = _act(s.truncate(p.degree + 1), TruncatedSeries({-j: c for j, c in enumerate(p.coeffs)}))
+    return Polynomial([image.coefficient(-d) for d in range(p.degree + 1)])
 
 
 def pincherle_derivative(T) -> ShiftInvariantOperator:

@@ -2,7 +2,10 @@
 # shift, logarithmic basic sequences with their Laurent tails, Newton
 # expansion, and the numeric evaluation boundary. The window generators
 # read coefficients of powers; the operator-action routes they replaced are
-# kept here as oracles.
+# kept here as oracles, and so is the dict-based window class that the
+# reflected truncated series replaced.
+import operator
+import time
 from decimal import Decimal
 from fractions import Fraction as Rat
 from math import comb, factorial
@@ -622,10 +625,10 @@ def _action_oracle(T, s):
             d = j - k
             out[d] = out.get(d, Rat(0)) + c * a * rj / roman_factorial(d)
     if ts.is_zero and ts.order == INF:
-        return HarmonicLogSeries({}, NEG_INF, s.order_t)
+        return type(s)({}, NEG_INF, s.order_t)
     # infinite orders and floors carry through as -infinity
     new_floor = max(s.floor - ts.valuation, s.top - ts.order + 1)
-    return HarmonicLogSeries(out, new_floor, s.order_t)
+    return type(s)(out, new_floor, s.order_t)
 
 
 def _transfer_oracle(f, n, depth):
@@ -684,10 +687,10 @@ def delta_operators(draw):
 
 
 @st.composite
-def log_windows(draw):
-    """A window of order 1 or 2 with its top at -8..8, exact or with a
-    floor up to 14 degrees below the top."""
-    top = draw(st.integers(-8, 8))
+def log_windows(draw, tops=st.integers(-8, 8)):
+    """A window of order 1 or 2 with its top drawn from ``tops``, exact or
+    with a floor up to 14 degrees below the top."""
+    top = draw(tops)
     lo = top - draw(st.integers(0, 14))
     coeffs = {d: draw(st.fractions(-9, 9, max_denominator=5)) for d in range(lo, top)}
     coeffs[top] = draw(rationals)
@@ -836,3 +839,246 @@ class TestExactWindowRules:
         assert newton_expand(deep.truncate_floor(lo), depth) == newton_expand(deep, depth)
         with pytest.raises(PreconditionError, match=f"down to degree {lo}, given floor {lo + 1}"):
             newton_expand(deep.truncate_floor(lo + 1), depth)
+
+
+# -- the dict-based window, kept as oracle ---------------------------------
+
+
+class _DictWindow:
+    """A window as {degree: coefficient} with its own floor arithmetic: the
+    representation HarmonicLogSeries held before it became a reflected
+    TruncatedSeries. Every window operation is compared against it."""
+
+    __slots__ = ("order_t", "coeffs", "floor")
+
+    def __init__(self, coeffs=(), floor=NEG_INF, order_t=1):
+        if not (isinstance(order_t, int) and order_t >= 0):
+            raise PreconditionError("order t must be a nonnegative integer")
+        if not (floor == NEG_INF or isinstance(floor, int)):
+            raise PreconditionError("floor must be an integer or -infinity")
+        clean = {}
+        for d, c in dict(coeffs).items():
+            if d < floor:
+                continue
+            if order_t == 0 and d < 0:
+                continue
+            c = Rat(c)
+            if c != 0:
+                clean[int(d)] = c
+        if order_t == 0 and floor <= 0:
+            floor = NEG_INF
+        self.order_t = order_t
+        self.coeffs = clean
+        self.floor = floor
+
+    @property
+    def top(self):
+        if self.coeffs:
+            return max(self.coeffs)
+        return self.floor - 1 if self.floor != NEG_INF else NEG_INF
+
+    @property
+    def is_exact(self):
+        return self.floor == NEG_INF
+
+    @property
+    def is_empty(self):
+        return not self.coeffs
+
+    def coefficient(self, d):
+        if self.floor != NEG_INF and d < self.floor:
+            raise PreconditionError("coefficient below window floor")
+        return self.coeffs.get(d, Rat(0))
+
+    def truncate_floor(self, new_floor):
+        if new_floor < self.floor:
+            raise PreconditionError("truncation too small for exact action")
+        return _DictWindow({d: c for d, c in self.coeffs.items() if d >= new_floor},
+                           new_floor, self.order_t)
+
+    def __add__(self, other):
+        if self.order_t != other.order_t:
+            raise PreconditionError("cannot add series of different orders")
+        out = dict(self.coeffs)
+        for d, c in other.coeffs.items():
+            out[d] = out.get(d, Rat(0)) + c
+        return _DictWindow(out, max(self.floor, other.floor), self.order_t)
+
+    def __neg__(self):
+        return _DictWindow({d: -c for d, c in self.coeffs.items()}, self.floor, self.order_t)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, c):
+        c = Rat(c)
+        if c == 0:
+            return _DictWindow({}, NEG_INF, self.order_t)
+        return _DictWindow({d: c * v for d, v in self.coeffs.items()}, self.floor, self.order_t)
+
+    def __eq__(self, other):
+        return (self.order_t, self.floor, self.coeffs) == (other.order_t, other.floor, other.coeffs)
+
+    def __hash__(self):
+        return hash((self.order_t, self.floor, frozenset(self.coeffs.items())))
+
+    def agrees_with(self, other):
+        lo = max(self.floor, other.floor)
+        return self.order_t == other.order_t and all(
+            self.coeffs.get(d) == other.coeffs.get(d)
+            for d in self.coeffs.keys() | other.coeffs.keys()
+            if d >= lo
+        )
+
+    def __repr__(self):
+        body = " + ".join(f"{self.coeffs[d]}*L[{d}]" for d in sorted(self.coeffs, reverse=True))
+        tail = "" if self.floor == NEG_INF else f" (floor {self.floor})"
+        return f"<order-{self.order_t} log series: {body or '0'}{tail}>"
+
+
+def _dict_shift(s):
+    out = {j + 1: c for j, c in s.coeffs.items() if j != -1}
+    if s.floor == NEG_INF:
+        floor = NEG_INF
+    elif s.floor == 0:
+        floor = 0
+    else:
+        floor = s.floor + 1
+    return _DictWindow(out, floor, s.order_t)
+
+
+def _dict_augmentation(s, t=None):
+    if t is None:
+        t = s.order_t
+    if t != s.order_t:
+        return Rat(0)
+    if s.floor != NEG_INF and s.floor > 0:
+        raise PreconditionError("augmentation outside window")
+    return s.coeffs.get(0, Rat(0))
+
+
+def _dict_skip(s, to_t):
+    return _DictWindow(s.coeffs, s.floor, to_t)
+
+
+def _run(fn, *args):
+    """fn(*args), or the text of the refusal it raised."""
+    try:
+        return fn(*args)
+    except PreconditionError as err:
+        return f"refused: {err}"
+
+
+def _views(x):
+    """Everything a window shows, for either representation; other results
+    (a coefficient, a refusal) as they are."""
+    if isinstance(x, (HarmonicLogSeries, _DictWindow)):
+        return (x.order_t, x.coeffs, x.floor, x.top, x.is_exact, x.is_empty, repr(x))
+    return x
+
+
+# floors of -infinity, at most 0 and above 0, with 0 and 1 drawn often
+floors = st.sampled_from([NEG_INF, 0, 1]) | st.integers(-6, 6)
+
+
+@st.composite
+def window_data(draw):
+    """Constructor arguments of a window of order 0, 1 or 2, with zero
+    coefficients and degrees below the floor among the coefficients."""
+    coeffs = draw(st.dictionaries(st.integers(-6, 6), st.fractions(-4, 4, max_denominator=5),
+                                  max_size=7))
+    return coeffs, draw(floors), draw(st.sampled_from([0, 1, 2]))
+
+
+class TestWindowMatchesDictOracle:
+    @given(a=window_data(), b=window_data(), same=st.booleans(), c=st.just(0) | rationals)
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_and_comparison(self, a, b, same, c):
+        b = a if same else b
+        x, y, dx, dy = HarmonicLogSeries(*a), HarmonicLogSeries(*b), _DictWindow(*a), _DictWindow(*b)
+        assert x.series == TruncatedSeries({-d: v for d, v in dx.coeffs.items()}, 1 - dx.floor)
+        assert _views(x) == _views(dx)
+        for op in (operator.add, operator.sub):
+            assert _views(_run(op, x, y)) == _views(_run(op, dx, dy))
+        assert _views(-x) == _views(-dx)
+        assert _views(x.scale(c)) == _views(dx.scale(c))
+        assert (x == y, x.agrees_with(y)) == (dx == dy, dx.agrees_with(dy))
+        cut, dcut = _run(x.truncate_floor, 2), _run(dx.truncate_floor, 2)
+        if not isinstance(cut, str):
+            assert (x.agrees_with(cut), cut.agrees_with(y)) == (dx.agrees_with(dcut), dcut.agrees_with(dy))
+        # hash agrees with == : equal windows collapse in a set
+        again = HarmonicLogSeries(*a)
+        assert hash(again) == hash(x)
+        assert len({x, again, y}) == len({dx, _DictWindow(*a), dy})
+
+    @given(a=window_data(), new_floor=floors | st.just(Rat(1, 2)))
+    @settings(max_examples=150, deadline=None)
+    def test_truncate_floor_and_coefficient(self, a, new_floor):
+        x, dx = HarmonicLogSeries(*a), _DictWindow(*a)
+        assert _views(_run(x.truncate_floor, new_floor)) == _views(_run(dx.truncate_floor, new_floor))
+        for d in range(-8, 9):
+            assert _run(x.coefficient, d) == _run(dx.coefficient, d)
+
+    @pytest.mark.parametrize("floor, order_t", [
+        (Rat(1, 2), 1), (INF, 2), (3.0, 1), (0, -1), (0, 1.0), (Rat(1, 2), -1)])
+    def test_constructor_refusals(self, floor, order_t):
+        refusal = _run(HarmonicLogSeries, {1: 2}, floor, order_t)
+        assert refusal.startswith("refused: ")
+        assert refusal == _run(_DictWindow, {1: 2}, floor, order_t)
+
+    @given(T=laurent_operators(), a=window_data())
+    @settings(max_examples=150, deadline=None)
+    def test_apply_operator(self, T, a):
+        assert _views(apply_operator(T, HarmonicLogSeries(*a))) == _views(
+            _action_oracle(T, _DictWindow(*a)))
+
+    @given(a=window_data(), t=st.sampled_from([None, 0, 1, 2]), to_t=st.sampled_from([0, 1, 2, -1]))
+    @settings(max_examples=150, deadline=None)
+    def test_shift_skip_augmentation(self, a, t, to_t):
+        x, dx = HarmonicLogSeries(*a), _DictWindow(*a)
+        assert _views(roman_shift(x)) == _views(_dict_shift(dx))
+        assert _views(_run(skip, x, to_t)) == _views(_run(_dict_skip, dx, to_t))
+        assert _run(augmentation, x, t) == _run(_dict_augmentation, dx, t)
+
+
+# -- roman-factorial ratios as falling products -----------------------------
+
+
+class TestRomanFallingProducts:
+    @given(n=st.integers(-40, 40), depth=st.integers(1, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_falling_product_is_the_factorial_ratio(self, n, depth):
+        assert logarithmic._falling(n, depth) == [
+            roman_factorial(n) / roman_factorial(n - k) for k in range(depth)]
+
+    @given(op=delta_operators(), n=st.integers(-40, 40), depth=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_windows_match_the_factorial_oracles(self, op, n, depth):
+        assert _outcome(log_sequence, op, n, depth) == _outcome(_transfer_oracle, op, n, depth)
+        assert _outcome(log_conjugate_sequence, op, n, depth) == _outcome(
+            _log_conjugate_oracle, op, n, depth)
+
+    @given(s=log_windows(tops=st.integers(-40, 40)), depth=st.integers(1, 4))
+    @settings(max_examples=30, deadline=None)
+    def test_newton_matches_the_factorial_oracle(self, s, depth):
+        assert _outcome(newton_expand, s, depth) == _outcome(_newton_oracle, s, depth)
+
+    @pytest.mark.parametrize("n", [10**6, -10**6])
+    @pytest.mark.parametrize("read", [
+        lambda fd, n: log_sequence(fd, n, 3),
+        lambda fd, n: log_conjugate_sequence(fd, n, 3),
+        lambda fd, n: newton_expand(log_sequence(fd, n, 3), 3),
+    ], ids=["log_sequence", "log_conjugate_sequence", "newton_expand"])
+    def test_a_deep_degree_costs_no_factorial(self, read, n):
+        # roman(10^6)! has about 5.6 million digits; a depth-3 window needs
+        # products of at most two roman numbers
+        fd = catalog("forward_difference", order=4)
+        start = time.perf_counter()
+        read(fd, n)
+        assert time.perf_counter() - start < 1
+
+    def test_deep_lower_factorial_window(self):
+        # (x)_n = x^n - C(n, 2) x^(n-1) + C(n, 3) (3n - 1)/4 x^(n-2) - ...
+        n = 10**6
+        s = log_sequence(catalog("forward_difference", order=4), n, 3)
+        assert s.coeffs == {n: 1, n - 1: -comb(n, 2), n - 2: comb(n, 3) * (3 * n - 1) // 4}
