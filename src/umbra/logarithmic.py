@@ -29,7 +29,7 @@ g/t, and Newton coefficients the rows of (e^t - 1)/t.
 """
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+from decimal import Decimal, Overflow, localcontext
 from fractions import Fraction as Rat
 from functools import cache
 from itertools import accumulate
@@ -363,11 +363,14 @@ def evaluate_numeric(s: HarmonicLogSeries, x0, precision: int = 28) -> Decimal:
         xv = Decimal(x0.numerator) / Decimal(x0.denominator)
         lv = xv.ln()
         total = Decimal(0)
-        for d, c in sorted(s.coeffs.items()):
-            base = _dec(c) * xv**d
-            for i, m in monomial_expansion(d, s.order_t).items():
-                # (log x)^0 is 1 even at x = 1, where Decimal refuses 0**0
-                total += base * _dec(m) * (lv**i if i else 1)
+        try:
+            for d, c in sorted(s.coeffs.items()):
+                base = _dec(c) * xv**d
+                for i, m in monomial_expansion(d, s.order_t).items():
+                    # (log x)^0 is 1 even at x = 1, where Decimal refuses 0**0
+                    total += base * _dec(m) * (lv**i if i else 1)
+        except Overflow:
+            raise PreconditionError(f"degree {d} at x0 = {x0} overflows the decimal range") from None
         ctx.prec = precision
         return +total
 

@@ -12,7 +12,7 @@ from functools import cache, reduce
 from math import factorial
 from typing import Iterable
 
-from .series import INF, _unit_powers, constant, from_coeffs, mul, reciprocal
+from .series import _power_row, constant, from_coeffs, mul
 
 Rat = Fraction
 
@@ -41,15 +41,16 @@ def roman_coefficient(j: int, k: int) -> Rat:
 # the coefficient of y^k in the falling factorial (y)_n.  For n >= 0 the
 # falling factorial is the polynomial y(y-1)...(y-n+1).  For n < 0 it is
 # 1/((y+1)(y+2)...(y-n)), whose coefficients form an infinite series; the
-# caller supplies the working order bounding how many are determined.
+# caller supplies the working order, and the product is cut there and inverted.
 @cache
 def _stirling_first_row(n: int, order: int) -> tuple[Rat, ...]:
-    roots = range(n) if n >= 0 else range(-1, n - 1, -1)
-    prod = reduce(mul, (from_coeffs([-r, 1], order=INF) for r in roots), constant(1))
+    prod = [1] + [0] * (n if n >= 0 else order - 1)  # integer coefficients
+    for r in range(n) if n >= 0 else range(-1, n - 1, -1):  # times (y - r)
+        prod = [a - r * b for a, b in zip([0, *prod], prod)]
     if n >= 0:
-        return tuple(prod.coefficient(d) for d in range(max(n + 1, order)))
-    row = reciprocal(prod, order=order)
-    return tuple(row.coefficient(d) for d in range(order))
+        return tuple(map(Rat, prod + [0] * (order - n - 1)))
+    row, den = _power_row(prod, 1, -1, order)
+    return tuple(Rat(x, den) for x in row)
 
 
 def stirling_first(n: int, k: int, order: int = 32) -> Rat:
@@ -78,11 +79,10 @@ def stirling_second(n: int, k: int) -> Rat:
 # higher-order numbers B_{k,n} come from the n-th power of that series.
 @cache
 def _bernoulli_gen_power(n: int, order: int) -> tuple[Rat, ...]:
-    # (t/(e^t - 1))^n as plain coefficients: row -n of the power table of
-    # (e^t - 1)/t
-    base = from_coeffs([Rat(1, factorial(k + 1)) for k in range(order)])
-    row, den = _unit_powers(base, order, (-n,))[-n]
-    return tuple(Rat(x, den) for x in row[:order])
+    # (t/(e^t - 1))^n as plain coefficients: ((e^t - 1)/t)^(-n), 1/(k+1)! over order!
+    u = [factorial(order) // factorial(k + 1) for k in range(order)]
+    row, den = _power_row(u, factorial(order), -n, order)
+    return tuple(Rat(x, den) for x in row)
 
 
 def bernoulli(k: int) -> Rat:

@@ -95,8 +95,8 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
     With ``transfer``, ``source(w)`` gives f and g is its inverse, never
     built: by Lagrange, [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n), so row n is
     Rota's transfer formula p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] u^(-n) x^k
-    for u = f/t, read off u^(-n) on its first n coefficients: u^(-s) by
-    squaring over 1/u, then descending by u, u^(-k) on its first k."""
+    for u = f/t, read off u^(-n) on its first n coefficients: u^(-s) in one
+    pass of Miller's recurrence, then descending by u, u^(-k) on its first k."""
     powers = {}
 
     def step(n, _polys):

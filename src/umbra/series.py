@@ -27,9 +27,10 @@ done on those integers, and only the results become Fractions again. A
 product with no more pairs of stored terms than its span is the
 exception: it multiplies term by term, so a sparse exact product costs
 its terms, not its degree.
-Every chain of powers is a _chain of truncated products, each row only as
-wide as it is read, started from the signed power table of g/t^val_g,
-_unit_powers; compose adds Brent-Kung, about 2 sqrt(N) products.
+Every power of a series is read off the signed power table of g/t^val_g,
+_unit_powers: a first row in one pass of Miller's power recurrence, then a
+_chain of truncated products, each row only as wide as it is read; compose
+adds Brent-Kung, about 2 sqrt(N) products.
 """
 from __future__ import annotations
 
@@ -104,17 +105,27 @@ def _chain(start, u, ud, widths):
         yield p
 
 
-def _powers(u, ud, w, first=1):
-    """u^first, u^(first+1), ... on their first w coefficients, for integer
-    numerators u over ud: u^first by repeated squaring, then a _chain."""
-    p, b, n = None, (u, ud), first
-    while n:
-        if n & 1:
-            p = b if p is None else _reduce(_mul_trunc(p[0], b[0], w), p[1] * b[1])
-        n >>= 1
-        if n:
-            b = _reduce(_mul_trunc(b[0], b[0], w), b[1] * b[1])
-    return _chain(p, u, ud, repeat(w))
+def _power_row(u, ud, k, w):
+    """(numerators, denominator) of (u/ud)^k on its first w coefficients, for
+    integer numerators u with u[0] != 0 and any integer k, in one pass of J.C.P.
+    Miller's recurrence m u_0 p_m = sum_j ((k+1) j - m) u_j p_(m-j) (Knuth, TAOCP
+    vol. 2, 4.7) from the reduced p_0 = (u_0/ud)^k, so ud cancels and the row
+    keeps its true height. The p_m are kept over the least positive common
+    denominator of those found so far; for k = -1, the reciprocal, m cancels."""
+    p0 = Rat(u[0], ud) ** k
+    p, pd, c = [p0.numerator], p0.denominator, k + 1
+    for m in range(1, w):
+        a = u[1 : m + 1]
+        if c:  # the weights (k+1) j - m, j = 1..m
+            a = map(operator.mul, range(c - m, c * (m + 1) - m, c), a)
+        num, den = sum(map(operator.mul, a, reversed(p))), pd * (m if c else -1) * u[0]
+        g = gcd(num, den) if den > 0 else -gcd(num, den)
+        num, den = num // g, den // g
+        s = den // gcd(den, pd)  # pd * s = lcm(pd, den)
+        if s != 1:
+            p, pd = [x * s for x in p], pd * s
+        p.append(num * (pd // den))
+    return p, pd
 
 
 def _dense_mul(x, y, w):
@@ -135,8 +146,8 @@ class TruncatedSeries:
         for e, c in dict(coeffs).items():
             if e >= order:
                 continue
-            c = Rat(c)
-            if c != 0:
+            c = c if type(c) is Rat else Rat(c)
+            if c:
                 clean[int(e)] = c
         self.coeffs = clean
         self.order = order
@@ -153,7 +164,7 @@ class TruncatedSeries:
         """Exact coefficient of t^e. Raises if e lies beyond the window."""
         if e >= self.order:
             raise PreconditionError("coefficient beyond truncation order")
-        return self.coeffs.get(e, Rat(0))
+        return self.coeffs.get(e) or Rat(0)
 
     def degree_range(self):
         """(valuation, order) of the known window."""
@@ -257,7 +268,7 @@ def _run(f: TruncatedSeries, w: int) -> list:
     """At most w coefficients of a nonzero series, from its valuation up to
     its highest stored exponent."""
     v = f.valuation
-    return [f.coeffs.get(e, Rat(0)) for e in range(v, min(max(f.coeffs) + 1, v + w))]
+    return [f.coeffs.get(e, 0) for e in range(v, min(max(f.coeffs) + 1, v + w))]
 
 
 def _coerce(x) -> TruncatedSeries:
@@ -341,44 +352,30 @@ def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
     length = result_order + v
     if length <= 0:
         return zero(result_order)
-    # Invert the unit part u(t) = f(t) / t^v term by term, with
-    # r_k = -(u_1 r_(k-1) + ... + u_k r_0) / u_0. The r_k are kept as
-    # numerators over the least common denominator of those found so far.
-    # The signs of the denominators are left free; every division is exact.
-    u, ud = _dense([f.coeffs.get(v + k, Rat(0)) for k in range(length)])
-    r, rd = _reduce([ud], u[0])
-    for k in range(1, length):
-        num = -sum(map(operator.mul, u[1 : k + 1], reversed(r)))
-        den = rd * u[0]
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        m = den // gcd(den, rd)  # rd * m = lcm(rd, den), up to sign
-        if m != 1:
-            r = [x * m for x in r]
-            rd *= m
-        r.append(num * (rd // den))
-    return TruncatedSeries(
-        {-v + k: Rat(x, rd) for k, x in enumerate(r)}, result_order
-    )
+    # the unit part u(t) = f(t) / t^v, inverted by _power_row
+    r, rd = _power_row(*_dense([f.coeffs.get(v + k, 0) for k in range(length)]), -1, length)
+    return TruncatedSeries({-v + k: Rat(x, rd) for k, x in enumerate(r)}, result_order)
 
 
 def _unit_powers(g: TruncatedSeries, w: int, ks) -> dict:
     """The kernel's one signed power table: k -> (integer numerators,
     denominator) of u^k for u = g/t^v, v = val(g), on its first w
     coefficients (w + 1 for k = 0), for every k in ks, read from g known to
-    order v + w. Positive rows are _powers over u, negative rows _powers
-    over 1/u = t^v/g. Each sign's rows run from the one of ks nearest
-    zero, reached by repeated squaring, to the farthest."""
+    order v + w. Each sign's row nearest zero is one _power_row, or u, or u*u
+    (one squaring is cheaper); the rows past it are a _chain by u or by 1/u."""
     v = g.valuation
     out = {0: ([1] + [0] * w, 1)}
-    pos, neg = [k for k in ks if k > 0], [-k for k in ks if k < 0]
+    pos, neg = [k for k in ks if k > 0], [k for k in ks if k < 0]
+    u = _dense([g.coefficient(v + e) for e in range(w)])
     if pos:
-        head = _dense([g.coefficient(v + e) for e in range(w)])
-        out.update(zip(range(min(pos), max(pos) + 1), _powers(*head, w, min(pos))))
+        lo = min(pos) if min(pos) > 2 else 1
+        out.update(zip(range(lo, max(pos) + 1),
+                       _chain(u if lo == 1 else _power_row(*u, lo, w), *u, repeat(w))))
     if neg:
-        r = reciprocal(g, order=w - v)
-        head = _dense([r.coefficient(e - v) for e in range(w)])
-        out.update(zip(range(-min(neg), -max(neg) - 1, -1), _powers(*head, w, min(neg))))
+        hi, lo = max(neg), min(neg)
+        first = _power_row(*u, hi, w)
+        step = first if hi == -1 or lo == hi else _power_row(*u, -1, w)  # 1/u
+        out.update(zip(range(hi, lo - 1, -1), _chain(first, *step, repeat(w))))
     return out
 
 
@@ -412,7 +409,7 @@ def _brent_kung(coeffs, g: TruncatedSeries, m: int, top: int):
     Brent-Kung 2.1: Horner in the giant step g^m over blocks of m outer
     coefficients, each a scalar-times-row sum of the baby steps g^0..g^(m-1).
     g's unknown tail counts as zero; the caller keeps only what it can't reach."""
-    gn = _dense([g.coeffs.get(e, Rat(0)) for e in range(top)])
+    gn = _dense([g.coeffs.get(e, 0) for e in range(top)])
     baby = [([1], 1), *islice(_chain(gn, *gn, repeat(top)), m)]
     giant, gd = baby.pop()
     weights, den = _dense([coeffs.get(e, Rat(0)) / baby[e % m][1] for e in range(max(coeffs) + 1)])
@@ -452,9 +449,9 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
         return zero(window)
     # an exact result ends at the top exponent of its highest term
     top = window if window != INF else kept[-1] * max(g.coeffs, default=0) + 1
-    # products: m - 1 powers and one per block, or squaring to row p and one per row above
+    # products: m - 1 powers and one per block, or one to row p (none for p = 1) and one per row above
     p, m = min((e for e in kept if e > 0), default=0), isqrt(max(kept[-1], 0)) + 1
-    fast = p and m - 1 + kept[-1] // m < p.bit_length() + bin(p).count("1") - 2 + kept[-1] - p
+    fast = p and m - 1 + kept[-1] // m < min(p - 1, 1) + kept[-1] - p
     rows = [e for e in kept if e < 0 or not fast]
     # row e is read on exponents [ev, top); row 0 is the constant 1
     table = _unit_powers(g, top - min((at[e] for e in rows if e), default=top), rows)
@@ -534,7 +531,7 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
         return zero(n_out)
     m = isqrt(w - 1) + 1
     baby = _unit_powers(f, w, range(0, -m - 1, -1))
-    giant = [baby[0], *islice(_powers(*baby[-m], w), w // m)]  # (r^m)^0..(r^m)^(w/m)
+    giant = [baby[0], *islice(_chain(baby[-m], *baby[-m], repeat(w)), w // m)]  # (r^m)^0..(r^m)^(w/m)
     g = {}
     for k in range(1, n_out):
         j, i = divmod(k, m)

@@ -14,6 +14,8 @@ from decimal import Decimal
 from fractions import Fraction as Rat
 from math import comb, factorial
 
+import pytest
+
 from umbra.operators import (
     DELTA_NAMES,
     Polynomial,
@@ -252,6 +254,7 @@ def test_criterion_12_numeric_abel_check():
     assert Decimal(report["tolerance"]) == Decimal("1e-7")
 
 
+@pytest.mark.usefixtures("src_on_pythonpath")
 def test_criterion_13_negative_controls():
     # corrupted data must fail verification with exit code 4; a truncated
     # expression must fail parsing with exit code 2 and a position

@@ -8,6 +8,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction as Rat
 from math import comb, factorial
@@ -366,6 +367,24 @@ class TestEvalCommand:
         assert abs(float(doc["result"]["value"]) - 4 / 49) < 1e-15
         assert doc["result"]["tail_bound"] is None
 
+    def test_decimal_overflow_exits_three(self, capsys):
+        # 10^999998 is past the decimal range (exponents up to 999999): a
+        # refusal naming the degree and the point, not a traceback
+        code, out, err = run_cli(
+            capsys, "eval", "--op", "exp(D)-1", "--n", "1000000", "--depth", "3", "--x0", "10"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: degree 999998 at x0 = 10 overflows the decimal range\n"
+
+    def test_moderate_degree_is_fast(self, capsys):
+        # the Stirling rows behind degree 1000 are cut at the window's order
+        start = time.perf_counter()
+        doc = run_json(capsys, "eval", "--op", "exp(D)-1", "--n", "1000", "--depth", "3", "--x0", "10")
+        assert time.perf_counter() - start < 1
+        # the value the full series-product rows gave, in about 15 s
+        assert doc["result"]["value"] == "-6.454279532322742649247184680E+1009"
+        assert doc["result"]["floor"] == 998
+
 
 class TestInputErrors:
     """Malformed flags and config values exit 2 with a one-line message."""
@@ -639,6 +658,7 @@ class TestFormats:
         assert out.splitlines() == ["k,coefficient", "0,1", "1,1", "2,1"]
 
 
+@pytest.mark.usefixtures("src_on_pythonpath")
 class TestSubprocessControls:
     """Real-process checks so the exit codes are observed end to end."""
 

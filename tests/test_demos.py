@@ -1,5 +1,4 @@
 """Each demo script checks its own claims; every one must run to exit 0."""
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,13 +13,10 @@ def test_demos_found():
     assert DEMOS
 
 
+@pytest.mark.usefixtures("src_on_pythonpath")
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-    )
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120,
+        [sys.executable, str(demo)], capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,8 @@
 #   [DERIVED]  computed by an independent method (brute force enumeration,
 #              a different recurrence, or a classical identity) and frozen
 from fractions import Fraction as Rat
+import time
+from functools import reduce
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from umbra.numbers import (
     _bernoulli_gen_power,
+    _stirling_first_row,
     bernoulli,
     bernoulli_higher,
     elementary_symmetric,
@@ -24,7 +27,7 @@ from umbra.numbers import (
     stirling_first,
     stirling_second,
 )
-from umbra.series import from_coeffs, int_pow, reciprocal
+from umbra.series import INF, constant, from_coeffs, int_pow, mul, reciprocal
 
 
 class TestRomanFactorial:
@@ -168,6 +171,37 @@ class TestStirlingFirst:
             stirling_first(3, -1)
         with pytest.raises(ValueError, match="k < order"):
             stirling_first(-2, 8, order=8)
+
+    def test_rows_match_series_product_oracle(self):
+        # the integer-list rows against the series-product rows they replaced
+        for n in range(-40, 41):
+            for order in range(1, 11):
+                assert _stirling_first_row(n, order) == _series_stirling_row(n, order), (n, order)
+
+    def test_deep_negative_row_is_fast(self):
+        # the product is cut at y^order before it is inverted; the full
+        # product of 2000 factors took about 30 s
+        start = time.perf_counter()
+        got = stirling_first(-2000, 1, order=3)
+        assert time.perf_counter() - start < 1
+        # [DERIVED] 1/((y+1)...(y+n)) = (1 - H_n y + ...)/n!
+        harmonic = sum(Rat(1, r) for r in range(1, 2001))
+        assert got == -harmonic / factorial(2000)
+
+
+def _series_stirling_row(n, order):
+    """The Stirling row as it was built before: the falling factorial as an
+    exact product of linear series, inverted in full for n < 0 by the
+    Fraction recurrence r_k = -(u_1 r_(k-1) + ... + u_k r_0) / u_0."""
+    roots = range(n) if n >= 0 else range(-1, n - 1, -1)
+    prod = reduce(mul, (from_coeffs([-r, 1], order=INF) for r in roots), constant(1))
+    if n >= 0:
+        return tuple(prod.coefficient(d) for d in range(max(n + 1, order)))
+    u = [prod.coefficient(d) for d in range(order)]
+    r = [1 / u[0]]
+    for k in range(1, order):
+        r.append(-sum(u[j] * r[k - j] for j in range(1, k + 1)) / u[0])
+    return tuple(r)
 
 
 def set_partitions(items):

@@ -3,7 +3,7 @@
 from fractions import Fraction as Rat
 import operator
 from itertools import repeat
-from math import ceil, factorial, sqrt
+from math import ceil, comb, factorial, gcd, sqrt
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,9 +14,12 @@ from umbra.errors import PreconditionError
 from umbra.series import (
     INF,
     TruncatedSeries,
+    _chain,
     _dense,
     _mul_order,
+    _mul_trunc,
     _recip_order,
+    _reduce,
     _unit_powers,
     compose,
     compositional_inverse,
@@ -291,6 +294,101 @@ class TestKernelOracles:
         assert _shape(f * g) == _shape(dense)
 
 
+# -- Miller's power recurrence --------------------------------------------
+#
+# Oracles: the two paths that built a first power row before the recurrence,
+# the reciprocal loop r_m = -(u_1 r_(m-1) + ... + u_m r_0) / u_0 over a
+# running least common denominator, and repeated squaring of truncated
+# products, then a chain. Neither uses the weights (k+1) j - m.
+
+
+def _loop_reciprocal(u, ud, w):
+    r, rd = _reduce([ud], u[0])
+    for k in range(1, w):
+        num = -sum(map(operator.mul, u[1 : k + 1], reversed(r)))
+        den = rd * u[0]
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        m = den // gcd(den, rd)  # rd * m = lcm(rd, den), up to sign
+        if m != 1:
+            r = [x * m for x in r]
+            rd *= m
+        r.append(num * (rd // den))
+    return r, rd
+
+
+def _squaring_powers(u, ud, w, first=1):
+    p, b, n = None, (u, ud), first
+    while n:
+        if n & 1:
+            p = b if p is None else _reduce(_mul_trunc(p[0], b[0], w), p[1] * b[1])
+        n >>= 1
+        if n:
+            b = _reduce(_mul_trunc(b[0], b[0], w), b[1] * b[1])
+    return _chain(p, u, ud, repeat(w))
+
+
+def _squared_row(u, ud, k, w):
+    """(u/ud)^k on its first w coefficients: 1/u by the loop for k < 0,
+    then repeated squaring."""
+    if k == 0:
+        return [1] + [0] * (w - 1), 1
+    if k < 0:
+        (u, ud), k = _loop_reciprocal(u, ud, w), -k
+    return next(_squaring_powers(u, ud, w, k))
+
+
+def _values(row):
+    return [Rat(x, row[1]) for x in row[0]]
+
+
+@st.composite
+def power_row_cases(draw):
+    """(u, ud, k, w): integer numerators, small or about 64 bits tall, with
+    zeros inside, over a denominator up to 10^12; u_0 is nonzero and
+    mostly not +-ud."""
+    w = draw(st.integers(1, 40))
+    entry = st.integers(-6, 6) | st.integers(-(2**64), 2**64)
+    u = [draw(entry.filter(bool)), *draw(st.lists(entry, min_size=w - 1, max_size=w - 1))]
+    return u, draw(st.integers(1, 6) | st.integers(1, 10**12)), draw(st.integers(-40, 40)), w
+
+
+class TestPowerRow:
+    @given(power_row_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_squaring_and_reciprocal_loop(self, case):
+        u, ud, k, w = case
+        row, den = series._power_row(u, ud, k, w)
+        assert _values((row, den)) == _values(_squared_row(u, ud, k, w))
+        # the true height: a positive denominator sharing no factor with
+        # every numerator
+        assert len(row) == w and den > 0 and gcd(den, *row) == 1
+
+    def test_reduced_start_keeps_the_height(self):
+        # ((3 + 5t)/7)^(-46) has coefficients (7/3)^46 C(-46, m) (5/3)^m:
+        # over 3^49, with no power of the input's denominator 7 left in it
+        row, den = series._power_row([3, 5], 7, -46, 4)
+        assert den == 3**49
+        assert _values((row, den)) == [
+            Rat(7, 3) ** 46 * comb(45 + m, m) * Rat(-5, 3) ** m for m in range(4)]
+
+    @given(
+        series_strategy(min_val=1, max_val=3, min_order=6, max_order=14),
+        st.sets(st.integers(-12, 12), min_size=1, max_size=5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_table_rows_match_squaring(self, g, ks):
+        # the signed table's routing: u and u*u near zero, a recurrence for
+        # each sign's first row, chains by u and 1/u above it
+        assume(g.valuation < g.order and g.coefficient(g.valuation) != 0)
+        w = g.order - g.valuation
+        u = _dense([g.coefficient(g.valuation + e) for e in range(w)])
+        table = _unit_powers(g, w, ks)
+        for k in ks:
+            want = ([1] + [0] * w, 1) if k == 0 else _squared_row(*u, k, w)
+            assert _values(table[k]) == _values(want), k
+
+
 # -- composition ---------------------------------------------------------
 
 class TestCompose:
@@ -351,21 +449,27 @@ class TestCompose:
     def test_terms_past_the_window_cost_no_products(self, monkeypatch):
         # g = log(1+t) is known below t^16, so g^3 is known below t^18 and
         # t^100000 reaches only exponents the result cannot claim: the
-        # power table holds u, u^2, u^3 for u = g/t, two products
+        # power table holds only u^3 for u = g/t, one pass of Miller's
+        # recurrence on 15 coefficients and no product
         g = compositional_inverse(exp_series(t, order=16) - constant(1))
         want = int_pow(g, 3)
         assert want.order == 18
-        calls = []
-        mul_trunc = series._mul_trunc
+        calls, rows = [], []
+        mul_trunc, power_row = series._mul_trunc, series._power_row
 
         def counted(*args):
             calls.append(1)
             return mul_trunc(*args)
 
+        def counted_row(u, ud, k, w):
+            rows.append((k, w))
+            return power_row(u, ud, k, w)
+
         monkeypatch.setattr(series, "_mul_trunc", counted)
+        monkeypatch.setattr(series, "_power_row", counted_row)
         monkeypatch.setattr(TruncatedSeries, "__mul__", None)
         assert compose(monomial(100000) + monomial(3), g) == want
-        assert len(calls) == 2
+        assert (len(calls), rows) == (0, [(3, 15)])
 
     @given(
         series_strategy(min_val=0, max_val=3, min_order=1, max_order=8),
