@@ -368,8 +368,9 @@ class TestEvalCommand:
         assert doc["result"]["tail_bound"] is None
 
     def test_decimal_overflow_exits_three(self, capsys):
-        # 10^999998 is past the decimal range (exponents up to 999999): a
-        # refusal naming the degree and the point, not a traceback
+        # the lowest term, its coefficient times 10^999998, is past the decimal
+        # range (exponents up to 999999): a refusal naming the degree and the
+        # point, not a traceback
         code, out, err = run_cli(
             capsys, "eval", "--op", "exp(D)-1", "--n", "1000000", "--depth", "3", "--x0", "10"
         )
