@@ -85,12 +85,22 @@ COMPOSE_COMMANDS = (
      "--n", "38"),
 )
 
+# Failing verify reports in every output format, each exiting 4: a numeric
+# failure in plain text, corrupted suites in csv and latex, and a
+# corrupted suite at a chosen parameter and grid size in json.
+FAILING_VERIFY_COMMANDS = (
+    ("verify", "--suite", "abel_numeric", "--param", "x=3", "--format", "plain"),
+    ("verify", "--suite", "vandermonde", "--n", "2", "--corrupt", "--format", "csv"),
+    ("verify", "--suite", "golden", "--depth", "3", "--corrupt", "--format", "latex"),
+    ("verify", "--suite", "abel", "--n", "3", "--param", "b=17/29", "--corrupt"),
+)
+
 # README_COMMANDS already holds "verify --suite golden"; keep the first copy.
 COMMANDS = tuple(dict.fromkeys(README_COMMANDS + tuple(
     ("verify", "--suite", name, *flag)
     for name in SUITE_NAMES
     for flag in ((), ("--corrupt",))
-) + LOG_COMMANDS + COMPOSE_COMMANDS))
+) + LOG_COMMANDS + COMPOSE_COMMANDS + FAILING_VERIFY_COMMANDS))
 
 
 def run(argv):
