@@ -36,6 +36,10 @@ from .suites import SUITE_NAMES, run_suite
 DEFAULT_ORDER = 16
 DEFAULT_DEPTH = 12
 DEFAULT_FORMAT = "json"
+# documented caps: verify --n 96 takes several seconds per suite, and
+# eval --prec 50000 does not finish in minutes
+VERIFY_N_MAX = 64
+PREC_MAX = 10000
 
 
 class UsageError(UmbraError):
@@ -291,7 +295,6 @@ def _cmd_verify(args, settings, params):
         parameters=params,
         n_max=args.n,
         depth=settings["depth"],
-        order=settings["order"],
         corrupt=args.corrupt,
     )
     return report, report["status"] == "pass"
@@ -452,8 +455,8 @@ def _rational(text: str) -> Rat:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from err
 
 
-def _int_at_least(low: int):
-    """An argparse type accepting integers >= low."""
+def _int_at_least(low: int, cap=None):
+    """An argparse type accepting integers >= low, and <= cap when one is given."""
 
     def parse(text: str) -> int:
         try:
@@ -462,6 +465,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from err
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if cap is not None and value > cap:
+            raise argparse.ArgumentTypeError(f"must be at most the cap {cap}, got {value}")
         return value
 
     return parse
@@ -523,7 +528,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("verify", "run a named identity suite")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
-    p.add_argument("--n", type=_int_at_least(1), default=None, help="grid size where applicable")
+    p.add_argument("--n", type=_int_at_least(1, VERIFY_N_MAX), default=None,
+                   help=f"grid size where applicable (at most {VERIFY_N_MAX})")
     p.add_argument(
         "--corrupt",
         action="store_true",
@@ -534,7 +540,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", required=True)
     p.add_argument("--n", type=int, default=None, help="degree (default 0)")
     p.add_argument("--x0", type=_rational, required=True, help="evaluation point, rational like 5 or 7/2")
-    p.add_argument("--prec", type=_int_at_least(1), default=28, help="decimal digits")
+    p.add_argument("--prec", type=_int_at_least(1, PREC_MAX), default=28,
+                   help=f"decimal digits (default 28, at most {PREC_MAX})")
 
     return parser
 

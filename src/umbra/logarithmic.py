@@ -32,12 +32,10 @@ from __future__ import annotations
 from decimal import Decimal, Overflow, localcontext
 from fractions import Fraction as Rat
 from functools import cache
-from itertools import accumulate
-from operator import mul
 from typing import Mapping, Optional
 
 from .errors import PreconditionError, require_order
-from .numbers import roman_factorial, roman_number, stirling_first
+from .numbers import _falling, roman_factorial, stirling_first
 from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
 from .series import INF, TruncatedSeries, _dense, _mul_trunc, _unit_powers
 
@@ -151,12 +149,6 @@ def _window(series: TruncatedSeries, order_t: int) -> HarmonicLogSeries:
     return HarmonicLogSeries.__new__(HarmonicLogSeries)._hold(series, order_t)
 
 
-def _falling(n: int, depth: int) -> list:
-    """roman(n)!/roman(n-k)! for k < depth, each the product of roman(n - i)
-    over i < k, so no factorial is formed."""
-    return list(accumulate(map(roman_number, range(n, n - depth + 1, -1)), mul, initial=1))
-
-
 # -- basis elements ------------------------------------------------------
 
 
@@ -257,7 +249,7 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     row, rd = _unit_powers(fs, depth, (-n - 1,))[-n - 1]
     fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
     transfer = _mul_trunc(fprime, row, depth)
-    window = {k - n: Rat(r * x, fd * rd) for k, (r, x) in enumerate(zip(_falling(n, depth), transfer))}
+    window = {k - n: Rat(r * x, fd * rd) for k, (r, x) in enumerate(zip(_falling(n, range(depth)), transfer))}
     return _window(TruncatedSeries(window, depth - n), 1)
 
 
@@ -318,7 +310,7 @@ def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:
     gs = _cut(_delta_series(g), w + 1, depth)
     powers = _unit_powers(gs, w, range(n, lo - 1, -1))
     window = {j - n: Rat(r * powers[n - j][0][j], powers[n - j][1])
-              for j, r in enumerate(_falling(n, depth))}
+              for j, r in enumerate(_falling(n, range(depth)))}
     return _window(TruncatedSeries(window, depth - n), 1)
 
 
@@ -343,7 +335,7 @@ def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
     ks = range(top, lo - 1, -1)
     powers = _unit_powers(catalog("forward_difference", order=depth + 1).series, depth, ks)
     # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]
-    falling = _falling(top, depth)
+    falling = _falling(top, range(depth))
     weighted = [(j, c / falling[top - j]) for j, c in s.coeffs.items() if j >= lo]
     return {k: sum(c * powers[k][0][j - k] for j, c in weighted if j >= k)
             * Rat(falling[top - k], powers[k][1]) for k in ks}

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, reduce
-from math import factorial
+from math import comb, factorial, perm
 from typing import Iterable
 
 from .series import _power_row, constant, from_coeffs, mul
@@ -29,6 +29,26 @@ def roman_factorial(n: int) -> Rat:
 def roman_number(n: int) -> int:
     """Roman number: n for n != 0, and 1 for n = 0."""
     return n if n != 0 else 1
+
+
+def _falling(n: int, ks: Iterable[int]) -> list:
+    """roman(n)!/roman(n-k)! for each k of the nondecreasing ks >= 0: the
+    product of roman(n - i) over i < k, grown one run of factors at a time,
+    so no factorial is formed and only the products asked for are kept."""
+    out, acc, done = [], 1, 0
+    for k in ks:
+        acc *= roman_number(n - done) if k == done + 1 else _roman_run(n - k + 1, n - done)
+        done = k
+        out.append(acc)
+    return out
+
+
+def _roman_run(lo: int, hi: int) -> int:
+    """The product of roman(v) over lo <= v <= hi: one math.perm on each side
+    of zero, so a long run (a sparse window) costs no loop in Python."""
+    up = max(hi - max(lo, 1) + 1, 0)
+    down = max(min(hi, -1) - lo + 1, 0)
+    return perm(max(hi, 0), up) * (-1) ** down * perm(max(-lo, 0), down)
 
 
 @cache
@@ -65,14 +85,13 @@ def stirling_first(n: int, k: int, order: int = 32) -> Rat:
 
 @cache
 def stirling_second(n: int, k: int) -> Rat:
-    """Stirling number of the second kind via the triangular recurrence."""
+    """Stirling number of the second kind, by inclusion-exclusion:
+    S(n, k) = sum_j (-1)^(k-j) C(k, j) j^n / k!."""
     if n < 0 or k < 0:
         raise ValueError("stirling_second requires n, k >= 0")
-    if n == 0 or k == 0:
-        return Rat(1 if n == k else 0)
     if k > n:
         return Rat(0)
-    return k * stirling_second(n - 1, k) + stirling_second(n - 1, k - 1)
+    return Rat(sum((-1) ** (k - j) * comb(k, j) * j**n for j in range(k + 1)) // factorial(k))
 
 
 # Bernoulli numbers B_k are the Hurwitz coefficients of D/(e^D - 1); the

@@ -17,7 +17,7 @@ from math import factorial
 from typing import Mapping, Optional, Sequence
 
 from .errors import PreconditionError, require_order
-from .numbers import roman_factorial
+from .numbers import _falling
 from .series import (
     INF,
     TruncatedSeries,
@@ -211,11 +211,22 @@ def _act(series: TruncatedSeries, window: TruncatedSeries) -> TruncatedSeries:
     at t^(-j), where D^k sends degree j to roman(j)!/roman(j-k)! times
     degree j - k (on monomials x^j and on harmonic logarithms of every
     order). Scaled by roman(j)!, degree j is moved by D^k to t^(k-j), so the
-    action is one product; the image comes back reflected, with the order
-    of that product: degree d is determined when t^(-d) lies below it."""
-    scaled = TruncatedSeries({e: c * roman_factorial(-e) for e, c in window.coeffs.items()}, window.order)
-    image = series * scaled
-    return TruncatedSeries({e: c / roman_factorial(-e) for e, c in image.coeffs.items()}, image.order)
+    action is one product. The scale used is roman(j)!/roman(h)!, for h the
+    highest degree of the window and of the image: the same product up to
+    one constant, and a falling product of roman numbers, so no factorial
+    is formed. The image comes back reflected, with the order of that
+    product: degree d is determined when t^(-d) lies below it."""
+    h = max((-e for e in window.coeffs), default=0) - min(series.valuation, 0)
+    r = _ratios(window, h)
+    image = series * TruncatedSeries({e: c / r[e] for e, c in window.coeffs.items()}, window.order)
+    r = _ratios(image, h)
+    return TruncatedSeries({e: c * r[e] for e, c in image.coeffs.items()}, image.order)
+
+
+def _ratios(s: TruncatedSeries, h: int) -> dict:
+    """roman(h)!/roman(j)! at each stored exponent -j of s, for j <= h."""
+    es = sorted(s.coeffs)
+    return dict(zip(es, _falling(h, [h + e for e in es])))
 
 
 def apply_to_polynomial(T, p: Polynomial) -> Polynomial:

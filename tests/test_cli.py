@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from umbra import series
-from umbra.cli import main
+from umbra.cli import _build_parser, main
 from umbra.operators import (
     Polynomial,
     apply_to_polynomial,
@@ -458,6 +458,27 @@ class TestInputErrors:
             capsys, "verify", "--suite", "vandermonde", "--n", n
         )
         assert "--n" in err
+
+    @pytest.mark.parametrize("argv, cap", [
+        (("verify", "--suite", "vandermonde", "--n", "65"), "64"),
+        (("eval", "--op", "exp(D)-1", "--x0", "10", "--prec", "10001"), "10000"),
+    ])
+    def test_size_above_its_cap(self, capsys, argv, cap):
+        err = self.assert_usage_error(capsys, *argv)
+        assert f"{argv[-2]}: must be at most the cap {cap}" in err
+
+    def test_sizes_at_their_caps_are_accepted(self):
+        # parsed only: verify --n 64 and eval --prec 10000 take seconds to run
+        parser = _build_parser()
+        assert parser.parse_args(["verify", "--suite", "abel", "--n", "64"]).n == 64
+        args = parser.parse_args(["eval", "--op", "D", "--x0", "2", "--prec", "10000"])
+        assert args.prec == 10000
+
+    @pytest.mark.parametrize("command, text", [("verify", "at most 64"), ("eval", "at most 10000")])
+    def test_help_states_the_cap(self, capsys, command, text):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert text in " ".join(out.split())
 
     @pytest.mark.parametrize("command", ["logseq", "eval"])
     @pytest.mark.parametrize("depth", ["0", "-2"])

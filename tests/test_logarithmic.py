@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import logarithmic, series
+from umbra import logarithmic, numbers, series
 from umbra.errors import PreconditionError
 from umbra.logarithmic import (
     NEG_INF,
@@ -729,6 +729,30 @@ class TestActionMatchesDoubleLoop:
     def test_apply_operator(self, T, s):
         assert apply_operator(T, s) == _action_oracle(T, s)
 
+    @given(T=laurent_operators(), s=log_windows(tops=st.integers(-300, 300)),
+           far=st.integers(-300, 300), c=rationals)
+    @settings(max_examples=60, deadline=None)
+    def test_apply_operator_far_from_degree_zero(self, T, s, far, c):
+        # high tops, and a lone degree far from the rest of the window
+        s = s + harmonic_log(far, s.order_t).scale(c)
+        assert apply_operator(T, s) == _action_oracle(T, s)
+
+    def test_a_deep_degree_acts_without_factorials(self):
+        # roman(10^5)! has about 456,000 digits; the action needs roman(10^5)
+        start = time.perf_counter()
+        image = apply_operator(catalog("derivative"), harmonic_log(10**5))
+        assert time.perf_counter() - start < 0.05
+        assert image == harmonic_log(10**5 - 1).scale(10**5)
+
+    def test_degrees_far_apart_take_no_long_loop(self):
+        # the scale of degree -n is a product of 2n roman numbers: about 0.3 s
+        # by math.perm, more than 3 s multiplied one factor at a time
+        n = 5 * 10**4
+        start = time.perf_counter()
+        image = apply_operator(catalog("derivative"), harmonic_log(n) + harmonic_log(-n))
+        assert time.perf_counter() - start < 2
+        assert image.coeffs == {n - 1: n, -n - 1: -n}
+
     def test_catalog_operators_on_sequence_windows(self):
         s = log_sequence(catalog("laguerre", order=14), -2, 10)
         for name in ("forward_difference", "abel", "shift", "weierstrass", "bernoulli_op"):
@@ -1045,11 +1069,11 @@ class TestWindowMatchesDictOracle:
 
 
 class TestRomanFallingProducts:
-    @given(n=st.integers(-40, 40), depth=st.integers(1, 40))
+    @given(n=st.integers(-40, 40), ks=st.lists(st.integers(0, 40)).map(sorted))
     @settings(max_examples=200, deadline=None)
-    def test_falling_product_is_the_factorial_ratio(self, n, depth):
-        assert logarithmic._falling(n, depth) == [
-            roman_factorial(n) / roman_factorial(n - k) for k in range(depth)]
+    def test_falling_product_is_the_factorial_ratio(self, n, ks):
+        assert numbers._falling(n, ks) == [
+            roman_factorial(n) / roman_factorial(n - k) for k in ks]
 
     @given(op=delta_operators(), n=st.integers(-40, 40), depth=st.integers(1, 4))
     @settings(max_examples=30, deadline=None)

@@ -244,6 +244,18 @@ class TestStirlingSecond:
                     total[d] += c * v
             assert total == [Rat(0)] * n + [Rat(1)], n
 
+    def test_matches_the_triangular_recurrence(self):
+        # [DERIVED] S(n, k) = k S(n-1, k) + S(n-1, k-1), S(0, 0) = 1, row by row
+        row = [1]
+        for n in range(60):
+            assert [stirling_second(n, k) for k in range(60)] == row + [0] * (60 - len(row)), n
+            row = [k * c + p for k, (c, p) in enumerate(zip(row + [0], [0] + row))]
+
+    def test_deep_degree_has_the_closed_form(self):
+        # [DERIVED] S(n, 3) = (3^n - 3 2^n + 3) / 6 by inclusion-exclusion; the
+        # triangular recurrence would recurse 2000 frames deep
+        assert stirling_second(2000, 3) == (3**2000 - 3 * 2**2000 + 3) // 6
+
     def test_preconditions(self):
         with pytest.raises(ValueError):
             stirling_second(-1, 0)
