@@ -59,7 +59,13 @@ def run_suite(
     if name not in _SUITES:
         raise PreconditionError(f"unknown suite {name!r}")
     # each suite sets the identity first, and may add fields as it computes them
-    report = {"suite": name, "identity": None, "checks": 0, "status": "pass", "witness": None}
+    report = {
+        "suite": name,
+        "identity": None,
+        "checks": 0,
+        "status": "pass",
+        "witness": None,
+    }
     for checks, witness in _SUITES[name](report, params, n_max, depth, corrupt):
         report["checks"] += checks
         if witness is not None:
@@ -129,7 +135,9 @@ def _suite_connection(report, params, n_max, depth, corrupt):
             got = matrix.entry(n, n - k)
             if corrupt and (n, k) == (min(2, n_max), 0):
                 got = got + 1
-            yield 1, None if got == want else {"n": n, "k": n - k, "got": str(got), "want": str(want)}
+            if got != want:
+                yield 1, {"n": n, "k": n - k, "got": str(got), "want": str(want)}
+            yield 1, None
 
 
 # -- harmonic-logarithm suites --------------------------------------------
@@ -141,7 +149,9 @@ def _suite_pincherle(report, params, n_max, depth, corrupt):
     for t in (0, 1, 2):
         for n in range(-6, 7):
             s = harmonic_log(n, t)
-            lhs = apply_operator(D, roman_shift(s)) - roman_shift(apply_operator(D, s))
+            lhs = apply_operator(D, roman_shift(s)) - roman_shift(
+                apply_operator(D, s)
+            )
             if corrupt and (t, n) == (1, 0):
                 lhs = lhs + s
             yield 1, None if lhs == s else {"t": t, "n": n, "kind": "commutator"}
@@ -167,9 +177,15 @@ def _suite_logbinomial(report, params, n_max, depth, corrupt):
                 if corrupt and (a, n, k) == (values[0], -1, 1):
                     want = want + 1
                 got = img.coefficient(n - k)
-                yield 1, None if got == want else {
-                    "a": str(a), "n": n, "k": k, "got": str(got), "want": str(want)
-                }
+                if got != want:
+                    yield 1, {
+                        "a": str(a),
+                        "n": n,
+                        "k": k,
+                        "got": str(got),
+                        "want": str(want),
+                    }
+                yield 1, None
 
 
 def _suite_golden(report, params, n_max, depth, corrupt):
@@ -179,18 +195,24 @@ def _suite_golden(report, params, n_max, depth, corrupt):
     lam = harmonic_log(-1, 1)
     for m in range(1, depth + 1):
         got = augmentation(apply_operator(int_pow(fd, -m), lam))
-        yield 1, None if got == (-1) ** (m + 1) else {"m": m, "kind": "residue", "got": str(got)}
+        if got != (-1) ** (m + 1):
+            yield 1, {"m": m, "kind": "residue", "got": str(got)}
+        yield 1, None
     coeffs = newton_expand(lam, depth=depth)
     for m in range(1, depth + 1):
         want = factorial(m - 1) + (1 if corrupt and m == 2 else 0)
-        yield 1, None if coeffs[-m] == want else {"m": m, "kind": "newton", "got": str(coeffs[-m])}
+        if coeffs[-m] != want:
+            yield 1, {"m": m, "kind": "newton", "got": str(coeffs[-m])}
+        yield 1, None
     # resummation: 1/x = sum (m-1)! (x)_(-m) window-exactly
     acc = None
     for m in range(1, depth + 1):
         term = log_lower_factorial(-m, depth=depth).truncate_floor(-depth)
         term = term.scale(factorial(m - 1))
         acc = term if acc is None else acc + term
-    yield 1, None if acc == lam.truncate_floor(-depth) else {"kind": "resummation", "got": repr(acc)}
+    if acc != lam.truncate_floor(-depth):
+        yield 1, {"kind": "resummation", "got": repr(acc)}
+    yield 1, None
 
 
 # -- numeric suite --------------------------------------------------------
@@ -201,7 +223,9 @@ def _suite_abel_numeric(report, params, n_max, depth, corrupt):
     b = params.get("b", Rat(2))
     x = params.get("x", Rat(5))
     tol = params.get("tol", DEFAULT_TOLERANCE)
-    report["identity"] = f"shifted-log expansion and b/x^2 resummation at x={x}, a={a}, b={b}"
+    report["identity"] = (
+        f"shifted-log expansion and b/x^2 resummation at x={x}, a={a}, b={b}"
+    )
     if not x > abs(b) > 0:
         raise PreconditionError("abel_numeric requires x0 > |b| > 0")
     if tol <= 0:
@@ -222,24 +246,40 @@ def _suite_abel_numeric(report, params, n_max, depth, corrupt):
         rhs = rhs + seq[-k].truncate_floor(-depth).scale(w)
     if corrupt:
         rhs = rhs + harmonic_log(-1, 1).truncate_floor(-depth).scale(Rat(1, 10**5))
-    wrong = (m for m in range(1, depth + 1)
-             if rhs.coefficient(-m) != (-1) ** (m - 1) * a ** (m - 1) * (b + Rat(a, m)))
-    bad = None if corrupt else next(wrong, None)
+    bad = None
+    for m in range(1, depth + 1):
+        want = (-1) ** (m - 1) * a ** (m - 1) * (b + Rat(a, m))
+        if not corrupt and rhs.coefficient(-m) != want:
+            bad = m
+            break
     with localcontext() as ctx:
         ctx.prec = 40
         lhs_val = (_dec(x) + _dec(a)).ln() + _dec(Rat(b) / (x + a))
     diff1 = abs(evaluate_numeric(rhs, x, 30) - lhs_val)
-    report.update(difference_1=str(diff1), difference_2=None, tolerance=str(tol), terms=depth)
+    report.update(
+        difference_1=str(diff1), difference_2=None, tolerance=str(tol), terms=depth
+    )
     # a window-coefficient failure still counts the numeric check
     if bad is not None:
         yield bad + 1, {"identity": 1, "m": bad, "kind": "window coefficient"}
-    yield depth + 1, None if diff1 < tol else {"identity": 1, "kind": "numeric", "difference": str(diff1)}
+    if diff1 >= tol:
+        yield depth + 1, {"identity": 1, "kind": "numeric", "difference": str(diff1)}
+    yield depth + 1, None
 
     # identity 2: b/x^2 resums over the Abel tails with coefficients
     # b(m-1)(mb)^(m-2); the window collapses to the single term b x^(-2),
-    # with the term count grown until the floor is below the tolerance
-    terms = depth
-    while True:
+    # with the term count doubled until the floor is below the tolerance.
+    # The window at t terms has floor -t - 1, so the term counts are known
+    # before any window is built, and so is a count past 256.
+    counts = [depth]
+    while _dec(x) ** (-counts[-1] - 1) >= tol:
+        counts.append(2 * counts[-1])
+        if counts[-1] > 256:
+            report["terms"] = counts[-1]
+            yield 0, {"identity": 2, "kind": "no convergence"}
+            return
+    for terms in counts:
+        report["terms"] = terms
         deep = tails(terms + 2)
         acc = None
         for m in range(2, terms + 2):
@@ -250,14 +290,12 @@ def _suite_abel_numeric(report, params, n_max, depth, corrupt):
             yield 1, {"identity": 2, "kind": "window collapse", "got": repr(acc)}
         diff2 = abs(evaluate_numeric(acc, x, 30) - _dec(Rat(b) / x**2))
         report["difference_2"] = str(diff2)
-        if _dec(x) ** acc.floor < tol:
-            yield 2, None if diff2 < tol else {"identity": 2, "kind": "numeric", "difference": str(diff2)}
-            return
-        yield 1, None
-        terms *= 2
-        report["terms"] = terms
-        if terms > 256:
-            yield 0, {"identity": 2, "kind": "no convergence"}
+        if terms < counts[-1]:
+            yield 1, None
+        elif diff2 >= tol:
+            yield 2, {"identity": 2, "kind": "numeric", "difference": str(diff2)}
+        else:
+            yield 2, None
 
 
 _SUITES = {

@@ -331,6 +331,26 @@ class TestVerifyCommand:
         assert (code, out) == (3, "")
         assert "abel_numeric requires" in err
 
+    def test_numeric_suite_out_of_reach_builds_no_window(self, capsys):
+        # 1.01^(-t-1) stays above 1e-7 for every t up to 256, so identity 2
+        # fails before any window of its doubled term counts is built
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "verify", "--suite", "abel_numeric", "--param",
+                               "a=1/100", "--param", "b=1/2", "--param", "x=101/100")
+        assert time.perf_counter() - start < 1
+        assert code == 4
+        result = json.loads(out)["result"]
+        assert result["witness"] == {"identity": 2, "kind": "no convergence"}
+        assert (result["terms"], result["difference_2"]) == (384, None)
+
+    def test_numeric_suite_doubles_the_term_count(self, capsys):
+        # 2^(-t-1) < 1e-7 first at t = 24, the second doubling of depth 6
+        doc = run_json(capsys, "verify", "--suite", "abel_numeric", "--depth", "6",
+                       "--param", "a=1/100", "--param", "b=1/10", "--param", "x=2")
+        result = doc["result"]
+        assert (result["status"], result["terms"]) == ("pass", 24)
+        assert result["checks"] == 7 + 1 + 1 + 2
+
     def test_corrupt_flag_reports_witness(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--suite", "golden", "--corrupt", "--depth", "8"
