@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra.errors import PreconditionError
+from umbra.errors import PreconditionError, require_order
 from umbra.operators import (
     CATALOG_NAMES,
     DELTA_NAMES,
     DeltaOperator,
     Polynomial,
     ShiftInvariantOperator,
+    _delta_series,
+    _series_of,
     apply_to_polynomial,
     catalog,
     expand_in_basis,
@@ -23,6 +25,7 @@ from umbra.operators import (
 from umbra.series import (
     INF,
     TruncatedSeries,
+    compose,
     compositional_inverse,
     formal_derivative,
     from_coeffs,
@@ -365,6 +368,80 @@ class TestLagrangeInversion:
         e = catalog("shift", {"a": 1}, order=8)
         with pytest.raises(PreconditionError, match="not a delta series"):
             lagrange_inversion(e, identity(), 3)
+
+
+# -- g(f^(-1)) against the composite over the whole window ----------------
+#
+# Oracle: the expansion theorem composing T with the inverse of Q over Q's
+# whole window, and Lagrange inversion reading that same composite. Asking
+# the inverse only as far as t^k_max needs must change no value and no
+# refusal.
+
+
+def _whole_window_expand(T, Q, k_max=None):
+    """Hurwitz coefficients c_k with T = sum c_k Q^k / k!, read off T
+    composed with the inverse of Q over Q's whole window."""
+    ts = _series_of(T)
+    qs = _delta_series(Q)
+    comp = compose(ts, compositional_inverse(qs))
+    if k_max is None:
+        if comp.order == INF:
+            raise PreconditionError(
+                "expansion of exact series requires an explicit k_max"
+            )
+        k_max = comp.order - 1
+    require_order(f"expansion order exceeds determined window: coefficient {k_max} of "
+                  "the composite", k_max + 1, comp.order)
+    return [factorial(k) * comp.coefficient(k) for k in range(k_max + 1)]
+
+
+def _whole_window_lagrange(f, g, k_max):
+    """Coefficients val(g)..k_max of g composed with the inverse of f over
+    f's whole window."""
+    comp = compose(g, compositional_inverse(_delta_series(f)))
+    require_order(f"k_max exceeds determined window: coefficient {k_max} of the composite",
+                  k_max + 1, comp.order)
+    return [comp.coefficient(k) for k in range(g.valuation, k_max + 1)]
+
+
+def _outcome(call, *args):
+    """The value of a call, or the type and text of its refusal."""
+    try:
+        return call(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+@st.composite
+def composite_cases(draw):
+    """(f, g, k_max): a catalog delta operator at order 2..24; a Laurent g of
+    valuation d in -3..3 given by a few coefficients, truncated or exact;
+    and k_max from d - 1 to past every window."""
+    name = draw(st.sampled_from(DELTA_NAMES))
+    f = catalog(name, {"b": draw(rat)} if name == "abel" else {}, order=draw(st.integers(2, 24)))
+    d = draw(st.integers(-3, 3))
+    coeffs = {d: draw(rat.filter(bool))}
+    for e in range(d + 1, d + draw(st.integers(1, 4))):
+        coeffs[e] = draw(rat)
+    g_order = draw(st.just(INF) | st.integers(d + 1, d + 12))
+    return f, TruncatedSeries(coeffs, g_order), draw(st.integers(d - 1, d + 27))
+
+
+class TestCompositeOracles:
+    @given(composite_cases())
+    @settings(max_examples=80, deadline=None)
+    def test_lagrange_matches_whole_window(self, case):
+        f, g, k_max = case
+        assert _outcome(lagrange_inversion, f, g, k_max) == _outcome(
+            _whole_window_lagrange, f, g, k_max)
+
+    @given(composite_cases(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_expansion_matches_whole_window(self, case, whole):
+        f, T, k_max = case
+        k_max = None if whole else k_max
+        assert _outcome(expand_in_basis, T, f, k_max) == _outcome(
+            _whole_window_expand, T, f, k_max)
 
 
 # -- the polynomial action against the loops it replaced -------------------

@@ -15,6 +15,7 @@ from umbra.operators import (
     DELTA_NAMES,
     DeltaOperator,
     Polynomial,
+    _delta_series,
     apply_to_polynomial,
     catalog,
 )
@@ -179,11 +180,12 @@ def _library_rows(seq):
 
 
 @st.composite
-def delta_operators(draw):
-    """A catalog delta operator at order 3..24; abel gets a random rational b."""
+def delta_operators(draw, lowest=3):
+    """A catalog delta operator at order lowest..24; abel gets a random
+    rational b."""
     name = draw(st.sampled_from(DELTA_NAMES))
     params = {"b": draw(small_rat)} if name == "abel" else {}
-    return catalog(name, params, order=draw(st.integers(3, 24)))
+    return catalog(name, params, order=draw(st.integers(lowest, 24)))
 
 
 CAP = 26  # rows asked of an operator whose window is unbounded
@@ -526,6 +528,60 @@ class TestConjugate:
         conj = conjugate_sequence(monomial(1) + monomial(2), 4)
         assert conj[2] == Polynomial([0, 2, 1])
         assert conj.operator is None
+
+
+# -- Taylor coefficients and connection constants against their old routes --
+#
+# Oracles: d_k = (q^k p)(0) / k! by applying q to p once per coefficient, and
+# the connection rows as the conjugate sequence of g(h^(-1)) with h inverted
+# over its whole window.
+
+
+def _taylor_by_actions(p, q):
+    _delta_series(q)
+    if p.is_zero:
+        return [Rat(0)]
+    out = []
+    cur = p
+    for k in range(p.degree + 1):
+        out.append(cur.evaluate(0) / factorial(k))
+        cur = apply_to_polynomial(q, cur)
+    return out
+
+
+def _whole_window_connection(g, h, n_max):
+    bridge = compose(g.series, compositional_inverse(h.series))
+    return [[p.coefficient(k) for k in range(n + 1)]
+            for n, p in enumerate(conjugate_sequence(bridge, n_max).terms(n_max))]
+
+
+def _outcome(call, *args):
+    """The value of a call, or the type and text of its refusal."""
+    try:
+        return call(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestRouteOracles:
+    @given(delta_operators(lowest=2), st.lists(small_rat, max_size=27))
+    @settings(max_examples=60, deadline=None)
+    def test_taylor_matches_actions(self, q, coeffs):
+        p = Polynomial(coeffs)
+        got, want = _outcome(taylor_expand, p, q), _outcome(_taylor_by_actions, p, q)
+        if isinstance(want, tuple):
+            assert isinstance(got, tuple) and got[0] is want[0]
+            assert got[1].startswith("truncation too small for exact action")
+        else:
+            assert got == want
+
+    @given(delta_operators(lowest=2), delta_operators(lowest=2), st.integers(0, 26))
+    @settings(max_examples=40, deadline=None)
+    def test_connection_matches_whole_window(self, g, h, n_max):
+        got = _outcome(connection_constants, g, h, n_max)
+        if not isinstance(got, tuple):
+            got = [list(got.row(n)) for n in range(n_max + 1)]
+        assert got == _outcome(_whole_window_connection, g, h, n_max)
 
 
 class TestTaylor:
