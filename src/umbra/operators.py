@@ -251,13 +251,22 @@ def pincherle_derivative(T) -> ShiftInvariantOperator:
     return ShiftInvariantOperator(formal_derivative(s), name, params)
 
 
+def _under_inverse(g: TruncatedSeries, f: TruncatedSeries, k_max=None) -> TruncatedSeries:
+    """g(f^(-1)) for a delta series f, inverted over its whole window, or,
+    given k_max and a nonzero g of valuation d, only to order
+    o = max(k_max, d) + 1 + max(1 - d, 0): by the ring rule of compose the
+    inverse then cuts the composite no lower than t^(o + d - 1), or t^o for
+    d = 0, so past t^k_max."""
+    d = g.valuation
+    order = None if k_max is None or d == INF else max(k_max, d) + 1 + max(1 - d, 0)
+    return compose(g, compositional_inverse(f, order=order))
+
+
 def expand_in_basis(T, Q, k_max: Optional[int] = None) -> list:
     """Hurwitz coefficients c_k with T = sum c_k Q^k / k!, from the first
     expansion theorem: c_k = k! [t^k] (T's series composed with the
     compositional inverse of Q's series)."""
-    ts = _series_of(T)
-    qs = _delta_series(Q)
-    comp = compose(ts, compositional_inverse(qs))
+    comp = _under_inverse(_series_of(T), _delta_series(Q), k_max)
     if k_max is None:
         if comp.order == INF:
             raise PreconditionError(
@@ -282,10 +291,7 @@ def lagrange_inversion(f, g, k_max: int) -> list:
     if gs.is_zero:
         raise PreconditionError("lagrange inversion requires a nonzero series")
     d = gs.valuation
-    # enough of the inverse for t^k_max: its reciprocal's window is two
-    # shorter than its own, and each further power of that one shorter
-    finv = compositional_inverse(fs, order=max(k_max, d) + 2 - min(d, 0))
-    comp = compose(gs, finv)
+    comp = _under_inverse(gs, fs, k_max)
     require_order(f"k_max exceeds determined window: coefficient {k_max} of the composite",
                   k_max + 1, comp.order)
     return [comp.coefficient(k) for k in range(d, k_max + 1)]

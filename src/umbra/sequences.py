@@ -31,7 +31,7 @@ from .operators import (
     Polynomial,
     ShiftInvariantOperator,
     _delta_series,
-    apply_to_polynomial,
+    _under_inverse,
 )
 from .series import (
     _chain,
@@ -164,16 +164,12 @@ def conjugate_sequence(g, n_max: int = 0) -> BinomialSequence:
 
 def taylor_expand(p: Polynomial, q: DeltaOperator) -> list:
     """Generalized Taylor coefficients d_k = (q^k p)(0) / k!, so that
-    p = sum_k d_k q_k with q_k the basic sequence of q."""
-    _delta_series(q)
-    if p.is_zero:
-        return [Rat(0)]
-    out = []
-    cur = p
-    for k in range(p.degree + 1):
-        out.append(cur.evaluate(0) / factorial(k))
-        cur = apply_to_polynomial(q, cur)
-    return out
+    p = sum_k d_k q_k with q_k the basic sequence of q: with x^n =
+    sum_k c_nk q_k, row n of q's conjugate sequence, d_k = sum_n p_n c_nk."""
+    n = max(p.degree, 0)  # the zero polynomial has the one coefficient 0
+    rows = conjugate_sequence(q, n).terms(n)
+    return [sum((c * row.coefficient(k) for c, row in zip(p.coeffs, rows)), Rat(0))
+            for k in range(n + 1)]
 
 
 class ConnectionMatrix:
@@ -213,11 +209,8 @@ def connection_constants(g: DeltaOperator, h: DeltaOperator, n_max: int) -> Conn
     substitution into that sequence. That sequence is the conjugate
     sequence of g(h^(-1)(t)), so its rows come from one inversion, of h."""
     gs, hs = _delta_series(g), _delta_series(h)
-
-    def source(w):
-        return compose(gs, compositional_inverse(hs, order=w))
-
-    bridge = _conjugate(None, "conjugate", source, min(gs.order, hs.order), n_max)
+    bridge = _conjugate(None, "conjugate", lambda w: _under_inverse(gs, hs, w - 1),
+                        min(gs.order, hs.order), n_max)
     entries = [
         [bridge[n].coefficient(k) for k in range(n + 1)] for n in range(n_max + 1)
     ]

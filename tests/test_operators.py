@@ -1,5 +1,6 @@
 # Tests for polynomials, shift-invariant operators, the operator catalog,
 # expansion in a delta basis, and Lagrange inversion.
+import time
 from fractions import Fraction as Rat
 from math import comb, factorial
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from umbra import operators
 from umbra.errors import PreconditionError, require_order
 from umbra.operators import (
     CATALOG_NAMES,
@@ -442,6 +444,39 @@ class TestCompositeOracles:
         k_max = None if whole else k_max
         assert _outcome(expand_in_basis, T, f, k_max) == _outcome(
             _whole_window_expand, T, f, k_max)
+
+    def test_expand_probe_inverts_only_what_it_reads(self):
+        # shift(3) in forward differences, both known to order 300: four
+        # coefficients read the inverse to order 5, not 300
+        shift = catalog("shift", {"a": 3}, order=300)
+        fd = catalog("forward_difference", order=300)
+        start = time.perf_counter()
+        assert expand_in_basis(shift, fd, k_max=3) == [1, 3, 6, 6]
+        assert time.perf_counter() - start < 0.05
+
+    def test_inverse_orders_asked(self, monkeypatch):
+        asked = []
+
+        def recorded(f, order=None):
+            asked.append(order)
+            return compositional_inverse(f, order=order)
+
+        monkeypatch.setattr(operators, "compositional_inverse", recorded)
+        f = catalog("forward_difference", order=16)
+        shift = catalog("shift", {"a": 3}, order=16)
+        lagrange_inversion(f, identity(), 8)
+        expand_in_basis(shift, f, 3)
+        expand_in_basis(shift, f)
+        lagrange_inversion(f, monomial(-2), 3)
+        assert asked == [9, 5, None, 7]
+
+    def test_exact_basis_is_inverted_to_k_max(self):
+        # D in the exact basis D + D^2, whose inverse (sqrt(1 + 4t) - 1)/2 =
+        # t - t^2 + 2t^3 - 5t^4 + ...; without k_max nothing bounds the inverse
+        q = from_coeffs([0, 1, 1], order=INF)
+        assert expand_in_basis(identity(), q, 4) == [0, 1, -2, 12, -120]
+        with pytest.raises(PreconditionError, match="requires an explicit order"):
+            expand_in_basis(identity(), q)
 
 
 # -- the polynomial action against the loops it replaced -------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import series
+from umbra import operators, series
 from umbra.errors import PreconditionError
 from umbra.numbers import stirling_first, stirling_second
 from umbra.operators import (
@@ -570,8 +570,10 @@ class TestRouteOracles:
         p = Polynomial(coeffs)
         got, want = _outcome(taylor_expand, p, q), _outcome(_taylor_by_actions, p, q)
         if isinstance(want, tuple):
-            assert isinstance(got, tuple) and got[0] is want[0]
-            assert got[1].startswith("truncation too small for exact action")
+            n = p.degree
+            assert got == (want[0], f"truncation too small for exact action: row {n} "
+                                    f"needs order {n + 1}, given {q.series.order}")
+            assert want[1].startswith("truncation too small for exact action")
         else:
             assert got == want
 
@@ -582,6 +584,21 @@ class TestRouteOracles:
         if not isinstance(got, tuple):
             got = [list(got.row(n)) for n in range(n_max + 1)]
         assert got == _outcome(_whole_window_connection, g, h, n_max)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 5, 15])
+    def test_bridge_inverts_to_the_width_it_reads(self, monkeypatch, n_max):
+        # rows 0..n_max read g(h^(-1)) below t^(n_max + 1)
+        asked = []
+
+        def recorded(f, order=None):
+            asked.append(order)
+            return compositional_inverse(f, order=order)
+
+        monkeypatch.setattr(operators, "compositional_inverse", recorded)
+        bd = catalog("backward_difference", order=16)
+        fd = catalog("forward_difference", order=16)
+        connection_constants(bd, fd, n_max)
+        assert asked == ([n_max + 1] if n_max else [])
 
 
 class TestTaylor:
@@ -609,6 +626,12 @@ class TestTaylor:
         for k, c in enumerate(d):
             acc = acc + seq[k].scale(c)
         assert acc == p
+
+    def test_refusal_names_the_orders(self):
+        fd = catalog("forward_difference", order=6)
+        with pytest.raises(PreconditionError, match="row 8 needs order 9, given 6$") as info:
+            taylor_expand(Polynomial.x_power(8), fd)
+        assert (info.value.needed, info.value.available) == (9, 6)
 
     def test_ordinary_taylor(self):
         d = catalog("derivative")
