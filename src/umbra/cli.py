@@ -36,9 +36,10 @@ from .suites import SUITE_NAMES, run_suite
 DEFAULT_ORDER = 16
 DEFAULT_DEPTH = 12
 DEFAULT_FORMAT = "json"
-# documented caps: verify --n 96 takes several seconds per suite, and
-# eval --prec 50000 does not finish in minutes
+# documented caps: verify --n 96 takes several seconds per suite, verify
+# --depth 200 runs past 30 s, and eval --prec 50000 does not finish in minutes
 VERIFY_N_MAX = 64
+VERIFY_DEPTH_MAX = 64
 PREC_MAX = 10000
 
 
@@ -290,6 +291,9 @@ def _cmd_connect(args, settings, params):
 
 
 def _cmd_verify(args, settings, params):
+    if settings["depth"] > VERIFY_DEPTH_MAX:
+        raise UsageError(f"verify depth must be at most the cap {VERIFY_DEPTH_MAX}, "
+                         f"got {settings['depth']}")
     report = run_suite(
         args.suite,
         parameters=params,
@@ -526,7 +530,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op2", required=True, help="source basis operator")
     p.add_argument("--n", type=_int_at_least(0), default=None, help="highest row (default 6)")
 
-    p = add("verify", "run a named identity suite")
+    p = add("verify", "run a named identity suite",
+            description=f"Run a named identity suite; the window depth (--depth, or depth "
+                        f"in --config) is at most {VERIFY_DEPTH_MAX}.")
     p.add_argument("--suite", required=True, choices=SUITE_NAMES)
     p.add_argument("--n", type=_int_at_least(1, VERIFY_N_MAX), default=None,
                    help=f"grid size where applicable (at most {VERIFY_N_MAX})")

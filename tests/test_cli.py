@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import series
+from umbra import cli, series
 from umbra.cli import _build_parser, main
 from umbra.operators import (
     Polynomial,
@@ -499,6 +499,39 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, command, "--help")
         assert code == 0
         assert text in " ".join(out.split())
+
+    @pytest.mark.parametrize("depth", ["65", "200"])
+    def test_verify_depth_above_its_cap(self, capsys, depth):
+        # golden at depth 200 runs past 30 s; the cap refuses it at once
+        start = time.perf_counter()
+        err = self.assert_usage_error(capsys, "verify", "--suite", "golden", "--depth", depth)
+        assert time.perf_counter() - start < 1
+        assert f"verify depth must be at most the cap 64, got {depth}" in err
+
+    def test_verify_depth_from_config_above_its_cap(self, capsys, tmp_path):
+        cfg = tmp_path / "umbra.cfg"
+        cfg.write_text("depth = 65\n")
+        err = self.assert_usage_error(
+            capsys, "verify", "--suite", "abel_numeric", "--config", str(cfg)
+        )
+        assert "verify depth must be at most the cap 64, got 65" in err
+
+    def test_verify_depth_at_its_cap_reaches_the_suite(self, capsys, monkeypatch):
+        # the suite itself is stubbed: golden at depth 64 takes about a second
+        depths = []
+
+        def suite(name, **kwargs):
+            depths.append(kwargs["depth"])
+            return {"suite": name, "status": "pass"}
+
+        monkeypatch.setattr(cli, "run_suite", suite)
+        doc = run_json(capsys, "verify", "--suite", "golden", "--depth", "64")
+        assert doc["status"] == "ok" and depths == [64]
+
+    def test_verify_help_states_the_depth_cap(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--help")
+        assert code == 0
+        assert "depth (--depth, or depth in --config) is at most 64" in " ".join(out.split())
 
     @pytest.mark.parametrize("command", ["logseq", "eval"])
     @pytest.mark.parametrize("depth", ["0", "-2"])
