@@ -153,6 +153,18 @@ def _rat_latex(q: Rat) -> str:
     return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
+_LATEX_ESCAPES = {"\\": r"\textbackslash{}", "^": r"\textasciicircum{}",
+                  "~": r"\textasciitilde{}", **{c: "\\" + c for c in "{}_%&#$"}}
+
+
+def _latex_text(value) -> str:
+    """A key or value as LaTeX text, special characters escaped; a dict as
+    the sorted JSON the other formats print."""
+    if isinstance(value, dict):
+        value = json.dumps(value, sort_keys=True)
+    return "".join(_LATEX_ESCAPES.get(ch, ch) for ch in str(value))
+
+
 def _jsonable(value):
     if isinstance(value, (Rat, Decimal)):
         return str(value)
@@ -388,7 +400,7 @@ def _render_latex(command: str, payload: dict) -> str:
             body.append(" & ".join(cells) + " \\\\")
         return "\\begin{pmatrix}\n" + "\n".join(body) + "\n\\end{pmatrix}"
     for key in sorted(payload):
-        lines.append(f"\\text{{{key}}}: {payload[key]} \\\\")
+        lines.append(f"\\text{{{_latex_text(key)}}}: {_latex_text(payload[key])} \\\\")
     return "\n".join(lines)
 
 

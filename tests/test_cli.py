@@ -6,6 +6,7 @@ subprocess so the exit codes observed are the ones a shell would see.
 """
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -724,6 +725,31 @@ class TestFormats:
         )
         assert code == 0
         assert out.strip() == "p_3(x) = x^3 - 3*x^2 + 2*x"
+
+    @pytest.mark.parametrize("argv", [
+        *(("verify", "--suite", name, *flag) for name in SUITE_NAMES for flag in ((), ("--corrupt",))),
+        ("verify", "--suite", "abel_numeric", "--param", "x=3"),
+        ("eval", "--op", "exp(D)-1", "--n", "0", "--x0", "10"),
+        ("eval", "--op", "D*exp(D)", "--n", "-1", "--x0", "7/2"),
+    ], ids=" ".join)
+    def test_latex_key_value_lines_escape_specials(self, capsys, argv):
+        # every line is \text{key}: value \\, with \ { } _ ^ % & # $ ~ escaped in both
+        code, out, _ = run_cli(capsys, *argv, "--format", "latex")
+        assert code in (0, 4) and out
+        for line in out.splitlines():
+            match = re.fullmatch(r"\\text\{(.*?)(?<!\\)\}: (.*) \\\\", line)
+            assert match, line
+            for text in match.groups():
+                for escape in (r"\textbackslash{}", r"\textasciicircum{}", r"\textasciitilde{}"):
+                    text = text.replace(escape, "")
+                assert not re.search(r"[\\{}_^%&#$~]", re.sub(r"\\[{}_%&#$]", "", text)), line
+
+    def test_latex_witness_is_sorted_json(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--suite", "golden", "--depth", "3", "--corrupt", "--format", "latex"
+        )
+        assert code == 4
+        assert '\\text{witness}: \\{"got": "1", "kind": "newton", "m": 2\\} \\\\' in out.splitlines()
 
     def test_csv_expand(self, capsys):
         code, out, _ = run_cli(
