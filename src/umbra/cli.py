@@ -153,8 +153,8 @@ def _rat_latex(q: Rat) -> str:
     return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
 
 
-_LATEX_ESCAPES = {"\\": r"\textbackslash{}", "^": r"\textasciicircum{}",
-                  "~": r"\textasciitilde{}", **{c: "\\" + c for c in "{}_%&#$"}}
+_LATEX_ESCAPES = str.maketrans({"\\": r"\textbackslash{}", "^": r"\textasciicircum{}",
+                                "~": r"\textasciitilde{}", **{c: "\\" + c for c in "{}_%&#$"}})
 
 
 def _latex_text(value) -> str:
@@ -162,7 +162,7 @@ def _latex_text(value) -> str:
     the sorted JSON the other formats print."""
     if isinstance(value, dict):
         value = json.dumps(value, sort_keys=True)
-    return "".join(_LATEX_ESCAPES.get(ch, ch) for ch in str(value))
+    return str(value).translate(_LATEX_ESCAPES)
 
 
 def _jsonable(value):

@@ -251,12 +251,12 @@ def pincherle_derivative(T) -> ShiftInvariantOperator:
     return ShiftInvariantOperator(formal_derivative(s), name, params)
 
 
-def _under_inverse(g: TruncatedSeries, f: TruncatedSeries, k_max=None) -> TruncatedSeries:
-    """g(f^(-1)) for a delta series f, inverted over its whole window, or,
-    given k_max and a nonzero g of valuation d, only to order
-    o = max(k_max, d) + 1 + max(1 - d, 0): by the ring rule of compose the
-    inverse then cuts the composite no lower than t^(o + d - 1), or t^o for
-    d = 0, so past t^k_max."""
+def _under_inverse(g, f, k_max: Optional[int] = None) -> TruncatedSeries:
+    """g(f^(-1)) for a delta series f. Given k_max, f is inverted only to
+    order o = max(k_max, d) + 1 + max(1 - d, 0), d = val g: by the ring rule
+    of compose the inverse then cuts the composite no lower than
+    t^(o + d - 1), or t^o for d = 0, so past t^k_max. Without k_max, or for
+    an exact zero g, f is inverted over its whole window."""
     d = g.valuation
     order = None if k_max is None or d == INF else max(k_max, d) + 1 + max(1 - d, 0)
     return compose(g, compositional_inverse(f, order=order))
