@@ -23,9 +23,10 @@ ones to all integer degrees. Every window here is read, not computed by an
 operator action: degree n - k is roman(n)!/roman(n-k)!, the falling product
 roman(n) roman(n-1) ... roman(n-k+1), times one coefficient of a power of
 one series (Loeb-Rota logarithmic Lagrange inversion), read off the
-kernel's signed power table. The basic sequence reads f'(t) times row
--(n+1) of the table of f(t)/t, the log conjugate sequence of g the rows of
-g/t, and Newton coefficients the rows of (e^t - 1)/t.
+kernel's signed power table. The basic sequence reads row -n of the
+table of f(t)/t, as the transfer formula does (degree 0 alone reads f'(t)
+times row -1), the log conjugate sequence of g the rows of g/t, and Newton
+coefficients the rows of (e^t - 1)/t.
 """
 from __future__ import annotations
 
@@ -238,18 +239,24 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     of ``depth`` coefficients [n-depth+1, n] over the order-1 basis.
 
     Uses the transfer formula p_n = f'(D) (f/D)^(-n-1) lambda_n, valid for
-    every integer n; the classical polynomials reappear for n >= 0. Degree
-    n - k reads roman(n)!/roman(n-k)! [t^k] f'(t) (f(t)/t)^(-n-1): row
-    -(n+1) of the power table of f cut to order depth + 1, times f' in one
-    integer product. The window is exact when f is known to order
-    depth + 1, and refused otherwise."""
+    every integer n; the classical polynomials reappear for n >= 0. With
+    u = f/t, degree n - k is roman(n)!/roman(n-k)! [t^k] f' u^(-n-1). For
+    n != 0 that is roman(n)!/roman(n-k)! (n-k)/n [t^k] u^(-n), since
+    f' = u + t u' and t u' u^(-n-1) = -(t/n) (u^(-n))': row -n of the power
+    table of f cut to order depth + 1, the row generate_transfer reads.
+    Degree 0 alone reads f' times row -1 in one integer product. The window
+    is exact when f is known to order depth + 1, and refused otherwise."""
     if depth < 1:
         raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
     fs = _cut(_delta_series(f), depth + 1, depth)
-    row, rd = _unit_powers(fs, depth, (-n - 1,))[-n - 1]
-    fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
-    transfer = _mul_trunc(fprime, row, depth)
-    window = {k - n: Rat(r * x, fd * rd) for k, (r, x) in enumerate(zip(_falling(n, range(depth)), transfer))}
+    if n:
+        row, rd = _unit_powers(fs, depth, (-n,))[-n]
+        row, rd = [(n - k) * x for k, x in enumerate(row)], n * rd
+    else:
+        row, rd = _unit_powers(fs, depth, (-1,))[-1]
+        fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
+        row, rd = _mul_trunc(fprime, row, depth), fd * rd
+    window = {k - n: Rat(r * x, rd) for k, (r, x) in enumerate(zip(_falling(n, range(depth)), row))}
     return _window(TruncatedSeries(window, depth - n), 1)
 
 

@@ -26,7 +26,7 @@ denominator (the representation of FLINT's fmpq_poly), the arithmetic is
 done on those integers, and only the results become Fractions again. A
 product with no more pairs of stored terms than its span is the
 exception: it multiplies term by term, so a sparse exact product costs
-its terms, not its degree.
+its terms, not its degree; exp of one term c t^j reads c^k/k! at t^(jk).
 Every power of a series is read off the signed power table of g/t^val_g,
 _unit_powers: a first row in one pass of Miller's power recurrence, then a
 _chain of truncated products, each row only as wide as it is read; compose
@@ -211,7 +211,8 @@ class TruncatedSeries:
             out = {}
             for e, c in self.coeffs.items():
                 for d, b in other.coeffs.items():
-                    out[e + d] = out.get(e + d, 0) + c * b
+                    k, p = e + d, (b if c == 1 else c * b)
+                    out[k] = out[k] + p if k in out else p
             return TruncatedSeries(out, order)  # drops the exponents past the window
         # the operand with fewer stored coefficients goes first (see _mul_trunc)
         f, g = (self, other) if len(self.coeffs) <= len(other.coeffs) else (other, self)
@@ -321,8 +322,8 @@ def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
 
 def _out_order(window, order, what: str):
     """A result's window: the one its input determines, cut at ``order``.
-    An exact input (an infinite window) needs an explicit order."""
-    if window == INF and order is None:
+    An exact input (an infinite window) needs an explicit finite order."""
+    if window == INF and order in (None, INF):
         raise PreconditionError(f"{what} of an exact series requires an explicit order")
     return window if order is None else min(window, _check_order(order))
 
@@ -333,7 +334,7 @@ def _recip_order(f: TruncatedSeries, order=None):
     if f.is_zero:
         raise PreconditionError("non-invertible: zero series")
     window, single = f.order - 2 * f.valuation, len(f.coeffs) == 1
-    return window if single and order is None else _out_order(window, order, "reciprocal")
+    return window if single and order in (None, INF) else _out_order(window, order, "reciprocal")
 
 
 def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
@@ -471,8 +472,9 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
 def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
     """exp(f) for a series with valuation >= 1, by n y_n = sum_j j f_j y_(n-j)
     over the stored terms f_j, on numerators over one denominator as in
-    reciprocal; only the max(j) still read are rescaled. Exact inputs need
-    an explicit order."""
+    reciprocal; only the max(j) still read are rescaled. A one-term
+    f = c t^j reads c^k/k! at t^(jk) directly. Exact inputs need an
+    explicit order."""
     if not f.is_zero and f.valuation < 1:
         raise PreconditionError("exp_series requires positive valuation")
     if f.is_zero and f.order == INF:
@@ -480,6 +482,12 @@ def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
     n_out = _out_order(f.order, order, "exp_series")
     if n_out <= 0:
         return zero(n_out)
+    if len(f.coeffs) == 1:
+        [(j, c)] = f.coeffs.items()
+        out, q = {}, Rat(1)
+        for k in range(0, n_out, j):
+            out[k], q = q, q * c / (k // j + 1)
+        return TruncatedSeries(out, n_out)
     js = sorted(j for j in f.coeffs if j < n_out)
     a, ad = _dense([j * f.coeffs[j] for j in js])
     out, y, yd = {0: Rat(1)}, [1], 1  # y[-j] is the numerator of y_(n-j)

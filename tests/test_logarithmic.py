@@ -643,6 +643,18 @@ def _transfer_oracle(f, n, depth):
     return s.truncate_floor(target)
 
 
+def _fprime_read(f, n, depth):
+    """log_sequence as it read every degree before the one-row read: f'
+    times row -(n+1) of the power table of f/t, in one integer product."""
+    fs = logarithmic._cut(f, depth + 1, depth)
+    row, rd = series._unit_powers(fs, depth, (-n - 1,))[-n - 1]
+    fprime, fd = series._dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
+    transfer = series._mul_trunc(fprime, row, depth)
+    window = {k - n: Rat(r * x, fd * rd)
+              for k, (r, x) in enumerate(zip(numbers._falling(n, range(depth)), transfer))}
+    return logarithmic._window(TruncatedSeries(window, depth - n), 1)
+
+
 def _per_degree_oracle(T, s, ks):
     """<T^k s> / roman(k)! for k in ks: one int_pow, one operator action
     and one augmentation per degree."""
@@ -822,6 +834,35 @@ class TestReadsMatchOperatorActions:
         # one read of the power table per window, nothing per degree and
         # no series product
         assert calls == ["_unit_powers"] * 5
+
+
+@st.composite
+def unit_parts(draw):
+    """u_0, u_1, ... of u = f/t for a delta series f, with rational
+    u_0 != 0, 1, -1, so that every power of u has rows of real height."""
+    u = [draw(rationals.filter(lambda q: abs(q) != 1))]
+    return u + draw(st.lists(st.fractions(-9, 9, max_denominator=7), max_size=33))
+
+
+class TestOneRowRead:
+    """Degree n != 0 reads row -n of the power table of f/t alone; the f'
+    product it replaced is the oracle."""
+
+    @given(u=unit_parts(), n=st.just(0) | st.integers(-40, 40), depth=st.integers(1, 30),
+           known=st.none() | st.integers(-2, 4))
+    @settings(max_examples=300, deadline=None)
+    def test_log_sequence_matches_the_fprime_product(self, u, n, depth, known):
+        # f exact, or known to depth + 1 (the least the window needs), a
+        # little further, or short of it and refused
+        order = INF if known is None else max(depth + 1 + known, 2)
+        f = TruncatedSeries(dict(enumerate(u, 1)), order)
+        assert _outcome(log_sequence, f, n, depth) == _outcome(_fprime_read, f, n, depth)
+
+    def test_catalog_windows(self):
+        for name in DELTA_NAMES:
+            op = catalog(name, {"b": Rat(17, 29)}, order=25)
+            for n in range(-25, 25):
+                assert log_sequence(op, n, 24) == _fprime_read(op.series, n, 24), (name, n)
 
 
 class TestExactWindowRules:

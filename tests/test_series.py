@@ -254,6 +254,28 @@ def _shape(f):
     return f.coeffs, f.order, f.valuation
 
 
+@st.composite
+def term_by_term_pairs(draw):
+    """Two series of one to three terms over exponents -5..20, exact or
+    truncated, whose terms are often 1 or -1. In half the pairs the
+    right operand is the left with one term negated, so that cross terms
+    cancel: (a + b)(a - b) = a^2 - b^2."""
+    coeff = st.sampled_from([Rat(1), Rat(-1)]) | small_rat.filter(bool)
+
+    def order(exponents):
+        return draw(st.just(INF) | st.integers(min(exponents) + 1, 30))
+
+    exponents = draw(st.lists(st.integers(-5, 20), min_size=1, max_size=3, unique=True))
+    f = TruncatedSeries({e: draw(coeff) for e in exponents}, order(exponents))
+    if len(f.coeffs) > 1 and draw(st.booleans()):
+        flip = draw(st.sampled_from(sorted(f.coeffs)))
+        g = {e: -c if e == flip else c for e, c in f.coeffs.items()}
+    else:
+        g = {e: draw(coeff) for e in draw(
+            st.lists(st.integers(-5, 20), min_size=1, max_size=3, unique=True))}
+    return f, TruncatedSeries(g, order(list(g)))
+
+
 class TestKernelOracles:
     @given(kernel_operands(), kernel_operands())
     @settings(max_examples=80, deadline=None)
@@ -281,10 +303,11 @@ class TestKernelOracles:
         assert _shape(p) == ({1: 1, 1000001: 1}, INF, 1)
         assert calls == []
 
-    @given(sparse_operands(), sparse_operands())
-    @settings(max_examples=80, deadline=None)
-    def test_sparse_product_matches_dense_oracle(self, f, g):
+    @given(st.tuples(sparse_operands(), sparse_operands()) | term_by_term_pairs())
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_product_matches_dense_oracle(self, pair):
         # operands with no more term pairs than the span of their product
+        f, g = pair
         order = min(f.order + g.valuation, g.order + f.valuation)
         v = f.valuation + g.valuation
         w = min(max(f.coeffs) + max(g.coeffs) + 1, order) - v
@@ -1017,6 +1040,39 @@ class TestTranscendental:
     def test_exp_matches_loop_oracle(self, f, order):
         # values, windows and refusal texts
         assert _outcome_of(exp_series, f, order) == _outcome_of(_loop_exp, f, order)
+
+    @given(c=small_rat.filter(bool), j=st.integers(1, 7),
+           width=st.none() | st.integers(1, 40), order=st.integers(-2, 60))
+    @settings(max_examples=150, deadline=None)
+    def test_exp_of_one_term_is_the_exponential_series(self, c, j, width, order):
+        f = TruncatedSeries({j: c}, INF if width is None else width)
+        n_out = min(f.order, order)
+        expected = {j * k: c**k / factorial(k) for k in range(max(n_out, 0)) if j * k < n_out}
+        assert _shape(exp_series(f, order)) == _shape(TruncatedSeries(expected, n_out))
+
+    @pytest.mark.parametrize("j", [1, 3])
+    def test_exp_of_one_term_at_a_high_order(self, j):
+        c = Rat(17, 29)
+        e = exp_series(monomial(j, c), order=2000)
+        assert e.coeffs == {j * k: c**k / factorial(k) for k in range(0, (1999 // j) + 1)}
+        assert e.order == 2000
+
+    def test_explicit_infinite_order_of_an_exact_series_is_refused(self):
+        delta, unit = from_coeffs([0, 1, 1], order=INF), from_coeffs([1, 1], order=INF)
+        for call, f in ((compositional_inverse, delta), (exp_series, delta),
+                        (reciprocal, delta), (log_series, unit)):
+            with pytest.raises(PreconditionError, match="explicit order"):
+                call(f, order=INF)
+            # a truncated input reads its own window
+            cut = f.truncate(9)
+            assert _shape(call(cut, order=INF)) == _shape(call(cut)), call.__name__
+        # exact monomials keep their exact results
+        assert _shape(reciprocal(monomial(2, 3), order=INF)) == _shape(monomial(-2, Rat(1, 3)))
+        assert _shape(compositional_inverse(monomial(1, 3), order=INF)) == _shape(
+            monomial(1, Rat(1, 3)))
+        # 1/(t + t^2) is not a Laurent polynomial, so it has no exact composite
+        with pytest.raises(PreconditionError, match="explicit order"):
+            compose(TruncatedSeries({-1: 1, 1: 1}), delta, order=INF)
 
     def test_exp_preconditions(self):
         with pytest.raises(PreconditionError, match="positive valuation"):
