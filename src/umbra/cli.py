@@ -57,13 +57,13 @@ def _read_config(path: str) -> dict:
         with open(path) as fh:
             lines = fh.readlines()
     except OSError as err:
-        raise PreconditionError(f"cannot read config file: {err}") from err
+        raise UsageError(f"cannot read config file: {err}") from err
     for i, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
         if "=" not in text:
-            raise PreconditionError(f"config line {i} is not key=value")
+            raise UsageError(f"config line {i} is not key=value")
         key, value = (part.strip() for part in text.split("=", 1))
         if key in ("order", "depth"):
             try:
@@ -75,7 +75,7 @@ def _read_config(path: str) -> dict:
         elif key == "format":
             out[key] = value
         else:
-            raise PreconditionError(f"unknown config key {key!r}")
+            raise UsageError(f"unknown config key {key!r}")
     return out
 
 
@@ -101,7 +101,7 @@ def _resolve_settings(args) -> dict:
     if fmt is None:
         fmt = config.get("format")
     if fmt is not None and fmt not in ("json", "csv", "latex", "plain"):
-        raise PreconditionError(f"unknown format {fmt!r}")
+        raise UsageError(f"unknown format {fmt!r}")
     return {
         "order": DEFAULT_ORDER if order is None else order,
         "depth": DEFAULT_DEPTH if depth is None else depth,
@@ -126,19 +126,19 @@ def _parse_params(pairs) -> dict:
 
 def _parse_range(args, fallback) -> range:
     if getattr(args, "n", None) is not None and getattr(args, "range", None):
-        raise PreconditionError("give --n or --range, not both")
+        raise UsageError("give --n or --range, not both")
     if getattr(args, "n", None) is not None:
         return range(args.n, args.n + 1)
     text = getattr(args, "range", None) or fallback
     head, sep, tail = text.partition("..")
     if not sep:
-        raise PreconditionError("--range must look like A..B")
+        raise UsageError("--range must look like A..B")
     try:
         lo, hi = int(head), int(tail)
     except ValueError as err:
-        raise PreconditionError("--range must be integer..integer") from err
+        raise UsageError("--range must be integer..integer") from err
     if hi < lo:
-        raise PreconditionError("--range must be nondecreasing")
+        raise UsageError("--range must be nondecreasing")
     return range(lo, hi + 1)
 
 

@@ -164,15 +164,13 @@ def monomial_expansion(n: int, t: int):
 
         lambda_n^(t) = x^n sum_i m_i (log x)^i
 
-    returned as the mapping {i: m_i}. Derived from the closed form with
-    falling factorials of t and Stirling numbers of degree -n."""
+    returned as the mapping {i: m_i}, m_(t-k) = roman(n)! (t)_k s(-n, k): the
+    falling factorials (t)_k of numbers._falling, Stirling numbers of degree -n."""
     out = {}
-    falling = Rat(1)
-    for k in range(t + 1):
+    for k, falling in enumerate(_falling(t, range(t + 1))):
         coeff = roman_factorial(n) * falling * stirling_first(-n, k, order=t + 2)
         if coeff != 0:
             out[t - k] = coeff
-        falling *= t - k
     return out
 
 
@@ -283,8 +281,6 @@ class LogBinomialSequence:
         if n not in self._terms:
             self._terms[n] = log_sequence(self.operator, n, self.depth)
         return self._terms[n]
-
-    term = __getitem__
 
     @property
     def residual(self) -> HarmonicLogSeries:

@@ -105,7 +105,7 @@ def stirling_second(n: int, k: int) -> Rat:
 @cache
 def _bernoulli_gen_power(n: int, order: int) -> tuple[Rat, ...]:
     # (t/(e^t - 1))^n as plain coefficients: ((e^t - 1)/t)^(-n), 1/(k+1)! over order!
-    u = [factorial(order) // factorial(k + 1) for k in range(order)]
+    u = _falling(order, range(order))[::-1]
     row, den = _power_row(u, factorial(order), -n, order)
     return tuple(Rat(x, den) for x in row)
 

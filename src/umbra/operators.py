@@ -184,10 +184,6 @@ class DeltaOperator(ShiftInvariantOperator):
     def __init__(self, series, name=None, parameters=None):
         super().__init__(_delta_series(series), name, parameters)
 
-    def inverse_series(self, order=None) -> TruncatedSeries:
-        """The compositional inverse of the operator's series."""
-        return compositional_inverse(self.series, order=order)
-
 
 def _series_of(x) -> TruncatedSeries:
     if isinstance(x, ShiftInvariantOperator):
@@ -235,8 +231,7 @@ def apply_to_polynomial(T, p: Polynomial) -> Polynomial:
     s = _series_of(T)
     if s.valuation < 0 and not s.is_zero:
         raise PreconditionError("negative powers of D undefined on polynomials")
-    if s.order <= p.degree:
-        raise PreconditionError("truncation too small for exact action")
+    require_order(f"truncation too small for exact action: degree {p.degree}", p.degree + 1, s.order)
     image = _act(s.truncate(p.degree + 1), TruncatedSeries({-j: c for j, c in enumerate(p.coeffs)}))
     return Polynomial([image.coefficient(-d) for d in range(p.degree + 1)])
 

@@ -26,7 +26,7 @@ from fractions import Fraction as Rat
 from typing import Mapping, NamedTuple, Optional, Tuple
 
 from .errors import ParseError, PreconditionError
-from .operators import ShiftInvariantOperator, catalog
+from .operators import catalog
 from .series import (
     INF,
     TruncatedSeries,
@@ -430,15 +430,3 @@ def _constant_value(series: TruncatedSeries, name: str) -> Rat:
     raise PreconditionError(
         f"parameter of {name!r} must be a rational constant"
     )
-
-
-def operator_from_text(
-    text: str,
-    params: Optional[Mapping[str, Rat]] = None,
-    order: int = 16,
-) -> ShiftInvariantOperator:
-    """Parse, elaborate, and wrap an expression as an operator named by its
-    normalized rendering."""
-    tree = parse_operator(text, params)
-    series = elaborate(tree, params, order)
-    return ShiftInvariantOperator(series, name=pretty(tree))

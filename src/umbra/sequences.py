@@ -22,10 +22,11 @@ from __future__ import annotations
 
 from fractions import Fraction as Rat
 from itertools import islice
-from math import comb, factorial
+from math import comb
 from typing import Sequence
 
 from .errors import PreconditionError, require_order
+from .numbers import _falling
 from .operators import (
     DeltaOperator,
     Polynomial,
@@ -96,7 +97,9 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
     built: by Lagrange, [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n), so row n is
     Rota's transfer formula p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] u^(-n) x^k
     for u = f/t, read off u^(-n) on its first n coefficients: u^(-s) in one
-    pass of Miller's recurrence, then descending by u, u^(-k) on its first k."""
+    pass of Miller's recurrence, then descending by u, u^(-k) on its first k.
+    Either way x^k weighs its read by m!/(m - n + k)!, m = n - transfer: entry
+    n - k of numbers._falling(m, range(n)), so no factorial is formed."""
     powers = {}
 
     def step(n, _polys):
@@ -109,15 +112,10 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
             table = _unit_powers(source(s + 1), s, (1, first))
             rows = _chain(table[first], *table[1], range(s, 0, -1))
             powers.update(zip(range(first, first + s), rows))
-        if transfer:
-            (num, den), fn = powers[-n], factorial(n - 1)
-            return Polynomial([0] + [
-                Rat(fn * num[n - k], factorial(k - 1) * den) for k in range(1, n + 1)
-            ])
-        fn = factorial(n)
+        reads = [powers[-n]] * n if transfer else [powers[k] for k in range(1, n + 1)]
+        weights = reversed(_falling(n - transfer, range(n)))
         return Polynomial([0] + [
-            Rat(fn * powers[k][0][n - k], factorial(k) * powers[k][1])
-            for k in range(1, n + 1)
+            Rat(r * num[n - k], den) for k, r, (num, den) in zip(range(1, n + 1), weights, reads)
         ])
 
     require_order(f"truncation too small for exact action: row {n_max}", n_max + 1, window)

@@ -166,10 +166,6 @@ class TruncatedSeries:
             raise PreconditionError("coefficient beyond truncation order")
         return self.coeffs.get(e) or Rat(0)
 
-    def degree_range(self):
-        """(valuation, order) of the known window."""
-        return (self.valuation, self.order)
-
     def truncate(self, order) -> "TruncatedSeries":
         """Forget coefficients at or beyond the given order."""
         order = _check_order(order)
@@ -310,10 +306,6 @@ def from_coeffs(values, start: int = 0, order=None) -> TruncatedSeries:
 
 
 # -- module-level operations ---------------------------------------------
-
-
-def add(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:
-    return f + g
 
 
 def mul(f: TruncatedSeries, g: TruncatedSeries) -> TruncatedSeries:

@@ -74,6 +74,27 @@ class TestExitCodes:
         assert code == 3
         assert "rational constant" in err
 
+    @pytest.mark.parametrize("flags, config, message", [
+        (["--range", "0-4"], None, "--range must look like A..B"),
+        (["--range", "0..x"], None, "--range must be integer..integer"),
+        (["--range", "4..0"], None, "--range must be nondecreasing"),
+        (["--n", "1", "--range", "0..2"], None, "give --n or --range, not both"),
+        (["--config", "{cfg}"], "colour = red\n", "unknown config key 'colour'"),
+        (["--config", "{cfg}"], None, "cannot read config file"),
+        (["--config", "{cfg}"], "order\n", "config line 1 is not key=value"),
+        (["--config", "{cfg}"], "format = xml\n", "unknown format 'xml'"),
+    ])
+    def test_malformed_flag_or_config_is_two(self, capsys, tmp_path, flags, config, message):
+        # a malformed --range or config file is a usage error, like a bad
+        # --param; only domain errors exit 3 (config None: no file at all)
+        cfg = tmp_path / "umbra.cfg"
+        if config is not None:
+            cfg.write_text(config)
+        argv = [flag.replace("{cfg}", str(cfg)) for flag in flags]
+        code, out, err = run_cli(capsys, "seq", "--op", "D", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_negative_seq_degree_is_three(self, capsys):
         code, _, err = run_cli(capsys, "seq", "--op", "D", "--n", "-1")
         assert code == 3
@@ -140,7 +161,7 @@ class TestSeqCommand:
         code, _, err = run_cli(
             capsys, "seq", "--op", "D", "--n", "1", "--range", "0..2"
         )
-        assert code == 3
+        assert code == 2
         assert "not both" in err
 
 
@@ -692,13 +713,13 @@ class TestConfigPrecedence:
         doc = run_json(capsys, "seq", "--op", "D", "--n", "1", "--config", str(cfg))
         assert doc["order"] == 11
 
-    def test_bad_config_key_is_three(self, capsys, tmp_path):
+    def test_bad_config_key_is_two(self, capsys, tmp_path):
         cfg = tmp_path / "umbra.cfg"
         cfg.write_text("colour = red\n")
         code, _, err = run_cli(
             capsys, "seq", "--op", "D", "--n", "1", "--config", str(cfg)
         )
-        assert code == 3
+        assert code == 2
         assert "unknown config key" in err
 
 

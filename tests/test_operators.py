@@ -114,6 +114,12 @@ class TestApply:
         # degree 3 is fine at order 4
         fd(Polynomial.x_power(3))
 
+    def test_truncation_guard_names_the_orders(self):
+        # [TRIVIAL] x^5 meets D^0..D^5, so the window must reach order 6
+        with pytest.raises(PreconditionError, match="^truncation too small for exact action") as info:
+            apply_to_polynomial(catalog("forward_difference", order=3), Polynomial.x_power(5))
+        assert (info.value.needed, info.value.available) == (6, 3)
+
     def test_negative_powers_rejected(self):
         s = monomial(-1)
         with pytest.raises(PreconditionError, match="negative powers of D"):

@@ -20,7 +20,6 @@ from umbra.parsing import (
     Pow,
     Symbol,
     elaborate,
-    operator_from_text,
     parse_operator,
     pretty,
 )
@@ -348,8 +347,3 @@ class TestElaboration:
     def test_division_by_zero_series(self):
         with pytest.raises(PreconditionError, match="non-invertible"):
             elaborate(parse_operator("D/(D-D)"), order=12)
-
-    def test_operator_from_text_names_itself(self):
-        op = operator_from_text("exp(D)-1", order=16)
-        assert op.name == "exp(D) - 1"
-        assert op.series == catalog("forward_difference", order=16).series
