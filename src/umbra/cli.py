@@ -37,10 +37,13 @@ DEFAULT_ORDER = 16
 DEFAULT_DEPTH = 12
 DEFAULT_FORMAT = "json"
 # documented caps: verify --n 96 takes several seconds per suite, verify
-# --depth 200 runs past 30 s, and eval --prec 50000 does not finish in minutes
+# --depth 200 runs past 30 s, eval --depth 600 takes about 11 s where 300
+# takes about one, and eval --prec 50000 does not finish in minutes
 VERIFY_N_MAX = 64
 VERIFY_DEPTH_MAX = 64
+LOG_DEPTH_MAX = 300
 PREC_MAX = 10000
+DEPTH_MAX = {"verify": VERIFY_DEPTH_MAX, "logseq": LOG_DEPTH_MAX, "eval": LOG_DEPTH_MAX}
 
 
 class UsageError(UmbraError):
@@ -97,6 +100,9 @@ def _resolve_settings(args) -> dict:
         depth = config.get("depth")
     if depth is not None and depth < 1:
         raise UsageError(f"depth must be a positive integer, got {depth}")
+    cap = DEPTH_MAX.get(args.command)
+    if depth is not None and cap is not None and depth > cap:
+        raise UsageError(f"{args.command} depth must be at most the cap {cap}, got {depth}")
     fmt = getattr(args, "format", None)
     if fmt is None:
         fmt = config.get("format")
@@ -303,9 +309,6 @@ def _cmd_connect(args, settings, params):
 
 
 def _cmd_verify(args, settings, params):
-    if settings["depth"] > VERIFY_DEPTH_MAX:
-        raise UsageError(f"verify depth must be at most the cap {VERIFY_DEPTH_MAX}, "
-                         f"got {settings['depth']}")
     report = run_suite(
         args.suite,
         parameters=params,
@@ -523,7 +526,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--range", default=None, metavar="A..B")
 
-    p = add("logseq", "windowed harmonic-log basic sequence")
+    p = add("logseq", "windowed harmonic-log basic sequence",
+            description=f"Windowed harmonic-log basic sequence; the window depth (--depth, "
+                        f"or depth in --config) is at most {LOG_DEPTH_MAX}.")
     p.add_argument("--op", required=True)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--range", default=None, metavar="A..B")
@@ -554,7 +559,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="perturb the object under test first; a healthy build then fails with exit code 4 (negative control)",
     )
 
-    p = add("eval", "evaluate a harmonic-log window numerically")
+    p = add("eval", "evaluate a harmonic-log window numerically",
+            description=f"Evaluate a harmonic-log window numerically; the window depth "
+                        f"(--depth, or depth in --config) is at most {LOG_DEPTH_MAX}.")
     p.add_argument("--op", required=True)
     p.add_argument("--n", type=int, default=None, help="degree (default 0)")
     p.add_argument("--x0", type=_rational, required=True, help="evaluation point, rational like 5 or 7/2")

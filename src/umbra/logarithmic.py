@@ -226,10 +226,11 @@ def skip(s: HarmonicLogSeries, to_t: int) -> HarmonicLogSeries:
 # -- logarithmic basic sequences ------------------------------------------
 
 
-def _cut(s, needed: int, depth: int):
-    """s cut to order ``needed``, refused when it is not known that far."""
+def _known_to(s, needed: int, depth: int):
+    """s itself, refused when it is not known to order ``needed``. It is not
+    cut there: the power table reads only the coefficients it needs."""
     require_order(f"truncation too small for exact action: depth {depth}", needed, s.order)
-    return s.truncate(needed)
+    return s
 
 
 def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
@@ -246,7 +247,7 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     is exact when f is known to order depth + 1, and refused otherwise."""
     if depth < 1:
         raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
-    fs = _cut(_delta_series(f), depth + 1, depth)
+    fs = _known_to(_delta_series(f), depth + 1, depth)
     if n:
         row, rd = _unit_powers(fs, depth, (-n,))[-n]
         row, rd = [(n - k) * x for k, x in enumerate(row)], n * rd
@@ -310,7 +311,7 @@ def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:
         raise PreconditionError(f"log_conjugate_sequence needs depth >= 1, got {depth}")
     lo = n - depth + 1
     w = depth - (lo == 0)  # u is read on its first w coefficients
-    gs = _cut(_delta_series(g), w + 1, depth)
+    gs = _known_to(_delta_series(g), w + 1, depth)
     powers = _unit_powers(gs, w, range(n, lo - 1, -1))
     window = {j - n: Rat(r * powers[n - j][0][j], powers[n - j][1])
               for j, r in enumerate(_falling(n, range(depth)))}

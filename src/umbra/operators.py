@@ -23,16 +23,13 @@ from .series import (
     TruncatedSeries,
     compose,
     compositional_inverse,
-    constant,
     exp_series,
     formal_derivative,
-    from_coeffs,
     identity,
     int_pow,
     monomial,
-    mul,
-    reciprocal,
     _dense_mul,
+    _out_order,
 )
 
 
@@ -322,6 +319,14 @@ def _require_param(name: str, parameters: Mapping[str, Rat], key: str) -> Rat:
     return Rat(parameters[key])
 
 
+def _exp_less_one(sign: int, order) -> TruncatedSeries:
+    """sign (e^(sign t) - 1) below t^order: the one-term exponential with
+    its constant dropped and the sign folded into the same pass, so e^t - 1
+    for sign 1 and 1 - e^(-t) for sign -1."""
+    e = exp_series(monomial(1, sign), order=order)
+    return TruncatedSeries({k: c if sign > 0 else -c for k, c in e.coeffs.items() if k}, e.order)
+
+
 def catalog(name: str, parameters: Optional[Mapping[str, Rat]] = None, order: int = 16):
     """Build a named operator at the given truncation order.
 
@@ -329,32 +334,39 @@ def catalog(name: str, parameters: Optional[Mapping[str, Rat]] = None, order: in
     backward_difference (1 - E^(-1)), abel(b) = D E^b, laguerre D/(D-1).
     Other shift-invariant operators: shift(a) = E^a, weierstrass
     exp(D^2/2), bernoulli_op (e^D - 1)/D.
+
+    Each is read off a closed form, with no series product or reciprocal:
+    the differences are e^(+-D) with the constant dropped and the sign
+    folded in, abel is e^(bD) with every exponent raised by one, bernoulli_op
+    is e^D - 1 with every exponent lowered by one, and laguerre is
+    -(D + D^2 + ...), known below D^(order+1) as the product D * 1/(D - 1)
+    would be.
     """
     parameters = dict(parameters or {})
-    t = identity()
     if name == "derivative":
-        return DeltaOperator(t, name)
+        return DeltaOperator(identity(), name)
     if name == "shift":
         a = _require_param(name, parameters, "a")
         series = exp_series(monomial(1, a), order=order)
         return ShiftInvariantOperator(series, name, {"a": a})
     if name == "forward_difference":
-        series = exp_series(t, order=order) - constant(1)
-        return DeltaOperator(series, name)
+        return DeltaOperator(_exp_less_one(1, order), name)
     if name == "backward_difference":
-        series = constant(1) - exp_series(monomial(1, -1), order=order)
-        return DeltaOperator(series, name)
+        return DeltaOperator(_exp_less_one(-1, order), name)
     if name == "abel":
         b = _require_param(name, parameters, "b")
-        series = mul(t, exp_series(monomial(1, b), order=order))
+        e = exp_series(monomial(1, b), order=order)
+        series = TruncatedSeries({k + 1: c for k, c in e.coeffs.items()}, e.order + 1)
         return DeltaOperator(series, name, {"b": b})
     if name == "laguerre":
-        series = mul(t, reciprocal(from_coeffs([-1, 1], order=INF), order=order))
+        order = _out_order(INF, order, "reciprocal")
+        series = TruncatedSeries(dict.fromkeys(range(1, order + 1), Rat(-1)), order + 1)
         return DeltaOperator(series, name)
     if name == "weierstrass":
         series = exp_series(monomial(2, Rat(1, 2)), order=order)
         return ShiftInvariantOperator(series, name)
     if name == "bernoulli_op":
-        series = mul(exp_series(t, order=order) - constant(1), monomial(-1))
+        e = _exp_less_one(1, order)
+        series = TruncatedSeries({k - 1: c for k, c in e.coeffs.items()}, e.order - 1)
         return ShiftInvariantOperator(series, name)
     raise PreconditionError(f"unknown catalog operator '{name}'")

@@ -30,7 +30,11 @@ its terms, not its degree; exp of one term c t^j reads c^k/k! at t^(jk).
 Every power of a series is read off the signed power table of g/t^val_g,
 _unit_powers: a first row in one pass of Miller's power recurrence, then a
 _chain of truncated products, each row only as wide as it is read; compose
-adds Brent-Kung, about 2 sqrt(N) products.
+adds Brent-Kung, about 2 sqrt(N) products. Known zeros cost nothing there:
+the recurrence reads the unit's taps only up to its last nonzero one, and
+a _chain product passes the unit as _mul_trunc's first operand, whose zero
+entries are skipped, so the reciprocal or a power of a polynomial of
+degree d costs d products per coefficient, not the square of the order.
 """
 from __future__ import annotations
 
@@ -78,7 +82,7 @@ def _dense(values):
 def _mul_trunc(a, b, w):
     """The first w coefficients of a*b for integer lists a and b. Each
     nonzero entry of a adds a scaled copy of b; zero entries cost nothing,
-    so a sparse a keeps the product cheap."""
+    so the sparser operand goes first: a short polynomial costs its terms."""
     out = [0] * w
     for i, x in enumerate(a[:w]):
         if x:
@@ -98,10 +102,11 @@ def _reduce(nums, den):
 def _chain(start, u, ud, widths):
     """start, start*u, start*u^2, ... for integer numerators u over ud, on a
     non-increasing run of widths (start is given on the first), each product
-    reduced by the gcd of its numerators and denominator."""
+    reduced by the gcd of its numerators and denominator. The multiplier u
+    is _mul_trunc's first operand, so each of its zero taps costs nothing."""
     p = None
     for w in widths:
-        p = start if p is None else _reduce(_mul_trunc(p[0], u, w), p[1] * ud)
+        p = start if p is None else _reduce(_mul_trunc(u, p[0], w), p[1] * ud)
         yield p
 
 
@@ -111,9 +116,15 @@ def _power_row(u, ud, k, w):
     Miller's recurrence m u_0 p_m = sum_j ((k+1) j - m) u_j p_(m-j) (Knuth, TAOCP
     vol. 2, 4.7) from the reduced p_0 = (u_0/ud)^k, so ud cancels and the row
     keeps its true height. The p_m are kept over the least positive common
-    denominator of those found so far; for k = -1, the reciprocal, m cancels."""
+    denominator of those found so far; for k = -1, the reciprocal, m cancels.
+    The taps u_j stop at the last nonzero one, so a polynomial unit of degree
+    d costs d products per coefficient, not m."""
     p0 = Rat(u[0], ud) ** k
     p, pd, c = [p0.numerator], p0.denominator, k + 1
+    d = len(u)
+    while not u[d - 1]:
+        d -= 1
+    u = u[:d]
     for m in range(1, w):
         a = u[1 : m + 1]
         if c:  # the weights (k+1) j - m, j = 1..m
@@ -142,13 +153,8 @@ class TruncatedSeries:
 
     def __init__(self, coeffs: Mapping[int, Rat] = (), order=INF):
         order = _check_order(order)
-        clean = {}
-        for e, c in dict(coeffs).items():
-            if e >= order:
-                continue
-            c = c if type(c) is Rat else Rat(c)
-            if c:
-                clean[int(e)] = c
+        items = (coeffs if isinstance(coeffs, dict) else dict(coeffs)).items()
+        clean = {int(e): r for e, c in items if e < order and (r := c if type(c) is Rat else Rat(c))}
         self.coeffs = clean
         self.order = order
         self.valuation = min(clean) if clean else order
@@ -478,7 +484,7 @@ def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
         [(j, c)] = f.coeffs.items()
         out, q = {}, Rat(1)
         for k in range(0, n_out, j):
-            out[k], q = q, q * c / (k // j + 1)
+            out[k], q = q, (q if c == 1 else q * c) / (k // j + 1)
         return TruncatedSeries(out, n_out)
     js = sorted(j for j in f.coeffs if j < n_out)
     a, ad = _dense([j * f.coeffs[j] for j in js])

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import cli, series
+from umbra import cli, logarithmic, series
 from umbra.cli import _build_parser, main
 from umbra.operators import (
     Polynomial,
@@ -554,6 +554,49 @@ class TestInputErrors:
         code, out, err = run_cli(capsys, "verify", "--help")
         assert code == 0
         assert "depth (--depth, or depth in --config) is at most 64" in " ".join(out.split())
+
+    @pytest.mark.parametrize("command", ["logseq", "eval"])
+    @pytest.mark.parametrize("depth", ["301", "600"])
+    def test_log_depth_above_its_cap(self, capsys, command, depth):
+        # eval at depth 600 takes about 11 s; the cap refuses it at once
+        extra = ("--x0", "200") if command == "eval" else ()
+        start = time.perf_counter()
+        err = self.assert_usage_error(
+            capsys, command, "--op", "exp(D)-1", "--n", "0", *extra,
+            "--depth", depth, "--order", "601",
+        )
+        assert time.perf_counter() - start < 1
+        assert f"{command} depth must be at most the cap 300, got {depth}" in err
+
+    @pytest.mark.parametrize("command", ["logseq", "eval"])
+    def test_log_depth_from_config_above_its_cap(self, capsys, tmp_path, command):
+        cfg = tmp_path / "umbra.cfg"
+        cfg.write_text("depth = 301\n")
+        extra = ("--x0", "200") if command == "eval" else ()
+        err = self.assert_usage_error(
+            capsys, command, "--op", "exp(D)-1", "--n", "0", *extra, "--config", str(cfg)
+        )
+        assert f"{command} depth must be at most the cap 300, got 301" in err
+
+    @pytest.mark.parametrize("command", ["logseq", "eval"])
+    def test_log_depth_at_its_cap_reaches_the_window(self, capsys, monkeypatch, command):
+        # the window itself is stubbed: eval at depth 300 takes about a second
+        depths = []
+
+        def window(op, n, depth):
+            depths.append(depth)
+            return logarithmic.HarmonicLogSeries({n: Rat(1)}, n - depth + 1)
+
+        monkeypatch.setattr(cli, "log_sequence", window)
+        extra = ("--x0", "200") if command == "eval" else ()
+        doc = run_json(capsys, command, "--op", "exp(D)-1", "--n", "0", *extra, "--depth", "300")
+        assert doc["status"] == "ok" and doc["depth"] == 300 and depths == [300]
+
+    @pytest.mark.parametrize("command", ["logseq", "eval"])
+    def test_log_help_states_the_depth_cap(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--help")
+        assert code == 0
+        assert "depth (--depth, or depth in --config) is at most 300" in " ".join(out.split())
 
     @pytest.mark.parametrize("command", ["logseq", "eval"])
     @pytest.mark.parametrize("depth", ["0", "-2"])

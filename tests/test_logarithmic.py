@@ -646,7 +646,7 @@ def _transfer_oracle(f, n, depth):
 def _fprime_read(f, n, depth):
     """log_sequence as it read every degree before the one-row read: f'
     times row -(n+1) of the power table of f/t, in one integer product."""
-    fs = logarithmic._cut(f, depth + 1, depth)
+    fs = logarithmic._known_to(f, depth + 1, depth)
     row, rd = series._unit_powers(fs, depth, (-n - 1,))[-n - 1]
     fprime, fd = series._dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
     transfer = series._mul_trunc(fprime, row, depth)

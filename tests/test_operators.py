@@ -29,11 +29,14 @@ from umbra.series import (
     TruncatedSeries,
     compose,
     compositional_inverse,
+    constant,
+    exp_series,
     formal_derivative,
     from_coeffs,
     identity,
     int_pow,
     monomial,
+    mul,
     reciprocal,
 )
 
@@ -197,6 +200,45 @@ class TestExpandInBasis:
             expand_in_basis(d, fd, k_max=10)
 
 
+# Oracle: the catalog as series arithmetic built it before its closed forms,
+# with products, reciprocals and sums of the one-term exponentials.
+
+catalog_rationals = (st.sampled_from([0, 1, -1, 2, -3]) | st.integers(-9, 9)
+                     | st.fractions(min_value=-5, max_value=5, max_denominator=40))
+
+
+def _catalog_by_arithmetic(name, parameters, order):
+    t = identity()
+    if name == "derivative":
+        return DeltaOperator(t, name)
+    if name == "shift":
+        a = Rat(parameters["a"])
+        return ShiftInvariantOperator(exp_series(monomial(1, a), order=order), name, {"a": a})
+    if name == "forward_difference":
+        return DeltaOperator(exp_series(t, order=order) - constant(1), name)
+    if name == "backward_difference":
+        return DeltaOperator(constant(1) - exp_series(monomial(1, -1), order=order), name)
+    if name == "abel":
+        b = Rat(parameters["b"])
+        return DeltaOperator(mul(t, exp_series(monomial(1, b), order=order)), name, {"b": b})
+    if name == "laguerre":
+        return DeltaOperator(mul(t, reciprocal(from_coeffs([-1, 1], order=INF), order=order)), name)
+    if name == "weierstrass":
+        return ShiftInvariantOperator(exp_series(monomial(2, Rat(1, 2)), order=order), name)
+    assert name == "bernoulli_op"
+    return ShiftInvariantOperator(mul(exp_series(t, order=order) - constant(1), monomial(-1)), name)
+
+
+def _built(build, name, parameters, order):
+    """What a catalog build gives: the operator's class, name, parameters,
+    coefficients and order, or the refusal it raises."""
+    try:
+        op = build(name, parameters, order)
+    except PreconditionError as err:
+        return str(err)
+    return type(op), op.name, op.parameters, op.series.coeffs, op.series.order
+
+
 class TestCatalog:
     def test_all_names_build(self):
         params = {"a": 1, "b": Rat(1, 2)}
@@ -243,6 +285,15 @@ class TestCatalog:
 
     def test_derivative_is_exact(self):
         assert catalog("derivative").series.order == INF
+
+    @pytest.mark.parametrize("name", CATALOG_NAMES)
+    @given(a=catalog_rationals, b=catalog_rationals)
+    @settings(max_examples=15, deadline=None)
+    def test_closed_forms_match_series_arithmetic(self, name, a, b):
+        # the same coeffs and order, or the same refusal, at every order
+        for order in range(-1, 65):
+            assert _built(catalog, name, {"a": a, "b": b}, order) == \
+                _built(_catalog_by_arithmetic, name, {"a": a, "b": b}, order), order
 
 
 # -- Lagrange inversion against the residue formula it replaced ----------
