@@ -34,18 +34,25 @@ from .series import (
 
 
 class Polynomial:
-    """Dense polynomial in x with exact rational coefficients."""
+    """Dense polynomial in x with exact rational coefficients.
+
+    ``coeffs`` is the tuple of coefficients of x^0, x^1, ..., with trailing
+    zeros stripped. A coefficient whose type is exactly Fraction is kept as
+    the same object; anything else (an int, a string such as "3/4", a float,
+    a Decimal, a Fraction subclass) becomes Fraction(c)."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Rat] = ()):
-        cs = [Rat(c) for c in coeffs]
+        cs = [c if type(c) is Rat else Rat(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
 
     @classmethod
     def x_power(cls, n: int) -> "Polynomial":
+        if n < 0:
+            raise PreconditionError(f"x_power needs a degree n >= 0, got n = {n}")
         return cls([Rat(0)] * n + [Rat(1)])
 
     @property

@@ -112,10 +112,13 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
             table = _unit_powers(source(s + 1), s, (1, first))
             rows = _chain(table[first], *table[1], range(s, 0, -1))
             powers.update(zip(range(first, first + s), rows))
-        reads = [powers[-n]] * n if transfer else [powers[k] for k in range(1, n + 1)]
         weights = reversed(_falling(n - transfer, range(n)))
+        if transfer:  # entry k reads [t^(n-k)] u^(-n), k = 1..n
+            num, den = powers[-n]
+            return Polynomial([0] + [Rat(r * c, den) for r, c in zip(weights, reversed(num[:n]))])
         return Polynomial([0] + [
-            Rat(r * num[n - k], den) for k, r, (num, den) in zip(range(1, n + 1), weights, reads)
+            Rat(r * num[n - k], den)
+            for k, r, (num, den) in zip(range(1, n + 1), weights, map(powers.get, range(1, n + 1)))
         ])
 
     require_order(f"truncation too small for exact action: row {n_max}", n_max + 1, window)
@@ -172,20 +175,29 @@ def taylor_expand(p: Polynomial, q: DeltaOperator) -> list:
 
 class ConnectionMatrix:
     """Lower-triangular constants c_{nk} expressing one basic sequence in
-    another: target_n(x) = sum_k c_{nk} source_k(x)."""
+    another: target_n(x) = sum_k c_{nk} source_k(x).
+
+    ``entries`` is a tuple of row tuples. An entry whose type is exactly
+    Fraction is kept as the same object; anything else becomes Fraction(c).
+    Rows are indexed 0..size - 1; a row outside that range is refused, and
+    entry(n, k) reads 0 for k outside row n."""
 
     __slots__ = ("entries", "source", "target")
 
     def __init__(self, entries: Sequence[Sequence[Rat]], source="source", target="target"):
-        self.entries = tuple(tuple(Rat(c) for c in row) for row in entries)
+        self.entries = tuple(tuple(c if type(c) is Rat else Rat(c) for c in row) for row in entries)
         self.source = source
         self.target = target
 
     def entry(self, n: int, k: int) -> Rat:
-        row = self.entries[n]
+        row = self.row(n)
         return row[k] if 0 <= k < len(row) else Rat(0)
 
     def row(self, n: int):
+        if not 0 <= n < len(self.entries):
+            raise PreconditionError(
+                f"connection matrix row n = {n} is out of range for size {len(self.entries)}"
+            )
         return self.entries[n]
 
     @property
@@ -209,9 +221,8 @@ def connection_constants(g: DeltaOperator, h: DeltaOperator, n_max: int) -> Conn
     gs, hs = _delta_series(g), _delta_series(h)
     bridge = _conjugate(None, "conjugate", lambda w: _under_inverse(gs, hs, w - 1),
                         min(gs.order, hs.order), n_max)
-    entries = [
-        [bridge[n].coefficient(k) for k in range(n + 1)] for n in range(n_max + 1)
-    ]
+    entries = [p.coeffs + (Rat(0),) * (n + 1 - len(p.coeffs))
+               for n, p in enumerate(bridge.terms(n_max))]
     return ConnectionMatrix(
         entries,
         source=getattr(g, "name", None) or "g",
@@ -226,20 +237,13 @@ def umbral_compose(q, p: BinomialSequence) -> BinomialSequence:
 
     q may be a BinomialSequence, a ConnectionMatrix, or bare coefficient
     rows."""
-    if isinstance(q, BinomialSequence):
-        rows = None
-        q_seq = q
-    elif isinstance(q, ConnectionMatrix):
-        rows = q.entries
-        q_seq = None
-    else:
-        rows = tuple(tuple(Rat(c) for c in row) for row in q)
-        q_seq = None
+    q_seq = q if isinstance(q, BinomialSequence) else None
+    if q_seq is None:
+        rows = (q if isinstance(q, ConnectionMatrix) else ConnectionMatrix(q)).entries
 
     def row_of(n):
         if q_seq is not None:
-            poly = q_seq[n]
-            return [poly.coefficient(k) for k in range(n + 1)]
+            return q_seq[n].coeffs
         if n >= len(rows):
             raise PreconditionError("umbral composition beyond supplied rows")
         return rows[n]

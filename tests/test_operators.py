@@ -1,6 +1,7 @@
 # Tests for polynomials, shift-invariant operators, the operator catalog,
 # expansion in a delta basis, and Lagrange inversion.
 import time
+from decimal import Decimal
 from fractions import Fraction as Rat
 from math import comb, factorial
 
@@ -41,6 +42,10 @@ from umbra.series import (
 )
 
 
+class _RatSub(Rat):
+    """A Fraction subclass: coercion must not keep it."""
+
+
 def lower_factorial(n):
     # x(x-1)...(x-n+1), expanded independently for oracle use.
     p = Polynomial([1])
@@ -71,6 +76,26 @@ class TestPolynomial:
 
     def test_mul_x(self):
         assert Polynomial([1, 1]).mul_x() == Polynomial([0, 1, 1])
+
+    def test_fraction_coefficients_are_kept(self):
+        cs = [Rat(3, 4), Rat(-5), Rat(0), Rat(7, 11)]
+        p = Polynomial(cs)
+        assert all(got is c for got, c in zip(p.coeffs, cs))
+
+    @pytest.mark.parametrize("c", [3, "3/4", 0.375, Decimal("-1.25"), _RatSub(5, 6)])
+    def test_other_coefficients_become_fractions(self, c):
+        p = Polynomial([c, 1])
+        assert type(p.coeffs[0]) is Rat
+        assert p.coeffs[0] == Rat(c)
+
+    def test_trailing_zeros_are_stripped(self):
+        assert Polynomial([1, Rat(0), 0, "0", 0.0]).coeffs == (Rat(1),)
+        assert Polynomial([Rat(0), Decimal(0)]).coeffs == ()
+
+    def test_x_power_refuses_a_negative_degree(self):
+        assert Polynomial.x_power(0) == Polynomial([1])
+        with pytest.raises(PreconditionError, match="n = -1"):
+            Polynomial.x_power(-1)
 
 
 class TestApply:

@@ -1,5 +1,6 @@
 # Tests for binomial-type sequences: generator agreement, closed forms,
 # Taylor expansion, umbral composition, connection constants.
+from decimal import Decimal
 from fractions import Fraction as Rat
 from itertools import count, islice
 from math import comb, factorial
@@ -783,3 +784,148 @@ class TestRamey:
         seq = ramey_sequence(fd, Rat(1, 2), 6)
         ok, witness = verify_binomial_identity(seq, 6)
         assert ok, witness
+
+
+# -- closed forms at the benchmark's working order ------------------------
+#
+# Each oracle expands its closed form in plain integer or Fraction
+# arithmetic, with no series and no umbra polynomial product, so it shares
+# nothing with the power table the rows are read from.
+
+ORDER = 48
+ROWS = range(ORDER - 1)  # n <= 46
+
+
+def _factorial_rows(sign):
+    """Integer coefficient lists of x(x + sign)(x + 2 sign)...(x + (n-1) sign),
+    n = 0, 1, ...: the rising factorial for sign = 1, the falling for -1."""
+    row = [1]
+    for n in count():
+        yield row
+        shifted = [0] + row  # x * row
+        row = [a + sign * n * b for a, b in zip(shifted, row + [0])]
+
+
+class TestClosedFormsAtWorkingOrder:
+    def test_abel(self):
+        # [PAPER] A_n(x; b) = x (x - nb)^(n-1) = sum_j C(n-1, j) (-nb)^(n-1-j) x^(j+1)
+        b = Rat(17, 29)
+        seq = generate_transfer(catalog("abel", {"b": b}, order=ORDER), ROWS[-1])
+        assert seq[0] == Polynomial([1])
+        for n in ROWS[1:]:
+            want = [0] + [comb(n - 1, j) * (-n * b) ** (n - 1 - j) for j in range(n)]
+            assert seq[n].coeffs == tuple(want), n
+
+    @pytest.mark.parametrize("name, sign", [("forward_difference", -1),
+                                            ("backward_difference", 1)])
+    def test_factorials(self, name, sign):
+        # [DERIVED] (x)_n for the forward difference, x^(n) for the backward
+        seq = generate_transfer(catalog(name, order=ORDER), ROWS[-1])
+        for n, want in zip(ROWS, _factorial_rows(sign)):
+            assert seq[n].coeffs == tuple(want), n
+
+    def test_laguerre(self):
+        # [PAPER] L_n(x) = sum_k (-1)^k (n!/k!) C(n-1, k-1) x^k
+        seq = generate_transfer(catalog("laguerre", order=ORDER), ROWS[-1])
+        assert seq[0] == Polynomial([1])
+        for n in ROWS[1:]:
+            want = [0] + [(-1) ** k * factorial(n) // factorial(k) * comb(n - 1, k - 1)
+                          for k in range(1, n + 1)]
+            assert seq[n].coeffs == tuple(want), n
+
+    @pytest.mark.parametrize("pair, signed", [(("forward_difference", "backward_difference"), False),
+                                              (("backward_difference", "forward_difference"), True)])
+    def test_lah_connection(self, pair, signed):
+        # [DERIVED] x^(n) = sum_k L(n, k) (x)_k and (x)_n = sum_k (-1)^(n-k) L(n, k) x^(k)
+        n_max = 30
+        g, h = (catalog(name, order=n_max + 2) for name in pair)
+        c = connection_constants(g, h, n_max)
+        for n in range(n_max + 1):
+            want = [(-1) ** (n - k) * lah(n, k) if signed else lah(n, k) for k in range(n + 1)]
+            assert c.row(n) == tuple(want), n
+
+
+# -- coercion and refusals ------------------------------------------------
+
+
+class _RatSub(Rat):
+    """A Fraction subclass: coercion must not keep it."""
+
+
+OTHER_NUMBERS = [3, "3/4", 0.375, Decimal("-1.25"), _RatSub(5, 6)]
+
+
+class TestCoercion:
+    def test_connection_matrix_keeps_fractions(self):
+        rows = [[Rat(1)], [Rat(0), Rat(-2, 3)], [Rat(0), Rat(5, 7), Rat(9)]]
+        m = ConnectionMatrix(rows)
+        for got, given in zip(m.entries, rows):
+            assert all(a is b for a, b in zip(got, given))
+
+    @pytest.mark.parametrize("c", OTHER_NUMBERS)
+    def test_connection_matrix_makes_fractions(self, c):
+        m = ConnectionMatrix([[1], [0, c]])
+        assert type(m.entry(1, 1)) is Rat
+        assert m.entry(1, 1) == Rat(c)
+        assert type(m.entry(0, 0)) is Rat
+
+    def test_basic_sequence_rows_are_plain_fractions(self):
+        op = catalog("abel", {"b": Rat(3, 7)}, order=8)
+        for seq in (generate_transfer(op, 7), conjugate_sequence(op.series, 7)):
+            assert all(type(c) is Rat for n in range(8) for c in seq[n].coeffs)
+        c = connection_constants(op, catalog("laguerre", order=8), 7)
+        assert all(type(v) is Rat for row in c.entries for v in row)
+
+    def _scales(self, monkeypatch, rows):
+        """The coefficients umbral_compose scales p's rows by, in order."""
+        seen, scale = [], Polynomial.scale
+
+        def spy(poly, c):
+            seen.append(c)
+            return scale(poly, c)
+
+        monkeypatch.setattr(Polynomial, "scale", spy)
+        powers = generate_transfer(catalog("derivative"), len(rows))
+        r = umbral_compose(rows, powers)
+        got = [r[n] for n in range(len(rows))]
+        return got, seen
+
+    def test_umbral_rows_keep_fractions(self, monkeypatch):
+        rows = [[Rat(1)], [Rat(0), Rat(-2, 3)], [Rat(0), Rat(5, 7), Rat(9)]]
+        got, seen = self._scales(monkeypatch, rows)
+        assert got == [Polynomial(row) for row in rows]
+        given = [c for row in rows for c in row if c != 0]
+        assert len(seen) == len(given) and all(a is b for a, b in zip(seen, given))
+
+    @pytest.mark.parametrize("c", OTHER_NUMBERS)
+    def test_umbral_rows_make_fractions(self, monkeypatch, c):
+        got, seen = self._scales(monkeypatch, [[1], [0, c]])
+        assert got[1] == Polynomial([0, Rat(c)])
+        assert all(type(v) is Rat for v in seen)
+        assert seen[-1] == Rat(c)
+
+
+class TestAccessorRanges:
+    def _matrix(self):
+        fd = catalog("forward_difference", order=8)
+        return connection_constants(catalog("backward_difference", order=8), fd, 3)
+
+    @pytest.mark.parametrize("n", [-1, -4, 4, 9])
+    def test_row_outside_the_matrix_is_refused(self, n):
+        m = self._matrix()
+        with pytest.raises(PreconditionError, match=rf"n = {n}\b.*size 4"):
+            m.row(n)
+        with pytest.raises(PreconditionError, match=rf"n = {n}\b.*size 4"):
+            m.entry(n, 0)
+
+    def test_entries_off_the_triangle_read_zero(self):
+        m = self._matrix()
+        assert m.entry(3, 3) == 1
+        for k in (-1, 4, 7):
+            assert m.entry(3, k) == 0
+        assert m.entry(0, 1) == 0
+        assert m.row(3) == m.entries[3]
+
+    def test_empty_matrix_refuses_every_row(self):
+        with pytest.raises(PreconditionError, match="size 0"):
+            ConnectionMatrix([]).entry(0, 0)
