@@ -62,8 +62,10 @@ LOG_COMMANDS = (
 # inverse with its f(g(t)) = t certificate; basic sequences, inverses
 # and connection constants at working orders 24 to 40; log outer series
 # at orders 20 to 24; the Pincherle suite, whose operators act on
-# polynomials; and deep basic-sequence rows, connection constants and an
-# expansion in a basis at orders 40 to 48.
+# polynomials; deep basic-sequence rows, connection constants and an
+# expansion in a basis at orders 40 to 48; and an inverse, a basic-sequence
+# row and connection constants at orders 48 to 64 whose units are
+# u0 (1 + rt)^(c/r) or u0 e^(ct): laguerre, abel and the bridge t/(1 - t).
 COMPOSE_COMMANDS = (
     ("expand", "--op", "D^2", "--op2", "exp(D)-1", "--n", "14"),
     ("expand", "--op", "log(1+D)", "--op2", "1-exp(-D)", "--n", "10"),
@@ -83,6 +85,9 @@ COMPOSE_COMMANDS = (
     ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--order", "40", "--n", "38"),
     ("expand", "--op", "shift(a)", "--op2", "exp(D)-1", "--param", "a=19/23", "--order", "40",
      "--n", "38"),
+    ("invert", "--op", "D/(D-1)", "--order", "64", "--n", "62"),
+    ("seq", "--op", "D*exp(b*D)", "--param", "b=17/29", "--order", "64", "--n", "62"),
+    ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--order", "48", "--n", "46"),
 )
 
 # Failing verify reports in every output format, each exiting 4: a numeric
