@@ -35,9 +35,8 @@ from .operators import (
     _under_inverse,
 )
 from .series import (
-    _chain,
     _dense,
-    _unit_powers,
+    _power_triangle,
     compose,
     compositional_inverse,
     exp_series,
@@ -90,14 +89,18 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
     below ``window`` are determined, and row n needs order n + 1.
 
     Row n reads u^k = (g/t)^k at index n - k, k = 1..n; serving rows n <= s,
-    u^k is built on its first s - k + 1 coefficients, ascending from u. A
-    row past s rebuilds the table at least twice as wide.
+    u^k is built on its first s - k + 1 coefficients. A row past s rebuilds
+    the table at least twice as wide.
 
     With ``transfer``, ``source(w)`` gives f and g is its inverse, never
     built: by Lagrange, [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n), so row n is
     Rota's transfer formula p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] u^(-n) x^k
-    for u = f/t, read off u^(-n) on its first n coefficients: u^(-s) in one
-    pass of Miller's recurrence, then descending by u, u^(-k) on its first k.
+    for u = f/t, read off u^(-n) on its first n coefficients.
+
+    The kernel gives the whole triangle of rows in one call,
+    series._power_triangle: each row off its own two-term rule when u
+    solves (1 + rt) u' = cu on the window (abel, laguerre, bridges such as
+    t/(1 + t)), and otherwise a chain of products by u from the first row.
     Either way x^k weighs its read by m!/(m - n + k)!, m = n - transfer: entry
     n - k of numbers._falling(m, range(n)), so no factorial is formed."""
     powers = {}
@@ -109,9 +112,7 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
         if n > len(powers):  # rows 1..s, or -s..-1 with transfer
             s = min(max(n, n_max, 2 * len(powers)), window - 1)
             first = -s if transfer else 1
-            table = _unit_powers(source(s + 1), s, (1, first))
-            rows = _chain(table[first], *table[1], range(s, 0, -1))
-            powers.update(zip(range(first, first + s), rows))
+            powers.update(zip(range(first, first + s), _power_triangle(source(s + 1), s, first)))
         weights = reversed(_falling(n - transfer, range(n)))
         if transfer:  # entry k reads [t^(n-k)] u^(-n), k = 1..n
             num, den = powers[-n]

@@ -28,9 +28,14 @@ product with no more pairs of stored terms than its span is the
 exception: it multiplies term by term, so a sparse exact product costs
 its terms, not its degree; exp of one term c t^j reads c^k/k! at t^(jk).
 Every power of a series is read off the signed power table of g/t^val_g,
-_unit_powers: a first row in one pass of Miller's power recurrence, then a
-_chain of truncated products, each row only as wide as it is read; compose
-adds Brent-Kung, about 2 sqrt(N) products. Known zeros cost nothing there:
+_unit_powers. A unit u that solves (1 + rt) u' = cu on its whole known
+window, u_0 (1 + rt)^(c/r) or u_0 e^(ct) (abel, laguerre, t/(1 + t)), is
+found by one exact check of (m + 1) u_(m+1) = (c - rm) u_m, and each power
+u^k is read off its own two-term rule, O(1) per coefficient
+(_two_term_rule, _rule_row). Any other unit has a first row in one pass of
+Miller's power recurrence, then a _chain of truncated products, each row
+only as wide as it is read; compose adds Brent-Kung, about 2 sqrt(N)
+products. Known zeros cost nothing there:
 the recurrence reads the unit's taps only up to its last nonzero one, and
 a _chain product passes the unit as _mul_trunc's first operand, whose zero
 entries are skipped, so the reciprocal or a power of a polynomial of
@@ -42,7 +47,7 @@ import operator
 from bisect import bisect
 from fractions import Fraction as Rat
 from itertools import islice, repeat
-from math import gcd, isqrt, lcm
+from math import factorial, gcd, isqrt, lcm, prod
 from typing import Mapping
 
 from .errors import PreconditionError
@@ -137,6 +142,44 @@ def _power_row(u, ud, k, w):
             p, pd = [x * s for x in p], pd * s
         p.append(num * (pd // den))
     return p, pd
+
+
+def _two_term_rule(u, ud):
+    """(u_0, cn, rn, L) when the unit u/ud, integer numerators u on its first
+    w >= 1 coefficients, solves (1 + rt) u' = cu on that window, that is
+    (m + 1) u_(m+1) = (c - rm) u_m for m < w - 1, with c = cn/L and r = rn/L
+    over their least common denominator L; otherwise None. The class is
+    u_0 (1 + rt)^(c/r), or u_0 e^(ct) for r = 0. c and r come from u_1 and
+    u_2, and every coefficient of the window is checked by integer
+    cross-multiplication, so a unit outside the class stops at its first
+    mismatch, m = 2 for the forward difference."""
+    w = len(u)
+    c = Rat(u[1], u[0]) if w > 1 else Rat(0)
+    r = c - Rat(2 * u[2], u[1]) if w > 2 and u[1] else Rat(0)
+    den = lcm(c.denominator, r.denominator)
+    cn, rn = c.numerator * (den // c.denominator), r.numerator * (den // r.denominator)
+    for m in range(1, w - 1):
+        if den * (m + 1) * u[m + 1] != (cn - rn * m) * u[m]:
+            return None
+    return Rat(u[0], ud), cn, rn, den
+
+
+def _rule_row(rule, k, w):
+    """(numerators, denominator) of u^k on its first w >= 1 coefficients, for
+    any integer k and a unit u with _two_term_rule ``rule``: u^k solves
+    (1 + rt) p' = kc p, so p_(m+1) = (kc - rm) p_m / (m + 1). The row is built
+    over the one denominator it ends with, den(u_0^k) L^(w-1) (w-1)!, so each
+    coefficient is one product and one exact division by small integers,
+    and then reduced once by _reduce."""
+    u0, cn, rn, den = rule
+    p0 = u0**k
+    scale = den ** (w - 1) * factorial(w - 1)
+    x, kc = p0.numerator * scale, k * cn
+    row = [x]
+    for m in range(w - 1):
+        x = x * (kc - rn * m) // (den * (m + 1))
+        row.append(x)
+    return _reduce(row, p0.denominator * scale)
 
 
 def _dense_mul(x, y, w):
@@ -356,16 +399,27 @@ def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
     return TruncatedSeries({-v + k: Rat(x, rd) for k, x in enumerate(r)}, result_order)
 
 
+def _unit(g: TruncatedSeries, w: int):
+    """(integer numerators, denominator) of u = g/t^val(g) on its first w
+    coefficients, read from g known to order val(g) + w."""
+    return _dense([g.coefficient(g.valuation + e) for e in range(w)])
+
+
 def _unit_powers(g: TruncatedSeries, w: int, ks) -> dict:
     """The kernel's one signed power table: k -> (integer numerators,
     denominator) of u^k for u = g/t^v, v = val(g), on its first w
     coefficients (w + 1 for k = 0), for every k in ks, read from g known to
-    order v + w. Each sign's row nearest zero is one _power_row, or u, or u*u
-    (one squaring is cheaper); the rows past it are a _chain by u or by 1/u."""
-    v = g.valuation
+    order v + w. A unit that solves (1 + rt) u' = cu on the window
+    (_two_term_rule) has each row read off its own two-term rule. For any
+    other unit each sign's row nearest zero is one _power_row, or u, or u*u
+    (one squaring is cheaper), and the rows past it are a _chain by u or by
+    1/u."""
     out = {0: ([1] + [0] * w, 1)}
+    u = _unit(g, w)
+    if w > 0 and (rule := _two_term_rule(*u)):
+        out.update((k, _rule_row(rule, k, w)) for k in ks if k)
+        return out
     pos, neg = [k for k in ks if k > 0], [k for k in ks if k < 0]
-    u = _dense([g.coefficient(v + e) for e in range(w)])
     if pos:
         lo = min(pos) if min(pos) > 2 else 1
         out.update(zip(range(lo, max(pos) + 1),
@@ -376,6 +430,18 @@ def _unit_powers(g: TruncatedSeries, w: int, ks) -> dict:
         step = first if hi == -1 or lo == hi else _power_row(*u, -1, w)  # 1/u
         out.update(zip(range(hi, lo - 1, -1), _chain(first, *step, repeat(w))))
     return out
+
+
+def _power_triangle(g: TruncatedSeries, s: int, first: int) -> list:
+    """Rows first, first + 1, ..., first + s - 1 of the signed power table of
+    u = g/t^val(g), row first + i on its first s - i coefficients. A unit in
+    the two-term class (_two_term_rule) has each row read off its own rule;
+    any other is a _chain by u from row first."""
+    rule = _two_term_rule(*_unit(g, s))
+    if rule:
+        return [_rule_row(rule, first + i, s - i) for i in range(s)]
+    table = _unit_powers(g, s, (1, first))
+    return list(_chain(table[first], *table[1], range(s, 0, -1)))
 
 
 def int_pow(f: TruncatedSeries, n: int, order=None) -> TruncatedSeries:
@@ -517,16 +583,20 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 # m about sqrt(w), r^k = r^i (r^m)^j, so the baby steps r^0..r^m (negative
 # rows of the power table) and the giant steps (r^m)^j cost about 2 sqrt(w)
 # products, and each coefficient is one integer dot product of a baby row
-# with a giant row. Only the output coefficients become Fractions.
+# with a giant row. Only the output coefficients become Fractions. A unit
+# u = f/t in the two-term class (_two_term_rule) needs no baby or giant
+# step: [t^(k-1)] u^(-k) is the product of the k - 1 steps of its own rule,
+# formed without the row below it.
 
 
 def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     """The series g with f(g(t)) = g(f(t)) = t. Requires valuation exactly
     one with a nonzero linear coefficient (a delta series).
 
-    Computed by Lagrange reversion, [t^k] g = [t^(k-1)] (t/f)^k / k. The
-    result is determined on the input's window; exact inputs that are not
-    monomials need an explicit order."""
+    Computed by Lagrange reversion, [t^k] g = [t^(k-1)] (t/f)^k / k, read
+    off the two-term rule of f/t when it has one (abel, laguerre) and by
+    power projection otherwise. The result is determined on the input's
+    window; exact inputs that are not monomials need an explicit order."""
     if f.is_zero or f.valuation != 1:
         raise PreconditionError("not a delta series")
     if f.order == INF and len(f.coeffs) == 1:
@@ -535,6 +605,15 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     w = n_out - 1  # coefficients t^1..t^w
     if w <= 0:
         return zero(n_out)
+    rule = _two_term_rule(*_unit(f, w))
+    if rule:  # [t^(k-1)] u^(-k) = u_0^(-k) prod_(j < k-1) (-kc - rj) / (k-1)!
+        u0, cn, rn, den = rule
+        g = {}
+        for k in range(1, n_out):
+            p0, a = u0**-k, -k * cn
+            num = a ** (k - 1) if rn == 0 else prod(range(a, a - rn * (k - 1), -rn))
+            g[k] = Rat(p0.numerator * num, p0.denominator * den ** (k - 1) * factorial(k - 1) * k)
+        return TruncatedSeries(g, n_out)
     m = isqrt(w - 1) + 1
     baby = _unit_powers(f, w, range(0, -m - 1, -1))
     giant = [baby[0], *islice(_chain(baby[-m], *baby[-m], repeat(w)), w // m)]  # (r^m)^0..(r^m)^(w/m)

@@ -1,5 +1,6 @@
 # Tests for binomial-type sequences: generator agreement, closed forms,
 # Taylor expansion, umbral composition, connection constants.
+import time
 from decimal import Decimal
 from fractions import Fraction as Rat
 from itertools import count, islice
@@ -843,6 +844,38 @@ class TestClosedFormsAtWorkingOrder:
         for n in range(n_max + 1):
             want = [(-1) ** (n - k) * lah(n, k) if signed else lah(n, k) for k in range(n + 1)]
             assert c.row(n) == tuple(want), n
+
+
+class TestClosedFormsAtOrder128:
+    # abel and laguerre have units e^(bt) and -1/(1 - t), whose powers the
+    # kernel reads off a two-term rule; these pin that path at working size
+    def test_abel_inverse(self):
+        # [DERIVED] t e^(bt) inverts to W(bt)/b: [t^k] = (-kb)^(k-1)/k!
+        b = Rat(13, 17)
+        g = compositional_inverse(catalog("abel", {"b": b}, order=128).series)
+        assert g.order == 129  # abel at order N is t e^(bt) known to t^(N+1)
+        for k in range(1, 129):
+            assert g.coefficient(k) == (-k * b) ** (k - 1) / factorial(k), k
+
+    def test_laguerre_is_its_own_inverse(self):
+        # [DERIVED] t/(t - 1) composed with itself is t
+        f = catalog("laguerre", order=128).series
+        assert compositional_inverse(f) == f
+
+    def test_abel_row_126(self):
+        # [PAPER] A_n(x; b) = x (x - nb)^(n-1)
+        b, n = Rat(17, 29), 126
+        seq = generate_transfer(catalog("abel", {"b": b}, order=128), n)
+        assert seq[n].coeffs == tuple([0] + [comb(n - 1, j) * (-n * b) ** (n - 1 - j) for j in range(n)])
+
+    def test_abel_inverse_at_order_200_is_cheap(self):
+        # about 0.02 s on a 2-core x86-64 VM; Miller's recurrence with
+        # baby and giant steps took 1.7-2.2 s there
+        f = catalog("abel", {"b": Rat(13, 17)}, order=200).series
+        start = time.perf_counter()
+        g = compositional_inverse(f)
+        assert time.perf_counter() - start < 0.2
+        assert g.coefficient(199) == (-199 * Rat(13, 17)) ** 198 / factorial(199)
 
 
 # -- coercion and refusals ------------------------------------------------

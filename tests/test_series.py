@@ -451,6 +451,159 @@ class TestPowerRow:
             assert _values(table[k]) == _values(want), k
 
 
+# -- two-term units ------------------------------------------------------
+#
+# A unit with (1 + rt) u' = cu on its window has every power read off its
+# own rule. The oracle is the table every other unit still gets: each
+# sign's first row by _power_row, the rest a _chain by u or by 1/u.
+
+
+def _chain_powers(g, w, ks):
+    """The power table of u = g/t^val(g) on w coefficients by _power_row and
+    _chain alone, for any unit."""
+    u = _dense([g.coefficient(g.valuation + e) for e in range(w)])
+    out = {0: ([1] + [0] * w, 1)}
+    pos, neg = [k for k in ks if k > 0], [k for k in ks if k < 0]
+    if pos:
+        out.update(zip(range(1, max(pos) + 1), _chain(u, *u, repeat(w))))
+    if neg:
+        first = series._power_row(*u, -1, w)
+        out.update(zip(range(-1, min(neg) - 1, -1), _chain(first, *first, repeat(w))))
+    return out
+
+
+def _chain_triangle(g, s, first):
+    """_power_triangle's rows by the oracle table and a _chain by u."""
+    table = _chain_powers(g, s, (1, first))
+    return list(_chain(table[first], *table[1], range(s, 0, -1)))
+
+
+def _two_term_coeffs(u0, c, r, w):
+    """u_0..u_(w-1) of u_0 (1 + rt)^(c/r), or u_0 e^(ct) for r = 0."""
+    out = [u0]
+    for m in range(w - 1):
+        out.append((c - r * m) * out[-1] / (m + 1))
+    return out
+
+
+nonzero_rat = st.builds(Rat, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+
+
+@st.composite
+def two_term_units(draw, max_w=12):
+    """(u_0, c, r, w) of a unit in the class: e^(ct) (r = 0), a binomial
+    with any rational exponent c/r, or a terminating binomial (1 + rt)^j,
+    c = jr for j = 0..w-1; negative values and u_0 other than +-1 included."""
+    w = draw(st.integers(1, max_w))
+    u0, r = draw(nonzero_rat), draw(nonzero_rat)
+    kind = draw(st.sampled_from(("exp", "binomial", "terminating")))
+    if kind == "exp":
+        return u0, draw(small_rat), Rat(0), w
+    if kind == "terminating":
+        return u0, draw(st.integers(0, w - 1)) * r, r, w
+    return u0, draw(small_rat), r, w
+
+
+def _unit_series(coeffs, v=1, order=None):
+    """t^v times the given unit coefficients, known to v + len(coeffs)."""
+    return from_coeffs([0] * v + coeffs, order=v + len(coeffs) if order is None else order)
+
+
+@st.composite
+def near_misses(draw):
+    """A unit that fits the two-term rule on u_0..u_2 and on every
+    coefficient up to j - 1, with u_j off it: (coefficients, j)."""
+    u0, c, r, w = draw(two_term_units(max_w=14).filter(lambda case: case[3] >= 4))
+    coeffs = _two_term_coeffs(u0, c, r, w)
+    j = draw(st.integers(3, w - 1))
+    coeffs[j] += draw(nonzero_rat)
+    return coeffs, j
+
+
+class TestTwoTermRule:
+    @given(two_term_units())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_match_the_chain_at_every_width(self, case):
+        u0, c, r, w = case
+        coeffs = _two_term_coeffs(u0, c, r, w)
+        for width in range(1, w + 1):
+            g = _unit_series(coeffs[:width], v=width % 3)
+            u = _dense(coeffs[:width])
+            rule = series._two_term_rule(*u)
+            assert rule is not None
+            ks = range(-w, w + 1)
+            want = _chain_powers(g, width, ks)
+            assert _unit_powers(g, width, ks) == want
+            for k in ks:
+                if k:  # row 0 of the table is the constant 1, one wider
+                    assert series._rule_row(rule, k, width) == want[k], (k, width)
+                    assert want[k] == series._power_row(*u, k, width)
+
+    @given(near_misses())
+    @settings(max_examples=80, deadline=None)
+    def test_near_misses_take_the_chain(self, case):
+        coeffs, j = case
+        w = len(coeffs)
+        assert series._two_term_rule(*_dense(coeffs)) is None
+        assert series._two_term_rule(*_dense(coeffs[:j])) is not None
+        g = _unit_series(coeffs)
+        ks = range(-w, w + 1)
+        assert _unit_powers(g, w, ks) == _chain_powers(g, w, ks)
+        for first in (1, -w):
+            assert series._power_triangle(g, w, first) == _chain_triangle(g, w, first)
+        assert compositional_inverse(g) == _chain_inverse(g)
+
+    @given(two_term_units().filter(lambda case: case[3] >= 3), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_a_window_fits_only_up_to_its_order(self, case, extra):
+        # an exact polynomial unit that agrees with e^(ct) or a binomial on
+        # its first w >= 3 coefficients, which pin c and r, and stops there:
+        # in the class on w, and on the chain path past it unless the
+        # binomial terminates by then
+        u0, c, r, w = case
+        coeffs = _two_term_coeffs(u0, c, r, w)
+        g = _unit_series(coeffs, order=INF)
+        for width in (w, w + extra):
+            u = _dense([g.coefficient(1 + e) for e in range(width)])
+            fits = _two_term_coeffs(u0, c, r, width)[w:] == [0] * (width - w)
+            assert (series._two_term_rule(*u) is not None) == fits
+            ks = range(-width, width + 1)
+            assert _unit_powers(g, width, ks) == _chain_powers(g, width, ks)
+
+    @given(two_term_units(max_w=24))
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_and_triangles_match_the_chain(self, case):
+        u0, c, r, w = case
+        f = _unit_series(_two_term_coeffs(u0, c, r, w))
+        assert compositional_inverse(f) == _chain_inverse(f)
+        for first in (1, -w):
+            assert series._power_triangle(f, w, first) == _chain_triangle(f, w, first)
+
+    def test_class_units_run_no_recurrence_or_chain(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the two-term path ran the power recurrence or a chain")
+
+        monkeypatch.setattr(series, "_power_row", refuse)
+        monkeypatch.setattr(series, "_chain", refuse)
+        b = Rat(13, 17)
+        for coeffs in (_two_term_coeffs(Rat(1), b, Rat(0), 40),
+                       _two_term_coeffs(Rat(-1), Rat(1), Rat(-1), 40),
+                       _two_term_coeffs(Rat(1), Rat(-1), Rat(1), 40)):
+            f = _unit_series(coeffs)
+            compositional_inverse(f)
+            _unit_powers(f, 40, range(-40, 41))
+            series._power_triangle(f, 40, -40)
+            series._power_triangle(f, 40, 1)
+
+    def test_forward_difference_fails_at_the_third_coefficient(self):
+        # u = (e^t - 1)/t = 1 + t/2 + t^2/6 + ...: c = 1/2, r = -1/6 from
+        # u_1 and u_2, and 3 u_3 = 1/8 against (c - 2r) u_2 = 5/36
+        u = [1 / Rat(factorial(m + 1)) for m in range(64)]
+        assert series._two_term_rule(*_dense(u[:3])) is not None
+        assert series._two_term_rule(*_dense(u[:4])) is None
+        assert series._two_term_rule(*_dense(u)) is None
+
+
 # -- composition ---------------------------------------------------------
 
 class TestCompose:
@@ -873,15 +1026,15 @@ def delta_inputs(draw):
 
 def _chain_inverse(f, order=None):
     """The inverse by Lagrange reversion over every negative row of the
-    power table, [t^k] g = [t^(k-1)] (t/f)^k / k: one full-width product
-    per output coefficient, where the library projects onto baby and giant
-    steps."""
+    chain-built power table, [t^k] g = [t^(k-1)] (t/f)^k / k: one
+    full-width product per output coefficient, where the library projects
+    onto baby and giant steps or reads a two-term rule."""
     if f.is_zero or f.valuation != 1:
         raise PreconditionError("not a delta series")
     if f.order == INF and len(f.coeffs) == 1:
         return monomial(1, 1 / f.coeffs[1])
     n_out = series._out_order(f.order, order, "compositional inverse")
-    powers = series._unit_powers(f, n_out - 1, range(-1, -n_out, -1))
+    powers = _chain_powers(f, n_out - 1, range(-1, -n_out, -1))
     g = {k: Rat(powers[-k][0][k - 1], k * powers[-k][1]) for k in range(1, n_out)}
     return TruncatedSeries(g, n_out)
 
