@@ -100,12 +100,22 @@ FAILING_VERIFY_COMMANDS = (
     ("verify", "--suite", "abel", "--n", "3", "--param", "b=17/29", "--corrupt"),
 )
 
+# Renderer branches the commands above leave unrun: log windows, an
+# expansion and an inverse in latex, and connection constants in plain text.
+RENDER_COMMANDS = (
+    ("logseq", "--op", "exp(D)-1", "--range=-2..1", "--depth", "4", "--format", "latex"),
+    ("expand", "--op", "shift(a)", "--op2", "exp(D)-1", "--param", "a=3", "--n", "4",
+     "--format", "latex"),
+    ("invert", "--op", "D*exp(D)", "--n", "5", "--format", "latex"),
+    ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--n", "4", "--format", "plain"),
+)
+
 # README_COMMANDS already holds "verify --suite golden"; keep the first copy.
 COMMANDS = tuple(dict.fromkeys(README_COMMANDS + tuple(
     ("verify", "--suite", name, *flag)
     for name in SUITE_NAMES
     for flag in ((), ("--corrupt",))
-) + LOG_COMMANDS + COMPOSE_COMMANDS + FAILING_VERIFY_COMMANDS))
+) + LOG_COMMANDS + COMPOSE_COMMANDS + FAILING_VERIFY_COMMANDS + RENDER_COMMANDS))
 
 
 def run(argv):

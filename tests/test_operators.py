@@ -148,6 +148,19 @@ class TestApply:
             apply_to_polynomial(catalog("forward_difference", order=3), Polynomial.x_power(5))
         assert (info.value.needed, info.value.available) == (6, 3)
 
+    def test_integer_powers_are_repeated_products(self):
+        # [TRIVIAL] T^3 = T*T*T and T^-2 = (1/T)*(1/T); for the shift E^a,
+        # T^-2 is E^(-2a)
+        p = Polynomial([2, 0, -1, 0, 1])
+        shift = catalog("shift", {"a": Rat(1, 2)}, order=10)
+        for T in (shift, ShiftInvariantOperator(from_coeffs([3, -1, Rat(2, 5), 0, 7], order=9))):
+            inv = ShiftInvariantOperator(reciprocal(T.series))
+            assert (T**3).series == (T * T * T).series
+            assert (T**-2).series == (inv * inv).series
+            assert (T**3)(p) == T(T(T(p)))
+            assert (T**-2)(T(T(p))) == p
+        assert (shift**-2)(p) == p.shift(-1)
+
     def test_negative_powers_rejected(self):
         s = monomial(-1)
         with pytest.raises(PreconditionError, match="negative powers of D"):
