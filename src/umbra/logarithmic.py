@@ -249,21 +249,14 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
         raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
     fs = _known_to(_delta_series(f), depth + 1, depth)
     if n:
-        row, rd = _unit_powers(fs, depth, (-n,))[-n]
+        row, rd = _unit_powers(fs, {-n: depth})[-n]
         row, rd = [(n - k) * x for k, x in enumerate(row)], n * rd
     else:
-        row, rd = _unit_powers(fs, depth, (-1,))[-1]
+        row, rd = _unit_powers(fs, {-1: depth})[-1]
         fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
         row, rd = _mul_trunc(fprime, row, depth), fd * rd
     window = {k - n: Rat(r * x, rd) for k, (r, x) in enumerate(zip(_falling(n, range(depth)), row))}
     return _window(TruncatedSeries(window, depth - n), 1)
-
-
-def residual_term(f, depth: int = 12) -> HarmonicLogSeries:
-    """The degree -1 term of the logarithmic basic sequence: the image of
-    1/x under f'(D). Its augmentation-like residues drive the Newton
-    expansions of Laurent tails."""
-    return log_sequence(f, -1, depth)
 
 
 class LogBinomialSequence:
@@ -282,10 +275,6 @@ class LogBinomialSequence:
         if n not in self._terms:
             self._terms[n] = log_sequence(self.operator, n, self.depth)
         return self._terms[n]
-
-    @property
-    def residual(self) -> HarmonicLogSeries:
-        return self[-1]
 
     def __repr__(self):
         op = getattr(self.operator, "name", None) or "?"
@@ -309,10 +298,10 @@ def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:
     and refused otherwise."""
     if depth < 1:
         raise PreconditionError(f"log_conjugate_sequence needs depth >= 1, got {depth}")
-    lo = n - depth + 1
-    w = depth - (lo == 0)  # u is read on its first w coefficients
-    gs = _known_to(_delta_series(g), w + 1, depth)
-    powers = _unit_powers(gs, w, range(n, lo - 1, -1))
+    # row n - j is read on its first j + 1 coefficients; when the widest,
+    # j = depth - 1, is row 0 = 1, u is read on depth - 1 only
+    gs = _known_to(_delta_series(g), depth + (n != depth - 1), depth)
+    powers = _unit_powers(gs, {n - j: j + 1 for j in range(depth)})
     window = {j - n: Rat(r * powers[n - j][0][j], powers[n - j][1])
               for j, r in enumerate(_falling(n, range(depth)))}
     return _window(TruncatedSeries(window, depth - n), 1)
@@ -337,7 +326,8 @@ def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
         raise PreconditionError(f"truncation too small for exact action: depth {depth} "
                                 f"needs the window down to degree {lo}, given floor {s.floor}")
     ks = range(top, lo - 1, -1)
-    powers = _unit_powers(catalog("forward_difference", order=depth + 1).series, depth, ks)
+    powers = _unit_powers(catalog("forward_difference", order=depth + 1).series,
+                          {k: top - k + 1 for k in ks})
     # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]
     falling = _falling(top, range(depth))
     weighted = [(j, c / falling[top - j]) for j, c in s.coeffs.items() if j >= lo]

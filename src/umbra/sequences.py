@@ -36,7 +36,7 @@ from .operators import (
 )
 from .series import (
     _dense,
-    _power_triangle,
+    _unit_powers,
     compose,
     compositional_inverse,
     exp_series,
@@ -71,7 +71,7 @@ class BinomialSequence:
         if n < 0:
             raise PreconditionError("binomial sequences are indexed by n >= 0")
         while len(self._polys) <= n:
-            self._polys.append(self._step(len(self._polys), self._polys))
+            self._polys.append(self._step(len(self._polys)))
         return self._polys[n]
 
     def terms(self, n_max: int) -> list:
@@ -97,22 +97,23 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
     Rota's transfer formula p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] u^(-n) x^k
     for u = f/t, read off u^(-n) on its first n coefficients.
 
-    The kernel gives the whole triangle of rows in one call,
-    series._power_triangle: each row off its own two-term rule when u
-    solves (1 + rt) u' = cu on the window (abel, laguerre, bridges such as
-    t/(1 + t)), and otherwise a chain of products by u from the first row.
+    The kernel's power table gives the whole triangle of rows in one call,
+    series._unit_powers with each row's width: each row off its own
+    two-term rule when u solves (1 + rt) u' = cu on the window (abel,
+    laguerre, bridges such as t/(1 + t)), and otherwise a chain of products
+    by u from the lowest row.
     Either way x^k weighs its read by m!/(m - n + k)!, m = n - transfer: entry
     n - k of numbers._falling(m, range(n)), so no factorial is formed."""
     powers = {}
 
-    def step(n, _polys):
+    def step(n):
         if n == 0:
             return Polynomial([1])
         require_order(f"truncation too small for exact action: row {n}", n + 1, window)
         if n > len(powers):  # rows 1..s, or -s..-1 with transfer
             s = min(max(n, n_max, 2 * len(powers)), window - 1)
             first = -s if transfer else 1
-            powers.update(zip(range(first, first + s), _power_triangle(source(s + 1), s, first)))
+            powers.update(_unit_powers(source(s + 1), {first + i: s - i for i in range(s)}))
         weights = reversed(_falling(n - transfer, range(n)))
         if transfer:  # entry k reads [t^(n-k)] u^(-n), k = 1..n
             num, den = powers[-n]
@@ -249,7 +250,7 @@ def umbral_compose(q, p: BinomialSequence) -> BinomialSequence:
             raise PreconditionError("umbral composition beyond supplied rows")
         return rows[n]
 
-    def step(n, _polys):
+    def step(n):
         acc = Polynomial()
         for k, c in enumerate(row_of(n)):
             if c != 0:

@@ -28,14 +28,16 @@ product with no more pairs of stored terms than its span is the
 exception: it multiplies term by term, so a sparse exact product costs
 its terms, not its degree; exp of one term c t^j reads c^k/k! at t^(jk).
 Every power of a series is read off the signed power table of g/t^val_g,
-_unit_powers. A unit u that solves (1 + rt) u' = cu on its whole known
-window, u_0 (1 + rt)^(c/r) or u_0 e^(ct) (abel, laguerre, t/(1 + t)), is
-found by one exact check of (m + 1) u_(m+1) = (c - rm) u_m, and each power
-u^k is read off its own two-term rule, O(1) per coefficient
-(_two_term_rule, _rule_row). Any other unit has a first row in one pass of
-Miller's power recurrence, then a _chain of truncated products, each row
-only as wide as it is read; compose adds Brent-Kung, about 2 sqrt(N)
-products. Known zeros cost nothing there:
+_unit_powers, whose caller names each row it reads and that row's width.
+A unit u that solves (1 + rt) u' = cu on its whole known window,
+u_0 (1 + rt)^(c/r) or u_0 e^(ct) (abel, laguerre, t/(1 + t)), is found by
+one exact check of (m + 1) u_(m+1) = (c - rm) u_m, and each power u^k is
+read off its own two-term rule, O(1) per coefficient (_two_term_rule,
+_rule_row). Any other unit has, on each side of zero, its lowest row in
+one pass of Miller's power recurrence and every row above it one
+truncated product by u (_chain), each only as wide as the rows read at or
+above it; compose adds Brent-Kung, and the inverse power projection,
+about 2 sqrt(N) products each. Known zeros cost nothing there:
 the recurrence reads the unit's taps only up to its last nonzero one, and
 a _chain product passes the unit as _mul_trunc's first operand, whose zero
 entries are skipped, so the reciprocal or a power of a polynomial of
@@ -46,7 +48,7 @@ from __future__ import annotations
 import operator
 from bisect import bisect
 from fractions import Fraction as Rat
-from itertools import islice, repeat
+from itertools import accumulate, islice, repeat
 from math import factorial, gcd, isqrt, lcm, prod
 from typing import Mapping
 
@@ -405,43 +407,32 @@ def _unit(g: TruncatedSeries, w: int):
     return _dense([g.coefficient(g.valuation + e) for e in range(w)])
 
 
-def _unit_powers(g: TruncatedSeries, w: int, ks) -> dict:
+def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
     """The kernel's one signed power table: k -> (integer numerators,
-    denominator) of u^k for u = g/t^v, v = val(g), on its first w
-    coefficients (w + 1 for k = 0), for every k in ks, read from g known to
-    order v + w. A unit that solves (1 + rt) u' = cu on the window
-    (_two_term_rule) has each row read off its own two-term rule. For any
-    other unit each sign's row nearest zero is one _power_row, or u, or u*u
-    (one squaring is cheaper), and the rows past it are a _chain by u or by
-    1/u."""
-    out = {0: ([1] + [0] * w, 1)}
-    u = _unit(g, w)
-    if w > 0 and (rule := _two_term_rule(*u)):
-        out.update((k, _rule_row(rule, k, w)) for k in ks if k)
+    denominator) of u^k for u = g/t^val(g), for each row k of ``widths`` on
+    at least its first widths[k] >= 1 coefficients; row 0 is the constant 1.
+    u is read on the widest other row. A unit that solves (1 + rt) u' = cu
+    on that window (_two_term_rule) has each row read off its own two-term
+    rule at its own width. Any other unit has, on each side of zero, its
+    lowest row from one _power_row, or u (row 2 is u*u, one squaring), and
+    every row above it from one _chain product by u, as wide as the widest
+    row asked for at or above it."""
+    out = {k: ([1] + [0] * (w - 1), 1) for k, w in widths.items() if not k}
+    if len(out) == len(widths):
         return out
-    pos, neg = [k for k in ks if k > 0], [k for k in ks if k < 0]
-    if pos:
-        lo = min(pos) if min(pos) > 2 else 1
-        out.update(zip(range(lo, max(pos) + 1),
-                       _chain(u if lo == 1 else _power_row(*u, lo, w), *u, repeat(w))))
-    if neg:
-        hi, lo = max(neg), min(neg)
-        first = _power_row(*u, hi, w)
-        step = first if hi == -1 or lo == hi else _power_row(*u, -1, w)  # 1/u
-        out.update(zip(range(hi, lo - 1, -1), _chain(first, *step, repeat(w))))
+    u = _unit(g, max(w for k, w in widths.items() if k))
+    if rule := _two_term_rule(*u):
+        out.update((k, _rule_row(rule, k, w)) for k, w in widths.items() if k)
+        return out
+    for side in ([k for k in widths if k < 0], [k for k in widths if k > 0]):
+        if side:
+            lo, hi = min(side), max(side)
+            lo = 1 if 0 < lo <= 2 else lo
+            run = list(accumulate((widths.get(k, 0) for k in range(hi, lo - 1, -1)), max))[::-1]
+            first = _reduce(u[0][: run[0]], u[1]) if lo == 1 else _power_row(*u, lo, run[0])
+            out.update((k, row) for k, row in zip(range(lo, hi + 1), _chain(first, *u, run))
+                       if k in widths)
     return out
-
-
-def _power_triangle(g: TruncatedSeries, s: int, first: int) -> list:
-    """Rows first, first + 1, ..., first + s - 1 of the signed power table of
-    u = g/t^val(g), row first + i on its first s - i coefficients. A unit in
-    the two-term class (_two_term_rule) has each row read off its own rule;
-    any other is a _chain by u from row first."""
-    rule = _two_term_rule(*_unit(g, s))
-    if rule:
-        return [_rule_row(rule, first + i, s - i) for i in range(s)]
-    table = _unit_powers(g, s, (1, first))
-    return list(_chain(table[first], *table[1], range(s, 0, -1)))
 
 
 def int_pow(f: TruncatedSeries, n: int, order=None) -> TruncatedSeries:
@@ -518,8 +509,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
     p, m = min((e for e in kept if e > 0), default=0), isqrt(max(kept[-1], 0)) + 1
     fast = p and m - 1 + kept[-1] // m < min(p - 1, 1) + kept[-1] - p
     rows = [e for e in kept if e < 0 or not fast]
-    # row e is read on exponents [ev, top); row 0 is the constant 1
-    table = _unit_powers(g, top - min((at[e] for e in rows if e), default=top), rows)
+    table = _unit_powers(g, {e: top - at[e] for e in rows})  # row e is read on [ev, top)
     terms = [(at[e], f.coeffs[e], table[e]) for e in rows]
     if fast:
         terms.append((0, Rat(1), _brent_kung({e: f.coeffs[e] for e in kept if e >= 0}, g, m, top)))
@@ -580,13 +570,13 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 #
 # Lagrange reversion by power projection (Brent-Kung, J. ACM 25(4), 1978):
 # with r = t/f, [t^k] g = [t^(k-1)] r^k / k. Writing k = jm + i with
-# m about sqrt(w), r^k = r^i (r^m)^j, so the baby steps r^0..r^m (negative
-# rows of the power table) and the giant steps (r^m)^j cost about 2 sqrt(w)
-# products, and each coefficient is one integer dot product of a baby row
-# with a giant row. Only the output coefficients become Fractions. A unit
-# u = f/t in the two-term class (_two_term_rule) needs no baby or giant
-# step: [t^(k-1)] u^(-k) is the product of the k - 1 steps of its own rule,
-# formed without the row below it.
+# m about sqrt(w), r^k = r^i (r^m)^j, so the baby steps r^0..r^m (a _chain
+# by r = 1/u from one _power_row) and the giant steps (r^m)^j cost about
+# 2 sqrt(w) products, and each coefficient is one integer dot product of a
+# baby row with a giant row. Only the output coefficients become Fractions.
+# A unit u = f/t in the two-term class (_two_term_rule) needs no baby or
+# giant step: [t^(k-1)] u^(-k) is the product of the k - 1 steps of its own
+# rule, formed without the row below it.
 
 
 def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
@@ -605,7 +595,8 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     w = n_out - 1  # coefficients t^1..t^w
     if w <= 0:
         return zero(n_out)
-    rule = _two_term_rule(*_unit(f, w))
+    u = _unit(f, w)
+    rule = _two_term_rule(*u)
     if rule:  # [t^(k-1)] u^(-k) = u_0^(-k) prod_(j < k-1) (-kc - rj) / (k-1)!
         u0, cn, rn, den = rule
         g = {}
@@ -615,11 +606,13 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
             g[k] = Rat(p0.numerator * num, p0.denominator * den ** (k - 1) * factorial(k - 1) * k)
         return TruncatedSeries(g, n_out)
     m = isqrt(w - 1) + 1
-    baby = _unit_powers(f, w, range(0, -m - 1, -1))
-    giant = [baby[0], *islice(_chain(baby[-m], *baby[-m], repeat(w)), w // m)]  # (r^m)^0..(r^m)^(w/m)
+    r = _power_row(*u, -1, w)
+    # r^0..r^m, row 0 as wide as the rest: the dot product reads reversed(b[:k])
+    baby = [([1] + [0] * (w - 1), 1), *islice(_chain(r, *r, repeat(w)), m)]
+    giant = [baby[0], *islice(_chain(baby[m], *baby[m], repeat(w)), w // m)]  # (r^m)^0..(r^m)^(w/m)
     g = {}
     for k in range(1, n_out):
         j, i = divmod(k, m)
-        (a, ad), (b, bd) = baby[-i], giant[j]
+        (a, ad), (b, bd) = baby[i], giant[j]
         g[k] = Rat(sum(map(operator.mul, a[:k], reversed(b[:k]))), k * ad * bd)
     return TruncatedSeries(g, n_out)

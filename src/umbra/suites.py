@@ -77,7 +77,7 @@ def run_suite(
 def _corrupted_sequence(seq, degree: int):
     """A copy of seq with a constant slipped into the given degree."""
 
-    def step(n, _polys):
+    def step(n):
         p = seq[n]
         return p + Polynomial([1]) if n == degree else p
 

@@ -29,7 +29,6 @@ from umbra.logarithmic import (
     log_sequence,
     monomial_expansion,
     newton_expand,
-    residual_term,
     roman_shift,
     skip,
     tail_bound,
@@ -371,7 +370,7 @@ class TestLogSequences:
 
     def test_residual_forward_difference_is_geometric(self):
         # [DERIVED] (x)_(-1) = 1/(x + 1) = sum (-1)^k x^(-1-k)
-        s = residual_term(catalog("forward_difference", order=20), depth=10)
+        s = log_sequence(catalog("forward_difference", order=20), -1, depth=10)
         for k in range(0, 10):
             assert s.coefficient(-1 - k) == (-1) ** k
 
@@ -379,7 +378,7 @@ class TestLogSequences:
         # [DERIVED] the backward-difference residual is E^(-1) x^(-1)
         # = 1/(x - 1) = sum x^(-1-k)
         bd = catalog("backward_difference", order=20)
-        s = residual_term(bd, depth=10)
+        s = log_sequence(bd, -1, depth=10)
         for k in range(0, 10):
             assert s.coefficient(-1 - k) == 1
 
@@ -428,7 +427,6 @@ class TestLogSequences:
         seq = LogBinomialSequence(catalog("forward_difference", order=20), depth=6)
         a = seq[2]
         assert seq[2] is a
-        assert seq.residual is seq[-1]
 
     def test_non_delta_rejected(self):
         with pytest.raises(PreconditionError, match="not a delta series"):
@@ -586,7 +584,7 @@ class TestNumericBoundary:
     def test_residual_value_within_tail_bound(self):
         # (x)_(-1) = 1/(x+1): the window evaluation at x = 10 differs from
         # 1/11 by less than the reported geometric tail bound
-        s = residual_term(catalog("forward_difference", order=24), depth=12)
+        s = log_sequence(catalog("forward_difference", order=24), -1, depth=12)
         x = Rat(10)
         v = evaluate_numeric(s, x, 25)
         truth = Decimal(1) / Decimal(11)
@@ -647,7 +645,7 @@ def _fprime_read(f, n, depth):
     """log_sequence as it read every degree before the one-row read: f'
     times row -(n+1) of the power table of f/t, in one integer product."""
     fs = logarithmic._known_to(f, depth + 1, depth)
-    row, rd = series._unit_powers(fs, depth, (-n - 1,))[-n - 1]
+    row, rd = series._unit_powers(fs, {-n - 1: depth})[-n - 1]
     fprime, fd = series._dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
     transfer = series._mul_trunc(fprime, row, depth)
     window = {k - n: Rat(r * x, fd * rd)

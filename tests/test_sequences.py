@@ -102,7 +102,7 @@ def _fraction_grid(s, n):
 def _corrupt(seq, degree, c):
     """A copy of seq with the constant c added to its degree-th term."""
 
-    def step(n, _polys):
+    def step(n):
         return seq[n] + Polynomial([c]) if n == degree else seq[n]
 
     return BinomialSequence(seq.operator, "corrupted", step)
@@ -407,7 +407,7 @@ class TestBinomialIdentity:
         # concrete witness
         good = generate_transfer(catalog("forward_difference", order=16), 4)
 
-        def step(n, _polys):
+        def step(n):
             p = good[n]
             return p + Polynomial([1]) if n == 2 else p
 
@@ -426,7 +426,7 @@ class TestBinomialIdentity:
     def test_degree_zero_checks_one_point(self):
         seq = generate_transfer(catalog("forward_difference", order=16), 0)
         assert verify_binomial_identity(seq, 0) == (True, None)
-        bad = BinomialSequence(None, "corrupted", lambda n, _polys: Polynomial([2]))
+        bad = BinomialSequence(None, "corrupted", lambda n: Polynomial([2]))
         ok, witness = verify_binomial_identity(bad, 0)
         assert not ok
         assert witness == {"n": 0, "x": 0, "a": 0, "lhs": 2, "rhs": 4}

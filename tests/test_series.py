@@ -441,28 +441,28 @@ class TestPowerRow:
     @settings(max_examples=60, deadline=None)
     def test_table_rows_match_squaring(self, g, ks):
         # the signed table's routing: u and u*u near zero, a recurrence for
-        # each sign's first row, chains by u and 1/u above it
+        # each sign's lowest row, a chain by u above it
         assume(g.valuation < g.order and g.coefficient(g.valuation) != 0)
         w = g.order - g.valuation
         u = _dense([g.coefficient(g.valuation + e) for e in range(w)])
-        table = _unit_powers(g, w, ks)
+        table = _unit_powers(g, dict.fromkeys(ks, w))
         for k in ks:
-            want = ([1] + [0] * w, 1) if k == 0 else _squared_row(*u, k, w)
-            assert _values(table[k]) == _values(want), k
+            assert _values(table[k]) == _values(_squared_row(*u, k, w)), k
 
 
 # -- two-term units ------------------------------------------------------
 #
 # A unit with (1 + rt) u' = cu on its window has every power read off its
-# own rule. The oracle is the table every other unit still gets: each
-# sign's first row by _power_row, the rest a _chain by u or by 1/u.
+# own rule. The oracle builds the table another way for any unit: rows 1
+# and -1 by _dense and _power_row, and every other row by a _chain away
+# from zero, by u or by 1/u, all on one width.
 
 
 def _chain_powers(g, w, ks):
     """The power table of u = g/t^val(g) on w coefficients by _power_row and
     _chain alone, for any unit."""
     u = _dense([g.coefficient(g.valuation + e) for e in range(w)])
-    out = {0: ([1] + [0] * w, 1)}
+    out = {0: ([1] + [0] * (w - 1), 1)}
     pos, neg = [k for k in ks if k > 0], [k for k in ks if k < 0]
     if pos:
         out.update(zip(range(1, max(pos) + 1), _chain(u, *u, repeat(w))))
@@ -472,10 +472,16 @@ def _chain_powers(g, w, ks):
     return out
 
 
+def _triangle(s, first):
+    """Rows first..first + s - 1, row first + i read on s - i coefficients:
+    the widths a basic-sequence or conjugate row asks of the table."""
+    return {first + i: s - i for i in range(s)}
+
+
 def _chain_triangle(g, s, first):
-    """_power_triangle's rows by the oracle table and a _chain by u."""
+    """The rows of _triangle(s, first) by the oracle table and a _chain by u."""
     table = _chain_powers(g, s, (1, first))
-    return list(_chain(table[first], *table[1], range(s, 0, -1)))
+    return dict(zip(range(first, first + s), _chain(table[first], *table[1], range(s, 0, -1))))
 
 
 def _two_term_coeffs(u0, c, r, w):
@@ -520,7 +526,43 @@ def near_misses(draw):
     return coeffs, j
 
 
+@st.composite
+def table_requests(draw):
+    """(g, widths): g = t^v u for u in the two-term class, a near miss or
+    any other unit, and per-row widths on both sides of zero and at row 0,
+    with gaps between the rows asked for and widths that rise and fall."""
+    kind = draw(st.sampled_from(("class", "near miss", "other")))
+    if kind == "class":
+        u0, c, r, w = draw(two_term_units(max_w=14))
+        coeffs = _two_term_coeffs(u0, c, r, w)
+    elif kind == "near miss":
+        coeffs, _ = draw(near_misses())
+    else:
+        coeffs = [draw(nonzero_rat), *draw(st.lists(small_rat, max_size=13))]
+    rows = draw(st.sets(st.integers(-12, 12), min_size=1, max_size=8))
+    return _unit_series(coeffs, v=draw(st.integers(1, 3))), {
+        k: draw(st.integers(1, len(coeffs))) for k in sorted(rows)}
+
+
+def _sign(k):
+    return (k > 0) - (k < 0)
+
+
 class TestTwoTermRule:
+    @given(table_requests())
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_the_oracle_cut_to_their_widths(self, case):
+        # each row is at least as wide as asked, and no wider than the
+        # widest row asked for at or above it on its side of zero
+        g, widths = case
+        table = _unit_powers(g, widths)
+        assert table.keys() == widths.keys()
+        want = _chain_powers(g, max(widths.values()), widths)
+        for k, w in widths.items():
+            reach = max(widths[j] for j in widths if j >= k and _sign(j) == _sign(k))
+            assert w <= len(table[k][0]) <= reach, (k, widths)
+            assert _values(table[k])[:w] == _values(want[k])[:w], (k, widths)
+
     @given(two_term_units())
     @settings(max_examples=80, deadline=None)
     def test_rows_match_the_chain_at_every_width(self, case):
@@ -533,9 +575,9 @@ class TestTwoTermRule:
             assert rule is not None
             ks = range(-w, w + 1)
             want = _chain_powers(g, width, ks)
-            assert _unit_powers(g, width, ks) == want
+            assert _unit_powers(g, dict.fromkeys(ks, width)) == want
             for k in ks:
-                if k:  # row 0 of the table is the constant 1, one wider
+                if k:  # row 0 of the table is the constant 1
                     assert series._rule_row(rule, k, width) == want[k], (k, width)
                     assert want[k] == series._power_row(*u, k, width)
 
@@ -548,9 +590,9 @@ class TestTwoTermRule:
         assert series._two_term_rule(*_dense(coeffs[:j])) is not None
         g = _unit_series(coeffs)
         ks = range(-w, w + 1)
-        assert _unit_powers(g, w, ks) == _chain_powers(g, w, ks)
+        assert _unit_powers(g, dict.fromkeys(ks, w)) == _chain_powers(g, w, ks)
         for first in (1, -w):
-            assert series._power_triangle(g, w, first) == _chain_triangle(g, w, first)
+            assert _unit_powers(g, _triangle(w, first)) == _chain_triangle(g, w, first)
         assert compositional_inverse(g) == _chain_inverse(g)
 
     @given(two_term_units().filter(lambda case: case[3] >= 3), st.integers(1, 4))
@@ -568,7 +610,7 @@ class TestTwoTermRule:
             fits = _two_term_coeffs(u0, c, r, width)[w:] == [0] * (width - w)
             assert (series._two_term_rule(*u) is not None) == fits
             ks = range(-width, width + 1)
-            assert _unit_powers(g, width, ks) == _chain_powers(g, width, ks)
+            assert _unit_powers(g, dict.fromkeys(ks, width)) == _chain_powers(g, width, ks)
 
     @given(two_term_units(max_w=24))
     @settings(max_examples=60, deadline=None)
@@ -577,7 +619,7 @@ class TestTwoTermRule:
         f = _unit_series(_two_term_coeffs(u0, c, r, w))
         assert compositional_inverse(f) == _chain_inverse(f)
         for first in (1, -w):
-            assert series._power_triangle(f, w, first) == _chain_triangle(f, w, first)
+            assert _unit_powers(f, _triangle(w, first)) == _chain_triangle(f, w, first)
 
     def test_class_units_run_no_recurrence_or_chain(self, monkeypatch):
         def refuse(*args):
@@ -591,9 +633,9 @@ class TestTwoTermRule:
                        _two_term_coeffs(Rat(1), Rat(-1), Rat(1), 40)):
             f = _unit_series(coeffs)
             compositional_inverse(f)
-            _unit_powers(f, 40, range(-40, 41))
-            series._power_triangle(f, 40, -40)
-            series._power_triangle(f, 40, 1)
+            _unit_powers(f, dict.fromkeys(range(-40, 41), 40))
+            _unit_powers(f, _triangle(40, -40))
+            _unit_powers(f, _triangle(40, 1))
 
     def test_forward_difference_fails_at_the_third_coefficient(self):
         # u = (e^t - 1)/t = 1 + t/2 + t^2/6 + ...: c = 1/2, r = -1/6 from
@@ -861,7 +903,7 @@ def _table_compose(f, g, order=None):
         return zero(window)
     lo = at[kept[0]]
     top = window if window != INF else kept[-1] * max(g.coeffs, default=0) + 1
-    table = _unit_powers(g, top - min((at[e] for e in kept if e), default=top), kept)
+    table = _unit_powers(g, dict.fromkeys(kept, top - min((at[e] for e in kept if e), default=top)))
     weights, den = _dense([f.coeffs[e] / table[e][1] for e in kept])
     out = [0] * (top - lo)
     for e, x in zip(kept, weights):
