@@ -101,13 +101,27 @@ FAILING_VERIFY_COMMANDS = (
 )
 
 # Renderer branches the commands above leave unrun: log windows, an
-# expansion and an inverse in latex, and connection constants in plain text.
+# expansion and an inverse in latex, and connection constants in plain text;
+# then every (command, format) pair no other command runs: a basic sequence
+# and an expansion in csv and plain, an inverse in csv, connection constants
+# in csv and latex, and a numeric evaluation in csv and latex.
 RENDER_COMMANDS = (
     ("logseq", "--op", "exp(D)-1", "--range=-2..1", "--depth", "4", "--format", "latex"),
     ("expand", "--op", "shift(a)", "--op2", "exp(D)-1", "--param", "a=3", "--n", "4",
      "--format", "latex"),
     ("invert", "--op", "D*exp(D)", "--n", "5", "--format", "latex"),
     ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--n", "4", "--format", "plain"),
+    ("seq", "--op", "exp(D)-1", "--range", "0..4", "--format", "csv"),
+    ("seq", "--op", "exp(D)-1", "--range", "0..4", "--format", "plain"),
+    ("expand", "--op", "shift(a)", "--op2", "exp(D)-1", "--param", "a=3", "--n", "4",
+     "--format", "csv"),
+    ("expand", "--op", "shift(a)", "--op2", "exp(D)-1", "--param", "a=3", "--n", "4",
+     "--format", "plain"),
+    ("invert", "--op", "D*exp(D)", "--n", "5", "--format", "csv"),
+    ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--n", "4", "--format", "csv"),
+    ("connect", "--op", "1-exp(-D)", "--op2", "exp(D)-1", "--n", "4", "--format", "latex"),
+    ("eval", "--op", "exp(D)-1", "--n", "0", "--x0", "10", "--prec", "25", "--format", "csv"),
+    ("eval", "--op", "exp(D)-1", "--n", "0", "--x0", "10", "--prec", "25", "--format", "latex"),
 )
 
 # README_COMMANDS already holds "verify --suite golden"; keep the first copy.
