@@ -27,7 +27,7 @@ from fractions import Fraction as Rat
 
 from .errors import ParseError, PreconditionError, UmbraError, VerificationFailure
 from .logarithmic import evaluate_numeric, log_sequence, tail_bound
-from .operators import DeltaOperator, Polynomial, expand_in_basis, lagrange_inversion
+from .operators import DeltaOperator, expand_in_basis, lagrange_inversion
 from .parsing import elaborate, parse_operator, pretty, truncate_exact
 from .sequences import connection_constants, generate_transfer
 from .series import TruncatedSeries, compose, monomial
@@ -151,12 +151,41 @@ def _parse_range(args, fallback) -> range:
 # -- value rendering ------------------------------------------------------
 
 
-def _rat_latex(q: Rat) -> str:
-    q = Rat(q)
+def _text(value) -> str:
+    """The one way a flat value becomes text: an exact value by str, a dict
+    as the sorted JSON of its _jsonable form. A value whose decimal digits
+    pass the interpreter's int-to-str limit is refused, not crashed on."""
+    if isinstance(value, dict):
+        return json.dumps(_jsonable(value), sort_keys=True)
+    try:
+        return str(value)
+    except ValueError as err:  # only past the limit, so the interpreter has one
+        n = max(abs(value.numerator), value.denominator)
+        digits = int((n.bit_length() - 1) * 0.30102999566398) + 1
+        digits += n >= 10**digits
+        raise PreconditionError(
+            f"a value needs {digits} decimal digits, past the interpreter's limit of "
+            f"{sys.get_int_max_str_digits()} digits for printing an integer"
+        ) from err
+
+
+def _jsonable(value):
+    if isinstance(value, dict):
+        return {_text(k): _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if isinstance(value, (Rat, Decimal)):
+        return _text(value)
+    if value is None or isinstance(value, (bool, int, str)):
+        return value
+    return repr(value)
+
+
+def _rat_latex(q) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    sign = "-" if q.numerator < 0 else ""
-    return f"{sign}\\frac{{{abs(q.numerator)}}}{{{q.denominator}}}"
+        return _text(q.numerator)
+    sign = "-" if q < 0 else ""
+    return f"{sign}\\frac{{{_text(abs(q.numerator))}}}{{{_text(q.denominator)}}}"
 
 
 _LATEX_ESCAPES = str.maketrans({"\\": r"\textbackslash{}", "^": r"\textasciicircum{}",
@@ -164,37 +193,18 @@ _LATEX_ESCAPES = str.maketrans({"\\": r"\textbackslash{}", "^": r"\textasciicirc
 
 
 def _latex_text(value) -> str:
-    """A key or value as LaTeX text, special characters escaped; a dict as
-    the sorted JSON the other formats print."""
-    if isinstance(value, dict):
-        value = json.dumps(value, sort_keys=True)
-    return str(value).translate(_LATEX_ESCAPES)
-
-
-def _jsonable(value):
-    if isinstance(value, (Rat, Decimal)):
-        return str(value)
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if value is None or isinstance(value, (bool, int, str)):
-        return value
-    return repr(value)
-
-
-def _poly_coeffs(p: Polynomial) -> dict:
-    return {str(d): str(c) for d, c in enumerate(p.coeffs) if c != 0}
+    """A key or value as LaTeX text, special characters escaped."""
+    return _text(value).translate(_LATEX_ESCAPES)
 
 
 def _term_plain(c: Rat, var: str, d: int, first: bool) -> str:
     sign = "-" if c < 0 else ("" if first else "+")
-    mag = abs(Rat(c))
+    mag = abs(c)
     if d == 0:
-        body = str(mag)
+        body = _text(mag)
     else:
         v = var if d == 1 else (f"{var}^({d})" if d < 0 else f"{var}^{d}")
-        body = v if mag == 1 else f"{mag}*{v}"
+        body = v if mag == 1 else f"{_text(mag)}*{v}"
     return f"{sign}{body}" if first else f"{sign} {body}"
 
 
@@ -225,7 +235,8 @@ def _cmd_seq(args, settings, params):
         raise PreconditionError("seq degrees must be nonnegative; use logseq")
     seq = generate_transfer(op, degrees[-1])
     rows = [
-        {"n": n, "basis": "x^k", "coeffs": _poly_coeffs(seq[n])} for n in degrees
+        {"n": n, "basis": "x^k", "coeffs": {d: c for d, c in enumerate(seq[n].coeffs) if c}}
+        for n in degrees
     ]
     return {"operator": op.name, "rows": rows}, True
 
@@ -240,9 +251,9 @@ def _cmd_logseq(args, settings, params):
             {
                 "n": n,
                 "basis": "lambda_k^(1)",
-                "coeffs": {str(d): str(c) for d, c in sorted(s.coeffs.items())},
+                "coeffs": dict(sorted(s.coeffs.items())),
                 "floor": None if s.is_exact else int(s.floor),
-                "top": int(n),
+                "top": n,
                 "order_t": 1,
             }
         )
@@ -258,7 +269,7 @@ def _cmd_expand(args, settings, params):
     return {
         "operator": pretty(ttree),
         "basis": basis.name,
-        "coefficients": {str(k): str(c) for k, c in enumerate(coeffs)},
+        "coefficients": dict(enumerate(coeffs)),
     }, True
 
 
@@ -277,7 +288,7 @@ def _cmd_invert(args, settings, params):
     status = "match" if residual.is_zero else "mismatch"
     payload = {
         "operator": op.name,
-        "coefficients": {str(k): str(c) for k, c in enumerate(coeffs, start=1)},
+        "coefficients": dict(enumerate(coeffs, start=1)),
         "cross_check": status,
     }
     if status != "match":
@@ -295,14 +306,7 @@ def _cmd_connect(args, settings, params):
     n_max = args.n if args.n is not None else 6
     matrix = connection_constants(g, h, n_max)
     rows = [
-        {
-            "n": n,
-            "coeffs": {
-                str(k): str(matrix.entry(n, k))
-                for k in range(n + 1)
-                if matrix.entry(n, k) != 0
-            },
-        }
+        {"n": n, "coeffs": {k: c for k, c in enumerate(matrix.row(n)) if c}}
         for n in range(n_max + 1)
     ]
     return {"source": h.name, "target": g.name, "rows": rows}, True
@@ -328,10 +332,10 @@ def _cmd_eval(args, settings, params):
     return {
         "operator": op.name,
         "n": n,
-        "x0": str(args.x0),
+        "x0": args.x0,
         "precision": args.prec,
-        "value": str(value),
-        "tail_bound": None if bound is None else str(bound),
+        "value": value,
+        "tail_bound": bound,
         "floor": int(s.floor),
     }, True
 
@@ -344,38 +348,31 @@ def _render_csv(command: str, payload: dict) -> str:
     if "rows" in payload:
         lines.append("n,degree,coefficient" if command in ("seq", "logseq") else "n,k,value")
         for row in payload["rows"]:
-            for d in sorted(row["coeffs"], key=int):
-                lines.append(f"{row['n']},{d},{row['coeffs'][d]}")
+            for d, c in row["coeffs"].items():
+                lines.append(f"{row['n']},{d},{_text(c)}")
     elif "coefficients" in payload:
         lines.append("k,coefficient")
-        for k in sorted(payload["coefficients"], key=int):
-            lines.append(f"{k},{payload['coefficients'][k]}")
+        for k, c in payload["coefficients"].items():
+            lines.append(f"{k},{_text(c)}")
     else:
         lines.append("key,value")
         for key in sorted(payload):
-            value = payload[key]
-            if isinstance(value, dict):
-                value = json.dumps(_jsonable(value), sort_keys=True)
-            lines.append(f"{key},{value}")
+            lines.append(f"{key},{_text(payload[key])}")
     return "\n".join(lines)
 
 
 def _render_latex(command: str, payload: dict) -> str:
     lines = []
     if command in ("seq", "logseq"):
-        var = "x" if command == "seq" else "\\lambda"
         for row in payload["rows"]:
-            items = sorted(
-                ((int(d), Rat(c)) for d, c in row["coeffs"].items()), reverse=True
-            )
             terms = []
-            for d, c in items:
+            for d, c in sorted(row["coeffs"].items(), reverse=True):
                 coeff = _rat_latex(c)
                 if d == 0:
                     terms.append(coeff)
                 else:
                     if command == "seq":
-                        base = "x" if d == 1 else f"{var}^{{{d}}}"
+                        base = "x" if d == 1 else f"x^{{{d}}}"
                     else:
                         base = f"\\lambda_{{{d}}}"
                     if c == 1:
@@ -388,18 +385,14 @@ def _render_latex(command: str, payload: dict) -> str:
             lines.append(f"p_{{{row['n']}}} &= {body} \\\\")
         return "\\begin{align*}\n" + "\n".join(lines) + "\n\\end{align*}"
     if "coefficients" in payload:
-        for k in sorted(payload["coefficients"], key=int):
-            lines.append(
-                f"c_{{{k}}} &= {_rat_latex(Rat(payload['coefficients'][k]))} \\\\"
-            )
+        for k, c in payload["coefficients"].items():
+            lines.append(f"c_{{{k}}} &= {_rat_latex(c)} \\\\")
         return "\\begin{align*}\n" + "\n".join(lines) + "\n\\end{align*}"
     if "rows" in payload:  # connect
         size = len(payload["rows"])
         body = []
         for row in payload["rows"]:
-            cells = []
-            for k in range(size):
-                cells.append(_rat_latex(Rat(row["coeffs"].get(str(k), "0"))))
+            cells = [_rat_latex(row["coeffs"].get(k, 0)) for k in range(size)]
             body.append(" & ".join(cells) + " \\\\")
         return "\\begin{pmatrix}\n" + "\n".join(body) + "\n\\end{pmatrix}"
     for key in sorted(payload):
@@ -411,7 +404,7 @@ def _render_plain(command: str, payload: dict) -> str:
     lines = []
     if command in ("seq", "logseq"):
         for row in payload["rows"]:
-            items = sorted(((int(d), Rat(c)) for d, c in row["coeffs"].items()), reverse=True)
+            items = sorted(row["coeffs"].items(), reverse=True)
             if command == "seq":
                 lines.append(f"p_{row['n']}(x) = {_sum_plain(items, 'x')}")
             else:
@@ -419,13 +412,11 @@ def _render_plain(command: str, payload: dict) -> str:
                 lines.append(f"p_{row['n']} = {body}   (window floor {row['floor']})")
     elif command == "connect":
         for row in payload["rows"]:
-            cells = ", ".join(
-                f"{k}: {row['coeffs'][k]}" for k in sorted(row["coeffs"], key=int)
-            )
+            cells = ", ".join(f"{k}: {_text(c)}" for k, c in row["coeffs"].items())
             lines.append(f"n={row['n']}: {cells if cells else '0'}")
     elif "coefficients" in payload:
-        for k in sorted(payload["coefficients"], key=int):
-            lines.append(f"c_{k} = {payload['coefficients'][k]}")
+        for k, c in payload["coefficients"].items():
+            lines.append(f"c_{k} = {_text(c)}")
         if "cross_check" in payload:
             lines.append(f"cross check: {payload['cross_check']}")
     elif command == "verify":
@@ -435,13 +426,13 @@ def _render_plain(command: str, payload: dict) -> str:
         )
         lines.append(payload["identity"])
         if payload.get("witness"):
-            lines.append(f"witness: {json.dumps(_jsonable(payload['witness']), sort_keys=True)}")
+            lines.append(f"witness: {_text(payload['witness'])}")
         for key in ("difference_1", "difference_2", "tolerance", "terms"):
             if payload.get(key) is not None:
-                lines.append(f"{key} = {payload[key]}")
+                lines.append(f"{key} = {_text(payload[key])}")
     else:
         for key in sorted(payload):
-            lines.append(f"{key} = {payload[key]}")
+            lines.append(f"{key} = {_text(payload[key])}")
     return "\n".join(lines)
 
 
@@ -454,14 +445,11 @@ def _render(command: str, payload: dict, settings: dict, ok: bool) -> str:
             "status": "ok" if ok else "fail",
             "result": _jsonable(payload),
         }
-        if command in ("logseq", "eval", "verify"):
+        if command in DEPTH_MAX:
             document["depth"] = settings["depth"]
         return json.dumps(document, sort_keys=True, indent=2)
-    if fmt == "csv":
-        return _render_csv(command, _jsonable(payload))
-    if fmt == "latex":
-        return _render_latex(command, _jsonable(payload))
-    return _render_plain(command, _jsonable(payload))
+    render = {"csv": _render_csv, "latex": _render_latex, "plain": _render_plain}[fmt]
+    return render(command, payload)
 
 
 # -- argument parsing -----------------------------------------------------

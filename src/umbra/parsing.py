@@ -114,9 +114,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             tokens.append(_Token("number", text[i:j], i + 1))
             i = j
@@ -197,14 +197,26 @@ class _Parser:
         if self.current.kind == "-":
             self.advance()
             sign = -1
-        tok = self.expect("number", "an integer exponent")
-        return sign * int(tok.text)
+        return sign * self.number(self.expect("number", "an integer exponent"))
+
+    @staticmethod
+    def number(tok: _Token) -> int:
+        """The integer a number token spells. int() refuses a literal longer
+        than the interpreter's limit on digits read from text; that is a
+        parse error at the literal."""
+        try:
+            return int(tok.text)
+        except ValueError as err:
+            raise ParseError(
+                f"number literal of {len(tok.text)} digits is past the interpreter's "
+                "limit on digits read as an integer", tok.pos
+            ) from err
 
     def atom(self):
         tok = self.current
         if tok.kind == "number":
             self.advance()
-            return Number(Rat(tok.text))
+            return Number(Rat(self.number(tok)))
         if tok.kind == "-":
             self.advance()
             return Neg(self.atom())

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from umbra import cli, logarithmic, series
 from umbra.cli import _build_parser, main
+from umbra.errors import PreconditionError
 from umbra.operators import (
     Polynomial,
     apply_to_polynomial,
@@ -31,6 +32,13 @@ from umbra.series import INF, TruncatedSeries, from_coeffs
 from umbra.suites import SUITE_NAMES
 
 # Every in-process test should be independent of the caller's environment.
+
+# CPython's default limit on the decimal digits an int converts to or from
+# text; 3.10.0-3.10.6 have no limit, and PYTHONINTMAXSTRDIGITS can move it.
+default_digit_limit = pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="needs the interpreter's default int-to-str limit of 4300 digits",
+)
 
 
 @pytest.fixture(autouse=True)
@@ -99,6 +107,36 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "seq", "--op", "D", "--n", "-1")
         assert code == 3
         assert "logseq" in err
+
+    @default_digit_limit
+    @pytest.mark.parametrize("fmt", ["json", "csv", "latex", "plain"])
+    def test_value_past_the_digit_limit_is_three(self, capsys, fmt):
+        # b = 10^40 at depth 120 gives window coefficients of more than 4300
+        # digits: a refusal naming the digits needed, not a traceback
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "logseq", "--op", "D*exp(b*D)", "--param", f"b={10**40}",
+            "--order", "130", "--depth", "120", "--n", "3", "--format", fmt,
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "")
+        assert re.fullmatch(
+            r"error: a value needs \d{4} decimal digits, past the interpreter's limit "
+            r"of 4300 digits for printing an integer\n", err)
+
+    @default_digit_limit
+    @pytest.mark.parametrize("value, digits", [
+        (10**4400, 4401), (10**4400 - 1, 4400), (Rat(-7, 10**5000), 5001),
+    ], ids=("10^4400", "10^4400-1", "-7/10^5000"))
+    def test_refusal_counts_the_digits_of_the_longer_part(self, value, digits):
+        with pytest.raises(PreconditionError, match=f"needs {digits} decimal digits"):
+            cli._text(value)
+
+    @default_digit_limit
+    def test_literal_past_the_digit_limit_is_two(self, capsys):
+        code, out, err = run_cli(capsys, "seq", "--op", "D+" + "1" * 4400 + "*D", "--n", "1")
+        assert (code, out) == (2, "")
+        assert "number literal of 4400 digits" in err and "position 3" in err
 
     def test_corrupted_suite_is_four(self, capsys):
         code, out, _ = run_cli(

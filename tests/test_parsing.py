@@ -1,5 +1,6 @@
 # Tests for the operator-expression parser: grammar, error positions,
 # pretty-printer round trips, and elaboration to formal series.
+import sys
 from fractions import Fraction as Rat
 from math import comb, factorial
 
@@ -91,6 +92,22 @@ class TestParseErrors:
         with pytest.raises(ParseError) as err:
             parse_operator("D & D")
         assert err.value.position == 3
+
+    def test_non_ascii_digit(self):
+        # str.isdigit() holds for superscripts, which int() does not read
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse_operator("D^²")
+        assert err.value.position == 3
+
+    @pytest.mark.skipif(
+        getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+        reason="needs the interpreter's default int-to-str limit of 4300 digits",
+    )
+    @pytest.mark.parametrize("text, position", [("2*D+" + "1" * 4400, 5), ("D^-" + "1" * 4400, 4)])
+    def test_literal_past_the_digit_limit(self, text, position):
+        with pytest.raises(ParseError, match="number literal of 4400 digits") as err:
+            parse_operator(text)
+        assert err.value.position == position
 
     def test_unbound_parameter(self):
         with pytest.raises(ParseError, match="unbound parameter 'b'"):
