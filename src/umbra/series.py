@@ -172,10 +172,13 @@ def _rule_row(rule, k, w):
     (1 + rt) p' = kc p, so p_(m+1) = (kc - rm) p_m / (m + 1). The row is built
     over the one denominator it ends with, den(u_0^k) L^(w-1) (w-1)!, so each
     coefficient is one product and one exact division by small integers,
-    and then reduced once by _reduce."""
+    and then reduced once by _reduce. Where kc/r is an integer a, p_m is
+    u_0^k C(a, m) r^m, so the (w-1)! is not needed and is left out."""
     u0, cn, rn, den = rule
     p0 = u0**k
-    scale = den ** (w - 1) * factorial(w - 1)
+    scale = den ** (w - 1)
+    if not rn or k * cn % rn:
+        scale *= factorial(w - 1)
     x, kc = p0.numerator * scale, k * cn
     row = [x]
     for m in range(w - 1):
