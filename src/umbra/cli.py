@@ -282,9 +282,11 @@ def _cmd_invert(args, settings, params):
             f"the default --n is order - 2 = {k_max}, below 1; pass --n or --order 3 or more"
         )
     coeffs = lagrange_inversion(op.series, monomial(1), k_max)
-    # Certificate: f(g(t)) = t on every exponent the truncations determine.
+    # Certificate: g(f(t)) = t on every exponent the truncations determine,
+    # for f_1 != 0 the same as f(g(t)) = t, with the operator as the inner
+    # series, whose rows abel and the differences read off a rule.
     g = TruncatedSeries(dict(enumerate(coeffs, start=1)), len(coeffs) + 1)
-    residual = compose(op.series, g) - monomial(1)
+    residual = compose(g, op.series) - monomial(1)
     status = "match" if residual.is_zero else "mismatch"
     payload = {
         "operator": op.name,

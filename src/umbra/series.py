@@ -33,11 +33,17 @@ A unit u that solves (1 + rt) u' = cu on its whole known window,
 u_0 (1 + rt)^(c/r) or u_0 e^(ct) (abel, laguerre, t/(1 + t)), is found by
 one exact check of (m + 1) u_(m+1) = (c - rm) u_m, and each power u^k is
 read off its own two-term rule, O(1) per coefficient (_two_term_rule,
-_rule_row). Any other unit has, on each side of zero, its lowest row in
-one pass of Miller's power recurrence and every row above it one
-truncated product by u (_chain), each only as wide as the rows read at or
-above it; compose adds Brent-Kung, and the inverse power projection,
-about 2 sqrt(N) products each. Known zeros cost nothing there:
+_rule_row). A truncated g that solves (1 + qt) g' = r0 + r1 g on its whole
+window (e^(ht) - 1, 1 - e^(-t), log(1 + t)) is found by a check of the
+same kind; each row below its highest follows from the row above by
+(1 + qt)(g^k)' = k r0 g^(k-1) + k r1 g^k, O(1) per coefficient
+(_ode_rule, _descent), and its inverse solves (r0 + r1 t) h' = 1 + qh in
+O(N). compose reads the rows of either class off the table. Any other
+unit has, on each side of zero, its lowest row in one pass of Miller's
+power recurrence and every row above it one truncated product by u
+(_chain), each only as wide as the rows read at or above it; compose adds
+Brent-Kung, and the inverse power projection, about 2 sqrt(N) products
+each. Known zeros cost nothing there:
 the recurrence reads the unit's taps only up to its last nonzero one, and
 a _chain product passes the unit as _mul_trunc's first operand, whose zero
 entries are skipped, so the reciprocal or a power of a polynomial of
@@ -185,6 +191,48 @@ def _rule_row(rule, k, w):
         x = x * (kc - rn * m) // (den * (m + 1))
         row.append(x)
     return _reduce(row, p0.denominator * scale)
+
+
+def _ode_rule(u, ud):
+    """(qn, an, bn, L) when f = t u/ud, integer numerators u on its first
+    w >= 4 coefficients, u_1 != 0, solves (1 + qt) f' = r0 + r1 f there:
+    r0 = u_0/ud and (j + 2) u_(j+1) = (r1 - q(j + 1)) u_j for j < w - 1, with
+    q, r0, r1 = qn/L, an/L, bn/L; otherwise None. q and r1 come from u_1 and
+    u_2, (r1 - q(j + 1)) u_0 u_1 = a + bj, and each coefficient is checked
+    by integer cross-multiplication, so a non-member stops at its first
+    mismatch. Any three coefficients fit some q, r0, r1, so they are left out."""
+    w = len(u)
+    if w < 4 or not u[1]:
+        return None
+    e, a = u[0] * u[1], 2 * u[1] ** 2
+    b = 3 * u[0] * u[2] - a
+    for j in range(2, w - 1):
+        if (j + 2) * e * u[j + 1] != (a + b * j) * u[j]:
+            return None
+    rs = Rat(-b, e), Rat(u[0], ud), Rat(a - b, e)  # q, r0, r1
+    L = lcm(*(x.denominator for x in rs))
+    return (*(x.numerator * (L // x.denominator) for x in rs), L)
+
+
+def _descent(rule, k, start, widths):
+    """start = u^k, then u^(k-1), u^(k-2), ... for a unit with _ode_rule
+    ``rule``, on a non-increasing run of widths (start is given on the
+    first). (1 + qt)(f^k)' = k r0 f^(k-1) + k r1 f^k reads
+    k r0 c'_m = (m + k) c_m - (k r1 - q(m + k - 1)) c_(m-1) for the rows c of
+    u^k and c' of u^(k-1): O(1) per coefficient with no division, over the
+    denominator of row k times |k an|, each row reduced once. The step up
+    would divide by m + k, 0 at m = -k on the negative side."""
+    qn, an, bn, L = rule
+    c, d = start
+    yield start
+    for w in widths[1:]:
+        s = 1 if k * an > 0 else -1
+        b = s * (k * bn - qn * k)  # s (k r1 - q (m + k - 1)) L at m = 1
+        nums = list(map(operator.mul, range(s * L * k, s * L * (k + w), s * L), c[:w]))
+        bs = range(b, b - s * qn * (w - 1), -s * qn) if qn else repeat(b)
+        nums[1:] = map(operator.sub, nums[1:], map(operator.mul, bs, c[: w - 1]))
+        (c, d), k = _reduce(nums, d * s * k * an), k - 1
+        yield c, d
 
 
 def _dense_mul(x, y, w):
@@ -416,10 +464,14 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
     at least its first widths[k] >= 1 coefficients; row 0 is the constant 1.
     u is read on the widest other row. A unit that solves (1 + rt) u' = cu
     on that window (_two_term_rule) has each row read off its own two-term
-    rule at its own width. Any other unit has, on each side of zero, its
-    lowest row from one _power_row, or u (row 2 is u*u, one squaring), and
-    every row above it from one _chain product by u, as wide as the widest
-    row asked for at or above it."""
+    rule at its own width. A truncated g that solves (1 + qt) g' = r0 + r1 g
+    there (_ode_rule) has, on each side of zero asked for two rows or more,
+    its highest row from one _power_row and each row below from the one
+    above (_descent), as wide as the widest row asked for at or below it.
+    Any other unit, or side of one row, has its lowest row from one
+    _power_row, or u (row 2 is u*u, one squaring), and every row above it
+    from one _chain product by u, as wide as the widest row asked for at or
+    above it."""
     out = {k: ([1] + [0] * (w - 1), 1) for k, w in widths.items() if not k}
     if len(out) == len(widths):
         return out
@@ -427,14 +479,17 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
     if rule := _two_term_rule(*u):
         out.update((k, _rule_row(rule, k, w)) for k, w in widths.items() if k)
         return out
-    for side in ([k for k in widths if k < 0], [k for k in widths if k > 0]):
+    sides = [k for k in widths if k < 0], [k for k in widths if k > 0]
+    ode = g.order != INF and any(len(side) > 1 for side in sides) and _ode_rule(*u)
+    for side in sides:
         if side:
             lo, hi = min(side), max(side)
-            lo = 1 if 0 < lo <= 2 else lo
-            run = list(accumulate((widths.get(k, 0) for k in range(hi, lo - 1, -1)), max))[::-1]
-            first = _reduce(u[0][: run[0]], u[1]) if lo == 1 else _power_row(*u, lo, run[0])
-            out.update((k, row) for k, row in zip(range(lo, hi + 1), _chain(first, *u, run))
-                       if k in widths)
+            down = ode and lo < hi
+            ks = range(hi, lo - 1, -1) if down else range(1 if 0 < lo <= 2 else lo, hi + 1)
+            run = list(accumulate((widths.get(k, 0) for k in reversed(ks)), max))[::-1]
+            first = _reduce(u[0][: run[0]], u[1]) if ks[0] == 1 else _power_row(*u, ks[0], run[0])
+            rows = _descent(ode, hi, first, run) if down else _chain(first, *u, run)
+            out.update((k, row) for k, row in zip(ks, rows) if k in widths)
     return out
 
 
@@ -489,7 +544,8 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
 
     With g = t^v u, f(g) = sum_e f_e t^(ev) u^e, the terms read off the
     signed power table of u, or the nonnegative ones by _brent_kung where
-    that makes fewer products. The window is the ring rule: the least of
+    that makes fewer products and u's first five coefficients fit neither
+    _two_term_rule nor _ode_rule. The window is the ring rule: the least of
     order_f * v, order_g + (e-1) v for each e >= 1 in f, and R + (e+1) v
     for each e <= -1 in f, where R = min(order_g - 2v, order) is the
     window of 1/g. Terms whose t^(ev) lies at or past the window are left
@@ -511,6 +567,9 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
     # products: m - 1 powers and one per block, or one to row p (none for p = 1) and one per row above
     p, m = min((e for e in kept if e > 0), default=0), isqrt(max(kept[-1], 0)) + 1
     fast = p and m - 1 + kept[-1] // m < min(p - 1, 1) + kept[-1] - p
+    if fast:  # rows off a rule cost O(1) per coefficient; a prefix of u rejects the rest
+        head = _unit(g, min(top - at[p], 5))
+        fast = not (_two_term_rule(*head) or g.order != INF and _ode_rule(*head))
     rows = [e for e in kept if e < 0 or not fast]
     table = _unit_powers(g, {e: top - at[e] for e in rows})  # row e is read on [ev, top)
     terms = [(at[e], f.coeffs[e], table[e]) for e in rows]
@@ -579,16 +638,19 @@ def log_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
 # baby row with a giant row. Only the output coefficients become Fractions.
 # A unit u = f/t in the two-term class (_two_term_rule) needs no baby or
 # giant step: [t^(k-1)] u^(-k) is the product of the k - 1 steps of its own
-# rule, formed without the row below it.
+# rule, formed without the row below it. A truncated f with _ode_rule needs
+# no power: f'(g) g' = 1 gives (r0 + r1 t) g' = 1 + qg.
 
 
 def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     """The series g with f(g(t)) = g(f(t)) = t. Requires valuation exactly
     one with a nonzero linear coefficient (a delta series).
 
-    Computed by Lagrange reversion, [t^k] g = [t^(k-1)] (t/f)^k / k, read
-    off the two-term rule of f/t when it has one (abel, laguerre) and by
-    power projection otherwise. The result is determined on the input's
+    A truncated f that solves (1 + qt) f' = r0 + r1 f on its window (the
+    differences, laguerre) gives g from (r0 + r1 t) g' = 1 + qg in O(N).
+    Otherwise g comes from Lagrange reversion, [t^k] g = [t^(k-1)] (t/f)^k / k,
+    read off the two-term rule of f/t when it has one (abel) and by power
+    projection otherwise. The result is determined on the input's
     window; exact inputs that are not monomials need an explicit order."""
     if f.is_zero or f.valuation != 1:
         raise PreconditionError("not a delta series")
@@ -599,8 +661,13 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     if w <= 0:
         return zero(n_out)
     u = _unit(f, w)
-    rule = _two_term_rule(*u)
-    if rule:  # [t^(k-1)] u^(-k) = u_0^(-k) prod_(j < k-1) (-kc - rj) / (k-1)!
+    if f.order != INF and (rule := _ode_rule(*u)):  # (r0 + r1 t) g' = 1 + qg
+        qn, an, bn, L = rule
+        g, x = {}, Rat(L, an)
+        for k in range(1, n_out):  # (k + 1) r0 g_(k+1) = (q - r1 k) g_k
+            g[k], x = x, x * (qn - bn * k) / ((k + 1) * an)
+        return TruncatedSeries(g, n_out)
+    if rule := _two_term_rule(*u):  # [t^(k-1)] u^(-k) = u_0^(-k) prod_(j < k-1) (-kc - rj) / (k-1)!
         u0, cn, rn, den = rule
         g = {}
         for k in range(1, n_out):

@@ -4,6 +4,7 @@ from fractions import Fraction as Rat
 import operator
 import time
 from itertools import repeat
+from unittest import mock
 from math import ceil, comb, factorial, gcd, sqrt
 
 import pytest
@@ -563,13 +564,18 @@ class TestTwoTermRule:
     @settings(max_examples=200, deadline=None)
     def test_rows_match_the_oracle_cut_to_their_widths(self, case):
         # each row is at least as wide as asked, and no wider than the
-        # widest row asked for at or above it on its side of zero
+        # widest row asked for at or above it on its side of zero; at or
+        # below it where a side of several rows steps across (_ode_rule)
         g, widths = case
         table = _unit_powers(g, widths)
         assert table.keys() == widths.keys()
         want = _chain_powers(g, max(widths.values()), widths)
+        u = _dense([g.coefficient(g.valuation + e)
+                    for e in range(max((w for k, w in widths.items() if k), default=1))])
+        down = series._two_term_rule(*u) is None and series._ode_rule(*u) is not None
         for k, w in widths.items():
-            reach = max(widths[j] for j in widths if j >= k and _sign(j) == _sign(k))
+            side = [j for j in widths if _sign(j) == _sign(k)]
+            reach = max(widths[j] for j in side if (j <= k if down and len(side) > 1 else j >= k))
             assert w <= len(table[k][0]) <= reach, (k, widths)
             assert _values(table[k])[:w] == _values(want[k])[:w], (k, widths)
 
@@ -672,6 +678,197 @@ class TestTwoTermRule:
         assert series._two_term_rule(*_dense(u[:3])) is not None
         assert series._two_term_rule(*_dense(u[:4])) is None
         assert series._two_term_rule(*_dense(u)) is None
+
+
+# -- delta series that solve (1 + qt) f' = r0 + r1 f ----------------------
+#
+# e^(ht) - 1, 1 - e^(-t), log(1 + t) and t/(1 + t) have every power of f
+# from the row next to it, and an inverse that solves (r0 + r1 t) g' = 1 + qg.
+# The oracles are the chain-built table, the chain inverse and the ring
+# rule's term-by-term composition.
+
+
+def _ode_coeffs(q, r0, r1, w):
+    """f_1..f_w, the unit coefficients u_0..u_(w-1), of the delta series
+    with (1 + qt) f' = r0 + r1 f: f_1 = r0, (m + 1) f_(m+1) = (r1 - qm) f_m."""
+    out = [r0]
+    for m in range(1, w):
+        out.append((r1 - q * m) * out[-1] / (m + 1))
+    return out
+
+
+@st.composite
+def ode_members(draw, min_w=4, max_w=40):
+    """(q, r0, r1, w) with r1 != q, so f_2 != 0: e^(ht) - 1 and its
+    multiples such as 1 - e^(-t) (q = 0), log(1 + ht)/h, t/(1 + ht), the
+    polynomials ((1 + qt)^j - 1) r0/(jq) (r1 = jq), or any other triple."""
+    w, h = draw(st.integers(min_w, max_w)), draw(nonzero_rat)
+    kind = draw(st.sampled_from(("exp", "log", "bridge", "polynomial", "any")))
+    if kind == "exp":
+        return Rat(0), draw(st.just(h) | st.just(-h) | nonzero_rat), h, w
+    if kind == "log":
+        return h, Rat(1), Rat(0), w
+    if kind == "bridge":
+        return h, Rat(1), -h, w
+    if kind == "polynomial":
+        return h, draw(nonzero_rat), draw(st.integers(2, 5)) * h, w
+    q = draw(small_rat)
+    return q, draw(nonzero_rat), draw(small_rat.filter(lambda r1: r1 != q)), w
+
+
+@st.composite
+def ode_near_misses(draw):
+    """A member's unit coefficients, with u_j off its rule for some j >= 4,
+    so the first four fit: (coefficients, j)."""
+    q, r0, r1, w = draw(ode_members(min_w=5, max_w=24))
+    coeffs = _ode_coeffs(q, r0, r1, w)
+    j = draw(st.integers(4, w - 1))
+    coeffs[j] += draw(nonzero_rat)
+    return coeffs, j
+
+
+@st.composite
+def outer_series(draw):
+    """A Laurent outer series, sparse over t^-3..t^45 or dense to t^30,
+    exact or truncated."""
+    if draw(st.booleans()):
+        fc = draw(st.dictionaries(st.integers(-3, 45), small_rat, min_size=1, max_size=6))
+    else:
+        lo, hi = draw(st.integers(0, 3)), draw(st.integers(5, 31))
+        fc = {e: draw(small_rat) for e in range(lo, hi)}
+    return TruncatedSeries(fc, draw(st.just(INF) | st.integers(1, 48)))
+
+
+def _refuse(*args):
+    raise AssertionError("this path was not to be taken")
+
+
+def _falling_row(m):
+    """[DERIVED] the coefficients of x(x - 1)...(x - m + 1)."""
+    row = [Rat(1)]
+    for i in range(m):
+        row = [a - i * b for a, b in zip([Rat(0)] + row, row + [Rat(0)])]
+    return row
+
+
+class TestOdeRule:
+    @given(ode_members())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_match_the_chain_at_every_k(self, case):
+        q, r0, r1, w = case
+        coeffs = _ode_coeffs(q, r0, r1, w)
+        assert series._ode_rule(*_dense(coeffs)) is not None
+        g = _unit_series(coeffs, v=w % 3 + 1)
+        ks = range(-w, w + 1)
+        assert _unit_powers(g, dict.fromkeys(ks, w)) == _chain_powers(g, w, ks)
+        for first in (1, -w):  # the triangles the basic sequences read
+            widths = _triangle(w, first)
+            table, want = _unit_powers(g, widths), _chain_triangle(g, w, first)
+            for k, width in widths.items():
+                assert width <= len(table[k][0]) <= w
+                assert _values(table[k])[:width] == _values(want[k])[:width], (k, first)
+
+    @given(ode_members(max_w=24), outer_series())
+    @settings(max_examples=40, deadline=None)
+    def test_inverse_and_compose_match_the_oracles(self, case, f):
+        q, r0, r1, w = case
+        g = _unit_series(_ode_coeffs(q, r0, r1, w))
+        assert compositional_inverse(g) == _chain_inverse(g)
+        assert _outcome_of(compose, f, g, None) == _outcome_of(_ring_oracle, f, g, None)
+
+    @given(ode_near_misses(), outer_series())
+    @settings(max_examples=40, deadline=None)
+    def test_near_misses_take_the_chain(self, case, f):
+        coeffs, j = case
+        w = len(coeffs)
+        assert series._ode_rule(*_dense(coeffs[:j])) is not None
+        assert series._ode_rule(*_dense(coeffs)) is None
+        assert series._two_term_rule(*_dense(coeffs)) is None
+        g = _unit_series(coeffs)
+        ks = range(-w, w + 1)
+        assert _unit_powers(g, dict.fromkeys(ks, w)) == _chain_powers(g, w, ks)
+        assert compositional_inverse(g) == _chain_inverse(g)
+        assert _outcome_of(compose, f, g, None) == _outcome_of(_ring_oracle, f, g, None)
+
+    @given(ode_members(max_w=16), outer_series())
+    @settings(max_examples=40, deadline=None)
+    def test_exact_inputs_and_short_windows_keep_the_old_paths(self, case, f):
+        # an exact series never consults the rule, and three coefficients,
+        # which any q, r0 and r1 fit, are never taken for a member
+        q, r0, r1, w = case
+        coeffs = _ode_coeffs(q, r0, r1, w)
+        exact, short = _unit_series(coeffs, order=INF), _unit_series(coeffs[:3])
+        assert series._ode_rule(*_dense(coeffs[:3])) is None
+        with mock.patch.object(series, "_descent", _refuse):
+            assert _unit_powers(short, dict.fromkeys(range(-3, 4), 3)) == _chain_powers(
+                short, 3, range(-3, 4))
+        with mock.patch.object(series, "_ode_rule", _refuse):
+            ks = range(-w, w + 1)
+            assert _unit_powers(exact, dict.fromkeys(ks, w)) == _chain_powers(exact, w, ks)
+            assert compositional_inverse(exact, order=w + 1) == _chain_inverse(exact, order=w + 1)
+            got = _outcome_of(compose, f, exact, w + 1)
+        assert got == _outcome_of(_ring_oracle, f, exact, w + 1)
+
+    def test_difference_calls_step_across_rows(self, monkeypatch):
+        # at N = 64 the inverse of the forward difference, the
+        # backward-to-forward connection, shift(a) in forward differences
+        # and the transfer rows of the forward difference run no chain and
+        # no Brent-Kung, and at most one Miller pass on each side of zero
+        from umbra.operators import catalog, expand_in_basis
+        from umbra.sequences import connection_constants, generate_transfer
+
+        n, a = 64, Rat(13, 17)
+        fd, bd = catalog("forward_difference", order=n), catalog("backward_difference", order=n)
+        shift = catalog("shift", {"a": a}, order=n)
+        sides, power_row = [], series._power_row
+
+        def counted(u, ud, k, w):
+            sides.append(_sign(k))
+            return power_row(u, ud, k, w)
+
+        monkeypatch.setattr(series, "_chain", _refuse)
+        monkeypatch.setattr(series, "_brent_kung", _refuse)
+        monkeypatch.setattr(series, "_power_row", counted)
+        results = []
+        for call in (lambda: compositional_inverse(fd.series),
+                     lambda: connection_constants(bd, fd, n - 2),
+                     lambda: expand_in_basis(shift, fd, n - 2),
+                     lambda: generate_transfer(fd, n - 2).terms(n - 2)):
+            sides.clear()
+            results.append(call())
+            assert sides.count(1) <= 1 and sides.count(-1) <= 1, sides
+        monkeypatch.undo()
+        g, connect, expand, transfer = results
+        # [DERIVED] log(1 + t); the signed Lah numbers C(m-1, k-1) m!/k!;
+        # the falling factorials of a; the lower factorials
+        assert g == TruncatedSeries({k: Rat((-1) ** (k + 1), k) for k in range(1, n)}, n)
+        for m in range(1, n - 1):
+            assert connect.row(m) == (0, *((-1) ** (m - k) * Rat(comb(m - 1, k - 1) * factorial(m),
+                                                                 factorial(k))
+                                           for k in range(1, m + 1))), m
+        falling = [Rat(1)]
+        for k in range(1, n - 1):
+            falling.append(falling[-1] * (a - k + 1))
+        assert expand == falling
+        assert [list(p.coeffs) for p in transfer] == [_falling_row(m) for m in range(n - 1)]
+
+    def test_forward_difference_solves_its_own_ode(self):
+        # (e^t - 1)' = 1 + (e^t - 1), (1 - e^(-t))' = 1 - (1 - e^(-t)) and
+        # (1 + t) log(1 + t)' = 1. abel's unit e^(bt) is outside: at j = 2,
+        # 4 u_0 u_1 u_3 = 2b^4/3 against (2 u_1^2 + 2 (3 u_0 u_2 - 2 u_1^2)) u_2
+        # = b^4/2, the fourth coefficient; it has the two-term rule instead
+        fd = [1 / Rat(factorial(m + 1)) for m in range(64)]
+        bd = [Rat((-1) ** m, factorial(m + 1)) for m in range(64)]
+        log = [Rat((-1) ** m, m + 1) for m in range(64)]
+        assert series._ode_rule(*_dense(fd)) == (0, 1, 1, 1)
+        assert series._ode_rule(*_dense(bd)) == (0, 1, -1, 1)
+        assert series._ode_rule(*_dense(log)) == (1, 1, 0, 1)
+        b = Rat(13, 17)
+        abel = [b**m / factorial(m) for m in range(64)]
+        assert series._ode_rule(*_dense(abel[:3] + [Rat(0)])) is None
+        assert series._ode_rule(*_dense(abel[:4])) is None
+        assert series._ode_rule(*_dense(abel)) is None
+        assert series._two_term_rule(*_dense(abel)) is not None
 
 
 # -- composition ---------------------------------------------------------
@@ -989,12 +1186,12 @@ class TestBrentKung:
         assert compose(f, g, order).agrees_with(want)
 
     def test_sparse_outer_takes_few_products(self, monkeypatch):
-        # t^3 + t^40: Brent-Kung with m = 7 makes the powers g^2..g^7 and
-        # six Horner steps, the first on an empty accumulator, where the
-        # table would make 39 rows
-        g = log_series(from_coeffs([1, 1], order=INF), order=48)
+        # t^3 + t^40 over g = log(1 + t + t^2), whose unit fits neither
+        # rule: Brent-Kung with m = 7 makes the powers g^2..g^7 and six
+        # Horner steps, the first on an empty accumulator, where the table
+        # would make 39 rows. Over log(1 + t), whose rows step across, the
+        # table makes no product at all
         f = monomial(3) + monomial(40)
-        want = _table_compose(f, g)
         calls = []
         mul_trunc = series._mul_trunc
 
@@ -1002,15 +1199,20 @@ class TestBrentKung:
             calls.append(1)
             return mul_trunc(*args)
 
-        monkeypatch.setattr(series, "_mul_trunc", counted)
-        assert compose(f, g) == want
-        assert len(calls) == 12
+        for tail, products in (([1, 1, 1], 12), ([1, 1], 0)):
+            g = log_series(from_coeffs(tail, order=INF), order=48)
+            want = _table_compose(f, g)
+            monkeypatch.setattr(series, "_mul_trunc", counted)
+            assert compose(f, g) == want
+            monkeypatch.undo()
+            assert len(calls) == products
+            calls.clear()
 
     def test_dense_outer_at_order_128_costs_few_products(self, monkeypatch):
-        # [DERIVED] exp(log(1 + t)) - 1 = t; m = 12 makes the powers
-        # g^2..g^12 and 11 Horner steps
+        # [DERIVED] exp(log(1 + t + t^2)) - 1 = t + t^2; m = 12 makes the
+        # powers g^2..g^12 and 11 Horner steps. exp(log(1 + t)) - 1 = t
+        # reads the rows of log(1 + t), which step across, with no product
         f = exp_series(t, order=128) - constant(1)
-        g = log_series(from_coeffs([1, 1], order=INF), order=128)
         calls = []
         mul_trunc = series._mul_trunc
 
@@ -1019,8 +1221,13 @@ class TestBrentKung:
             return mul_trunc(*args)
 
         monkeypatch.setattr(series, "_mul_trunc", counted)
+        g = log_series(from_coeffs([1, 1, 1], order=INF), order=128)
+        assert compose(f, g) == (t + monomial(2)).truncate(128)
+        assert 0 < len(calls) <= 2 * ceil(sqrt(128)) + 2
+        calls.clear()
+        g = log_series(from_coeffs([1, 1], order=INF), order=128)
         assert compose(f, g) == t.truncate(128)
-        assert len(calls) <= 2 * ceil(sqrt(128)) + 2
+        assert len(calls) == 0
 
 
 # -- compositional inverse ----------------------------------------------
@@ -1145,9 +1352,11 @@ class TestCompositionalInverse:
         assert _outcome(compositional_inverse, f, order) == _outcome(_chain_inverse, f, order)
 
     def test_order_128_costs_few_products(self, monkeypatch):
-        # baby steps r^1..r^12 and giant steps (r^12)^2..(r^12)^10 for the
-        # 127 coefficients, where a chain over every row makes 126 products
-        f = exp_series(t, order=128) - constant(1)
+        # t - t^3, whose unit fits neither rule: baby steps r^1..r^12 and
+        # giant steps (r^12)^2..(r^12)^10 for the 127 coefficients, where a
+        # chain over every row makes 126 products. [DERIVED] its inverse has
+        # C(3j, j)/(2j + 1) at t^(2j+1), ternary trees. e^t - 1 solves
+        # f' = 1 + f and its inverse log(1 + t) makes no product at all
         calls = []
         mul_trunc = series._mul_trunc
 
@@ -1156,8 +1365,12 @@ class TestCompositionalInverse:
             return mul_trunc(a, b, w)
 
         monkeypatch.setattr(series, "_mul_trunc", counted)
-        g = compositional_inverse(f)
-        assert len(calls) <= 24
+        g = compositional_inverse(from_coeffs([0, 1, 0, -1], order=128))
+        assert 0 < len(calls) <= 24
+        assert [g.coefficient(k) for k in (1, 2, 3, 127)] == [1, 0, 1, Rat(comb(189, 63), 127)]
+        calls.clear()
+        g = compositional_inverse(exp_series(t, order=128) - constant(1))
+        assert len(calls) == 0
         assert [g.coefficient(k) for k in (1, 2, 127)] == [1, Rat(-1, 2), Rat(1, 127)]
 
     @given(delta_inputs())
