@@ -23,10 +23,10 @@ ones to all integer degrees. Every window here is read, not computed by an
 operator action: degree n - k is roman(n)!/roman(n-k)!, the falling product
 roman(n) roman(n-1) ... roman(n-k+1), times one coefficient of a power of
 one series (Loeb-Rota logarithmic Lagrange inversion), read off the
-kernel's signed power table. The basic sequence reads row -n of the
-table of f(t)/t, as the transfer formula does (degree 0 alone reads f'(t)
-times row -1), the log conjugate sequence of g the rows of g/t, and Newton
-coefficients the rows of (e^t - 1)/t.
+kernel's signed power table by the sequences module's reads, of which
+the classical rows are the slice n >= 0: the transfer read of row -n of
+the table of f(t)/t (degree 0 alone reads f'(t) times row -1), the
+conjugate read of the rows of g/t, and the expansion read of (e^t - 1)/t.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from typing import Mapping, Optional
 from .errors import PreconditionError, require_order
 from .numbers import _falling, roman_factorial, stirling_first
 from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
+from .sequences import _conjugate_read, _expand_read, _transfer_read
 from .series import INF, TruncatedSeries, _dense, _mul_trunc, _unit_powers
 
 NEG_INF = float("-inf")
@@ -241,22 +242,21 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     every integer n; the classical polynomials reappear for n >= 0. With
     u = f/t, degree n - k is roman(n)!/roman(n-k)! [t^k] f' u^(-n-1). For
     n != 0 that is roman(n)!/roman(n-k)! (n-k)/n [t^k] u^(-n), since
-    f' = u + t u' and t u' u^(-n-1) = -(t/n) (u^(-n))': row -n of the power
-    table of f cut to order depth + 1, the row generate_transfer reads.
+    f' = u + t u' and t u' u^(-n-1) = -(t/n) (u^(-n))': the transfer read of
+    row -n of f's power table cut to order depth + 1, as generate_transfer.
     Degree 0 alone reads f' times row -1 in one integer product. The window
     is exact when f is known to order depth + 1, and refused otherwise."""
     if depth < 1:
         raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
     fs = _known_to(_delta_series(f), depth + 1, depth)
     if n:
-        row, rd = _unit_powers(fs, {-n: depth})[-n]
-        row, rd = [(n - k) * x for k, x in enumerate(row)], n * rd
-    else:
-        row, rd = _unit_powers(fs, {-1: depth})[-1]
-        fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
-        row, rd = _mul_trunc(fprime, row, depth), fd * rd
-    window = {k - n: Rat(r * x, rd) for k, (r, x) in enumerate(zip(_falling(n, range(depth)), row))}
-    return _window(TruncatedSeries(window, depth - n), 1)
+        read = _transfer_read(_unit_powers(fs, {-n: depth})[-n], n, range(depth))
+        return HarmonicLogSeries(read, n - depth + 1)
+    row, rd = _unit_powers(fs, {-1: depth})[-1]
+    fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
+    row, rd = _mul_trunc(fprime, row, depth), fd * rd
+    window = {k: Rat(r * x, rd) for k, (r, x) in enumerate(zip(_falling(0, range(depth)), row))}
+    return _window(TruncatedSeries(window, depth), 1)
 
 
 class LogBinomialSequence:
@@ -292,8 +292,8 @@ def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:
     """Degree-n term of the logarithmic conjugate sequence of g: the
     window sum_k c_k lambda_k^(1) with c_k = <g^k lambda_n> / roman(k)!.
 
-    With u = g/t, degree n - j reads roman(n)!/roman(n-j)! [t^j] u^(n-j).
-    The window [n-depth+1, n] is exact when g is known to order depth + 1
+    Degree n - j is the conjugate read roman(n)!/roman(n-j)! [t^j] u^(n-j),
+    u = g/t. The window [n-depth+1, n] is exact when g is known to order depth + 1
     (to order depth when it ends at degree 0, whose coefficient is exact),
     and refused otherwise."""
     if depth < 1:
@@ -302,19 +302,14 @@ def log_conjugate_sequence(g, n: int, depth: int = 12) -> HarmonicLogSeries:
     # j = depth - 1, is row 0 = 1, u is read on depth - 1 only
     gs = _known_to(_delta_series(g), depth + (n != depth - 1), depth)
     powers = _unit_powers(gs, {n - j: j + 1 for j in range(depth)})
-    window = {j - n: Rat(r * powers[n - j][0][j], powers[n - j][1])
-              for j, r in enumerate(_falling(n, range(depth)))}
-    return _window(TruncatedSeries(window, depth - n), 1)
+    return HarmonicLogSeries(_conjugate_read(powers, n, range(depth)), n - depth + 1)
 
 
 def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
     """Newton coefficients a_k of s over the logarithmic lower factorials,
     a_k = <FD^k s> / roman(k)!, for the ``depth`` degrees below the top of
-    s. With v = FD/t each is one dot product over the powers of v,
-
-        a_k = sum_(j >= k) s_j roman(j)! [t^(j-k)] v^k / roman(k)!,
-
-    exact when s is known down to the lowest k, top - depth + 1; a
+    s: the expansion read over FD, one dot product per k over the powers
+    of FD/t, exact when s is known down to the lowest k, top - depth + 1; a
     shallower window is refused."""
     if depth < 1:
         raise PreconditionError(f"newton_expand needs depth >= 1, got {depth}")
@@ -325,14 +320,8 @@ def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
     if s.floor > lo:
         raise PreconditionError(f"truncation too small for exact action: depth {depth} "
                                 f"needs the window down to degree {lo}, given floor {s.floor}")
-    ks = range(top, lo - 1, -1)
-    powers = _unit_powers(catalog("forward_difference", order=depth + 1).series,
-                          {k: top - k + 1 for k in ks})
-    # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]
-    falling = _falling(top, range(depth))
-    weighted = [(j, c / falling[top - j]) for j, c in s.coeffs.items() if j >= lo]
-    return {k: sum(c * powers[k][0][j - k] for j, c in weighted if j >= k)
-            * Rat(falling[top - k], powers[k][1]) for k in ks}
+    return _expand_read(s.coeffs, catalog("forward_difference", order=depth + 1).series,
+                        range(top, lo - 1, -1))
 
 
 # -- numeric boundary ----------------------------------------------------

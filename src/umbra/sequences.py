@@ -9,14 +9,14 @@ satisfy the binomial identity
 which is certified here on an exact rational grid large enough to pin down
 the bivariate polynomial. Every basic sequence is built one way: by
 Rota's transfer formula p_n(x) = x (D/f(D))^n x^(n-1), which Lagrange
-inversion turns into a read of the negative powers of f/t,
-
-    p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] (f/t)^(-n) x^k,
-
-so f is never inverted. A conjugate sequence, p_n(x) =
-sum_k n! [t^n] g^k x^k / k!, and connection-constant matrices between any
-two bases read the positive powers of g/t from the same kernel table;
-generalized Taylor expansion and umbral composition complete the module.
+inversion turns into a read of the negative powers of f/t, so f is never
+inverted. Three reads turn rows of the kernel's signed power table into
+coefficients, here and in the logarithmic module alike, whose classical
+coefficients are the nonnegative-degree slice of its logarithmic ones
+(Loeb-Rota): _transfer_read for the basic sequence of f, _conjugate_read
+for the conjugate sequence of g, and _expand_read for the coefficients
+over the basic sequence of g. Connection constants are conjugate rows;
+umbral composition completes the module.
 """
 from __future__ import annotations
 
@@ -83,27 +83,43 @@ class BinomialSequence:
         return f"<basic sequence of {op} via {label}, {len(self._polys)} cached>"
 
 
+def _transfer_read(row, n, ks):
+    """Degree n - k of the basic sequence of f, roman(n)!/roman(n-k)! (n-k)/n
+    [t^k] u^(-n), for each k of the nondecreasing ks, off ``row`` = u^(-n),
+    u = f/t, n != 0: weight roman(n-1)!/roman(n-1-k)!; k = n, weight 0, is left out."""
+    num, den = row
+    return {n - k: Rat(r * num[k], den) for k, r in zip(ks, _falling(n - 1, ks)) if k != n}
+
+
+def _conjugate_read(powers, n, js):
+    """Degree n - j of the conjugate sequence of g, roman(n)!/roman(n-j)!
+    [t^j] u^(n-j), for each j of the nondecreasing js, off the power table
+    of u = g/t."""
+    return {n - j: Rat(r * powers[n - j][0][j], powers[n - j][1])
+            for j, r in zip(js, _falling(n, js))}
+
+
+def _expand_read(coeffs, g, ks):
+    """a_k = sum_(j >= k) c_j roman(j)!/roman(k)! [t^(j-k)] u^k, u = g/t, for
+    each k of ks: the coefficients of sum_j c_j x^j (or of harmonic logs)
+    over the basic sequence of g itself, for coeffs = {j: c_j}, j <= max(ks)."""
+    top, lo = max(ks), min(ks)
+    powers = _unit_powers(g, {k: top - k + 1 for k in ks})
+    # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]
+    falling = _falling(top, range(top - lo + 1))
+    weighted = [(j, c / falling[top - j]) for j, c in coeffs.items() if j >= lo]
+    return {k: sum(c * powers[k][0][j - k] for j, c in weighted if j >= k)
+            * Rat(falling[top - k], powers[k][1]) for k in ks}
+
+
 def _conjugate(operator, method, source, window, n_max, transfer=False) -> BinomialSequence:
     """The conjugate sequence p_n(x) = sum_k n! [t^n] g^k x^k / k! of the
-    delta series g that ``source(w)`` gives determined below t^w; rows n
-    below ``window`` are determined, and row n needs order n + 1.
-
-    Row n reads u^k = (g/t)^k at index n - k, k = 1..n; serving rows n <= s,
-    u^k is built on its first s - k + 1 coefficients. A row past s rebuilds
-    the table at least twice as wide.
-
-    With ``transfer``, ``source(w)`` gives f and g is its inverse, never
-    built: by Lagrange, [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n), so row n is
-    Rota's transfer formula p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] u^(-n) x^k
-    for u = f/t, read off u^(-n) on its first n coefficients.
-
-    The kernel's power table gives the whole triangle of rows in one call,
-    series._unit_powers with each row's width: each row off its own
-    two-term rule when u solves (1 + rt) u' = cu on the window (abel,
-    laguerre, bridges such as t/(1 + t)), and otherwise a chain of products
-    by u from the lowest row.
-    Either way x^k weighs its read by m!/(m - n + k)!, m = n - transfer: entry
-    n - k of numbers._falling(m, range(n)), so no factorial is formed."""
+    delta series g that ``source(w)`` gives determined below t^w; row n
+    needs order n + 1. Rows n <= s are _conjugate_read off one power table
+    of u = g/t, u^k on its first s - k + 1 coefficients; a later row
+    rebuilds it at least twice as wide. With ``transfer``, ``source(w)``
+    gives f and its inverse g is never built: row n is _transfer_read of
+    u^(-n), u = f/t, as [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n)."""
     powers = {}
 
     def step(n):
@@ -114,14 +130,11 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
             s = min(max(n, n_max, 2 * len(powers)), window - 1)
             first = -s if transfer else 1
             powers.update(_unit_powers(source(s + 1), {first + i: s - i for i in range(s)}))
-        weights = reversed(_falling(n - transfer, range(n)))
-        if transfer:  # entry k reads [t^(n-k)] u^(-n), k = 1..n
-            num, den = powers[-n]
-            return Polynomial([0] + [Rat(r * c, den) for r, c in zip(weights, reversed(num[:n]))])
-        return Polynomial([0] + [
-            Rat(r * num[n - k], den)
-            for k, r, (num, den) in zip(range(1, n + 1), weights, map(powers.get, range(1, n + 1)))
-        ])
+        if transfer:
+            row = _transfer_read(powers[-n], n, range(n))
+        else:
+            row = _conjugate_read(powers, n, range(n))
+        return Polynomial([0, *reversed(row.values())])  # the read runs degree n down to 1
 
     require_order(f"truncation too small for exact action: row {n_max}", n_max + 1, window)
     seq = BinomialSequence(operator, method, step)
@@ -131,10 +144,9 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
 
 def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
     """Basic sequence of f by Rota's transfer formula,
-    p_n(x) = x (D/f(D))^n x^(n-1), which reads
-    p_n(x) = sum_k (n-1)!/(k-1)! [t^(n-k)] (f/t)^(-n) x^k off the negative
-    powers of f/t; f is never inverted. Row n is determined while n is
-    below the order of f.
+    p_n(x) = x (D/f(D))^n x^(n-1), the transfer read of the negative powers
+    of f/t; f is never inverted. Row n is determined while n is below the
+    order of f.
 
     Terms beyond n_max are still available by indexing; n_max only controls
     how much is precomputed eagerly.
@@ -167,12 +179,12 @@ def conjugate_sequence(g, n_max: int = 0) -> BinomialSequence:
 
 def taylor_expand(p: Polynomial, q: DeltaOperator) -> list:
     """Generalized Taylor coefficients d_k = (q^k p)(0) / k!, so that
-    p = sum_k d_k q_k with q_k the basic sequence of q: with x^n =
-    sum_k c_nk q_k, row n of q's conjugate sequence, d_k = sum_n p_n c_nk."""
+    p = sum_k d_k q_k with q_k the basic sequence of q: the expansion read,
+    d_k = sum_(j >= k) p_j j!/k! [t^(j-k)] (q/t)^k."""
+    qs = _delta_series(q)
     n = max(p.degree, 0)  # the zero polynomial has the one coefficient 0
-    rows = conjugate_sequence(q, n).terms(n)
-    return [sum((c * row.coefficient(k) for c, row in zip(p.coeffs, rows)), Rat(0))
-            for k in range(n + 1)]
+    require_order(f"truncation too small for exact action: row {n}", n + 1, qs.order)
+    return list(_expand_read(dict(enumerate(p.coeffs)), qs, range(n + 1)).values())
 
 
 class ConnectionMatrix:

@@ -34,8 +34,8 @@ u_0 (1 + rt)^(c/r) or u_0 e^(ct) (abel, laguerre, t/(1 + t)), is found by
 one exact check of (m + 1) u_(m+1) = (c - rm) u_m, and each power u^k is
 read off its own two-term rule, O(1) per coefficient (_two_term_rule,
 _rule_row). A truncated g that solves (1 + qt) g' = r0 + r1 g on its whole
-window (e^(ht) - 1, 1 - e^(-t), log(1 + t)) is found by a check of the
-same kind; each row below its highest follows from the row above by
+window (e^(ht) - 1, 1 - e^(-t), log(1 + t)) is found by the same check
+of g'; each row below its highest follows from the row above by
 (1 + qt)(g^k)' = k r0 g^(k-1) + k r1 g^k, O(1) per coefficient
 (_ode_rule, _descent), and its inverse solves (r0 + r1 t) h' = 1 + qh in
 O(N). compose reads the rows of either class off the table. Any other
@@ -195,23 +195,20 @@ def _rule_row(rule, k, w):
 
 def _ode_rule(u, ud):
     """(qn, an, bn, L) when f = t u/ud, integer numerators u on its first
-    w >= 4 coefficients, u_1 != 0, solves (1 + qt) f' = r0 + r1 f there:
-    r0 = u_0/ud and (j + 2) u_(j+1) = (r1 - q(j + 1)) u_j for j < w - 1, with
-    q, r0, r1 = qn/L, an/L, bn/L; otherwise None. q and r1 come from u_1 and
-    u_2, (r1 - q(j + 1)) u_0 u_1 = a + bj, and each coefficient is checked
-    by integer cross-multiplication, so a non-member stops at its first
-    mismatch. Any three coefficients fit some q, r0, r1, so they are left out."""
-    w = len(u)
-    if w < 4 or not u[1]:
+    w >= 4 coefficients, u_1 != 0, solves (1 + qt) f' = r0 + r1 f there,
+    with q, r0, r1 = qn/L, an/L, bn/L; otherwise None. That is the two-term
+    class one derivative up, (1 + qt) f'' = (r1 - q) f' with r0 = f'(0):
+    f', numerators (m + 1) u_m, has the _two_term_rule r = q, c = r1 - q.
+    L = lcm(den, den r0) is least, as lcm(den q, den r1) = lcm(den r, den c).
+    Any three coefficients fit some q, r0, r1, so they are left out."""
+    if len(u) < 4 or not u[1]:
         return None
-    e, a = u[0] * u[1], 2 * u[1] ** 2
-    b = 3 * u[0] * u[2] - a
-    for j in range(2, w - 1):
-        if (j + 2) * e * u[j + 1] != (a + b * j) * u[j]:
-            return None
-    rs = Rat(-b, e), Rat(u[0], ud), Rat(a - b, e)  # q, r0, r1
-    L = lcm(*(x.denominator for x in rs))
-    return (*(x.numerator * (L // x.denominator) for x in rs), L)
+    rule = _two_term_rule([(m + 1) * x for m, x in enumerate(u)], ud)
+    if rule is None:
+        return None
+    r0, cn, rn, den = rule
+    L = lcm(den, r0.denominator)
+    return rn * (L // den), r0.numerator * (L // r0.denominator), (cn + rn) * (L // den), L
 
 
 def _descent(rule, k, start, widths):
@@ -447,8 +444,8 @@ def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
     length = result_order + v
     if length <= 0:
         return zero(result_order)
-    # the unit part u(t) = f(t) / t^v, inverted by _power_row
-    r, rd = _power_row(*_dense([f.coeffs.get(v + k, 0) for k in range(length)]), -1, length)
+    # row -1 of the power table of the unit part u(t) = f(t) / t^v
+    r, rd = _unit_powers(f, {-1: length})[-1]
     return TruncatedSeries({-v + k: Rat(x, rd) for k, x in enumerate(r)}, result_order)
 
 

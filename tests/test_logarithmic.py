@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import logarithmic, numbers, series
+from umbra import logarithmic, numbers, sequences, series
 from umbra.errors import PreconditionError
 from umbra.logarithmic import (
     NEG_INF,
@@ -818,6 +818,8 @@ class TestReadsMatchOperatorActions:
 
         for name in ("apply_operator", "augmentation", "_unit_powers"):
             count(logarithmic, name, name)
+        # newton_expand reaches the table through the expansion read
+        count(sequences, "_unit_powers", "_unit_powers")
         # the series product is counted wherever it is reached from
         for name in ("int_pow", "mul", "formal_derivative"):
             count(series, name, name)

@@ -12,6 +12,12 @@ from hypothesis import strategies as st
 
 from umbra import operators, series
 from umbra.errors import PreconditionError
+from umbra.logarithmic import (
+    HarmonicLogSeries,
+    log_conjugate_sequence,
+    log_sequence,
+    newton_expand,
+)
 from umbra.numbers import stirling_first, stirling_second
 from umbra.operators import (
     DELTA_NAMES,
@@ -601,6 +607,43 @@ class TestRouteOracles:
         fd = catalog("forward_difference", order=16)
         connection_constants(bd, fd, n_max)
         assert asked == ([n_max + 1] if n_max else [])
+
+
+def _slice(rows, top):
+    """Degree -> nonzero coefficient of each row n = 1..top, as log windows
+    hold them."""
+    return {n: {d: c for d, c in enumerate(rows[n].coeffs) if c} for n in range(1, top + 1)}
+
+
+class TestClassicalRowsAreTheLogSlice:
+    """The classical rows are the nonnegative-degree slice of the
+    logarithmic windows: row n is degrees n..1 of the window of depth n.
+    The oracles are the log layer's windows, one power table each, where
+    the polynomial rows share one table per triangle. The operators are
+    catalog ones, whose units fit one of the kernel's rules, and random
+    delta series, whose units mostly fit none."""
+
+    @given(delta_operators(lowest=2) | delta_series())
+    @settings(max_examples=60, deadline=None)
+    def test_transfer_rows(self, f):
+        top = min(_delta_series(f).order - 1, CAP)
+        want = {n: log_sequence(f, n, n).coeffs for n in range(1, top + 1)}
+        assert _slice(generate_transfer(f, top).terms(top), top) == want
+
+    @given(delta_operators(lowest=2) | delta_series())
+    @settings(max_examples=60, deadline=None)
+    def test_conjugate_rows(self, g):
+        top = min(_delta_series(g).order - 1, CAP)
+        want = {n: log_conjugate_sequence(g, n, n).coeffs for n in range(1, top + 1)}
+        assert _slice(conjugate_sequence(g, top).terms(top), top) == want
+
+    @given(st.lists(small_rat, max_size=15), small_rat.filter(bool))
+    @settings(max_examples=40, deadline=None)
+    def test_taylor_is_newton(self, lower, lead):
+        p = Polynomial([*lower, lead])
+        got = taylor_expand(p, catalog("forward_difference"))
+        s = HarmonicLogSeries(dict(enumerate(p.coeffs)))
+        assert dict(enumerate(got)) == newton_expand(s, p.degree + 1)
 
 
 class TestTaylor:
