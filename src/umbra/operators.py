@@ -13,6 +13,7 @@ composite of g with the compositional inverse of f.
 from __future__ import annotations
 
 from fractions import Fraction as Rat
+from functools import lru_cache
 from math import factorial
 from typing import Mapping, Optional, Sequence
 
@@ -334,6 +335,9 @@ def _exp_less_one(sign: int, order) -> TruncatedSeries:
     return TruncatedSeries({k: c if sign > 0 else -c for k, c in e.coeffs.items() if k}, e.order)
 
 
+CATALOG_MEMO = 8  # catalog keys whose operators are kept (see catalog)
+
+
 def catalog(name: str, parameters: Optional[Mapping[str, Rat]] = None, order: int = 16):
     """Build a named operator at the given truncation order.
 
@@ -348,8 +352,38 @@ def catalog(name: str, parameters: Optional[Mapping[str, Rat]] = None, order: in
     is e^D - 1 with every exponent lowered by one, and laguerre is
     -(D + D^2 + ...), known below D^(order+1) as the product D * 1/(D - 1)
     would be.
+
+    The operators built for the last CATALOG_MEMO = 8 keys are kept. A key
+    is the name, the parameters sorted by name and the order, each value
+    with its type, so a value that equals another but converts or fails
+    differently is its own key. Calls with equal arguments share one
+    series, and with it the kernel's read of its unit: a series is
+    immutable. Each call still returns a fresh operator, because an
+    operator's name and parameters are mutable attributes, and a change to
+    them does not reach the next call. Parameters with an unhashable value
+    are built each time, and a refusal is never kept. The bound keeps the
+    memory small: an operator at order 5000 holds about 15 MB, and each
+    kernel read its series keeps (four at most) about as much again; both
+    grow as N^2 log N.
     """
     parameters = dict(parameters or {})
+    try:
+        key = name, tuple(sorted((k, type(v), v) for k, v in parameters.items())), type(order), order
+        hash(key)
+    except TypeError:
+        return _catalog_build(name, parameters, order)
+    op = _catalog_kept(key)
+    return type(op)(op.series, name, op.parameters)
+
+
+@lru_cache(maxsize=CATALOG_MEMO)
+def _catalog_kept(key):
+    name, items, _, order = key
+    return _catalog_build(name, {k: v for k, _, v in items}, order)
+
+
+def _catalog_build(name: str, parameters: Mapping[str, Rat], order):
+    """The operator catalog names, built afresh."""
     if name == "derivative":
         return DeltaOperator(identity(), name)
     if name == "shift":

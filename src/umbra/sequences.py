@@ -35,6 +35,7 @@ from .operators import (
     _under_inverse,
 )
 from .series import (
+    INF,
     _dense,
     _unit_powers,
     compose,
@@ -282,7 +283,10 @@ def ramey_sequence(f: DeltaOperator, b, n_max: int = 0) -> BinomialSequence:
     difference this produces the Gould polynomials."""
     fs = f.series
     b = Rat(b)
-    order = fs.order if fs.order != float("inf") else n_max + 4
+    # row n_max needs the shifted series below t^(n_max + 1), and a delta
+    # series below t^2 at least: by the window rule of mul, e^(bt) below
+    # t^max(n_max, 1) times an exact f of valuation one
+    order = fs.order if fs.order != INF else max(n_max, 1)
     shifted = mul(exp_series(monomial(1, b), order=order), fs)
     op = DeltaOperator(
         shifted, name="ramey", parameters={"b": b, "base": getattr(f, "name", None)}

@@ -324,6 +324,70 @@ class TestCatalog:
     def test_derivative_is_exact(self):
         assert catalog("derivative").series.order == INF
 
+    def test_equal_calls_share_the_series_of_fresh_operators(self):
+        for name in CATALOG_NAMES:
+            first = catalog(name, {"a": Rat(1, 3), "b": Rat(2, 5)}, order=12)
+            second = catalog(name, {"b": Rat(2, 5), "a": Rat(1, 3)}, order=12)
+            assert first is not second and first.series is second.series, name
+            assert first.parameters is not second.parameters, name
+            assert type(first) is type(second) and first.parameters == second.parameters
+
+    def test_changing_an_operator_does_not_reach_the_next_call(self):
+        op = catalog("abel", {"b": Rat(3, 7)}, order=10)
+        op.name, op.parameters["b"] = "renamed", Rat(5)
+        op.parameters["extra"] = 1
+        again = catalog("abel", {"b": Rat(3, 7)}, order=10)
+        assert again.name == "abel" and again.parameters == {"b": Rat(3, 7)}
+        op.parameters = {}
+        assert catalog("abel", {"b": Rat(3, 7)}, order=10).parameters == {"b": Rat(3, 7)}
+
+    def test_unhashable_parameters_still_build(self):
+        class Unhashable(Rat):
+            __hash__ = None
+
+        for _ in range(2):
+            abel = catalog("abel", {"b": Unhashable(2, 3)}, order=9)
+            assert abel.parameters == {"b": Rat(2, 3)} and type(abel.parameters["b"]) is Rat
+            assert abel.series == catalog("abel", {"b": Rat(2, 3)}, order=9).series
+            shift = catalog("shift", {"a": 2, "tags": []}, order=9)
+            assert shift.series == catalog("shift", {"a": 2}, order=9).series
+
+    def test_refusals_are_never_kept(self):
+        # each refusal twice, and after an equal value that builds: 0.5 and
+        # 0.5 + 0j are equal keys but Fraction refuses the complex one, and
+        # 16 and Fraction(16) equal orders but only the int is an order
+        def raised(call, *args):
+            try:
+                call(*args)
+            except Exception as err:
+                return type(err), str(err)
+
+        catalog("abel", {"b": 0.5}, order=8)
+        catalog("shift", {"a": 1}, order=16)
+        cases = [
+            ("abel", {}, 8, "operator 'abel' requires parameter 'b'"),
+            ("shift", {"b": 1}, 8, "operator 'shift' requires parameter 'a'"),
+            ("abel", {"b": "x"}, 8, raised(Rat, "x")),
+            ("abel", {"b": [1]}, 8, raised(Rat, [1])),
+            ("abel", {"b": 0.5 + 0j}, 8, raised(Rat, 0.5 + 0j)),
+            ("shift", {"a": 1}, Rat(16), "order must be an integer or infinity"),
+            ("forward_difference", {}, 1, "not a delta series"),
+            ("euler", {}, 8, "unknown catalog operator 'euler'"),
+        ]
+        for name, parameters, order, want in cases:
+            if isinstance(want, str):
+                want = PreconditionError, want
+            for _ in range(2):
+                assert raised(catalog, name, parameters, order) == want, (name, parameters, order)
+
+    def test_the_memo_keeps_the_last_keys(self):
+        operators._catalog_kept.cache_clear()
+        built = [catalog("shift", {"a": k}, order=6) for k in range(operators.CATALOG_MEMO + 1)]
+        assert operators._catalog_kept.cache_info().currsize == operators.CATALOG_MEMO
+        assert catalog("shift", {"a": 1}, order=6).series is built[1].series
+        assert catalog("shift", {"a": 0}, order=6).series is not built[0].series
+        assert catalog("shift", {"a": 0}, order=6).series == built[0].series
+
     @pytest.mark.parametrize("name", CATALOG_NAMES)
     @given(a=catalog_rationals, b=catalog_rationals)
     @settings(max_examples=15, deadline=None)

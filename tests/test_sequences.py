@@ -829,6 +829,15 @@ class TestRamey:
         ok, witness = verify_binomial_identity(seq, 6)
         assert ok, witness
 
+    @pytest.mark.parametrize("b", [Rat(2, 3), Rat(-5), Rat(13, 17)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7])
+    def test_shift_of_the_derivative_is_abel(self, b, n):
+        # E^b D = D e^(bD), whose basic sequence is x (x - nb)^(n-1); the
+        # exact D gets the least working order that determines row n
+        seq = ramey_sequence(catalog("derivative"), b, n)
+        assert seq.operator.series.order == max(n, 1) + 1
+        assert seq.terms(n) == [abel_poly(k, b) for k in range(n + 1)]
+
 
 # -- closed forms at the benchmark's working order ------------------------
 #

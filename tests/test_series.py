@@ -871,6 +871,96 @@ class TestOdeRule:
         assert series._two_term_rule(*_dense(abel)) is not None
 
 
+# -- the kernel read kept on a series -------------------------------------
+#
+# A series keeps its unit and the unit's rules for each width it was read
+# at. A unit may fit a rule on a prefix and not on the whole window, so a
+# read at one width must never answer for another.
+
+
+@st.composite
+def kernel_read_units(draw):
+    """(coefficients, j): a unit whose first j coefficients fit the
+    two-term or the ODE rule, all of them (j = w) for a member of either
+    class, or up to u_(j-1) for a near miss."""
+    kind = draw(st.sampled_from(("two-term", "ode", "near miss", "ode near miss")))
+    if kind == "two-term":
+        u0, c, r, w = draw(two_term_units(max_w=14).filter(lambda case: case[3] >= 3))
+        return _two_term_coeffs(u0, c, r, w), w
+    if kind == "ode":
+        q, r0, r1, w = draw(ode_members(max_w=16))
+        return _ode_coeffs(q, r0, r1, w), w
+    return draw(near_misses() if kind == "near miss" else ode_near_misses())
+
+
+def _kernel_reads_match_the_oracles(g, f):
+    w = g.order - 1
+    ks = range(-w, w + 1)
+    assert _unit_powers(g, dict.fromkeys(ks, w)) == _chain_powers(g, w, ks)
+    for first in (1, -w):
+        assert _unit_powers(g, _triangle(w, first)) == _chain_triangle(g, w, first)
+    assert compositional_inverse(g) == _chain_inverse(g)
+    assert _outcome_of(compose, f, g, None) == _outcome_of(_ring_oracle, f, g, None)
+
+
+class TestKernelRead:
+    @given(near_misses() | ode_near_misses(), outer_series())
+    @settings(max_examples=60, deadline=None)
+    def test_a_rule_on_a_prefix_is_not_read_at_full_width(self, case, f):
+        # one series read first at width j, where its unit fits a rule, and
+        # then at its full width, where it does not
+        coeffs, j = case
+        g = _unit_series(coeffs)
+        short = dict.fromkeys(range(-j, j + 1), j)
+        assert _unit_powers(g, short) == _chain_powers(g, j, short)
+        assert compositional_inverse(g, order=j + 1) == _chain_inverse(g, order=j + 1)
+        _, rule, ode = series._read(g, j, True)
+        assert rule is not None or ode is not None
+        _kernel_reads_match_the_oracles(g, f)
+        assert series._read(g, len(coeffs), True)[1:] == [None, None]
+
+    @given(kernel_read_units(), outer_series(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_an_extended_input_claims_no_more_than_it_did(self, case, f, data):
+        # the input extended past its order by random coefficients, with
+        # its kernel read at the old width already kept: each window is no
+        # narrower, agrees on the old one, and a result stays a result
+        coeffs, _ = case
+        w = len(coeffs)
+        tail = data.draw(st.lists(small_rat, min_size=1, max_size=6))
+        g, longer = _unit_series(coeffs), _unit_series(coeffs + tail)
+        calls = (lambda s, o: compositional_inverse(s, order=o),
+                 lambda s, o: reciprocal(s, order=o),
+                 lambda s, o: compose(f, s, o))
+        want = []
+        for call in calls:
+            try:
+                want.append(call(g, None))
+            except PreconditionError:
+                want.append(None)
+        ks = range(-w, w + 1)
+        rows = _unit_powers(g, dict.fromkeys(ks, w))
+        assert _unit_powers(longer, dict.fromkeys(ks, w)) == rows
+        assert compositional_inverse(longer, order=g.order) == want[0]
+        for call, before in zip(calls, want):
+            if before is not None:
+                after = call(longer, None)
+                assert after.order >= before.order and after.truncate(before.order) == before
+        wide = _unit_powers(longer, dict.fromkeys(ks, len(coeffs + tail)))
+        assert all(_values(wide[k])[:w] == _values(rows[k]) for k in ks)
+        _kernel_reads_match_the_oracles(longer, f)
+
+    def test_a_series_keeps_its_last_four_widths(self):
+        g = _unit_series([Rat(1, k) for k in range(1, 9)])
+        reads = [series._read(g, w) for w in range(3, 8)]
+        assert list(g._reads) == [4, 5, 6, 7]
+        assert all(series._read(g, w) is read for w, read in zip(range(4, 8), reads[1:]))
+        assert series._read(g, 3) is not reads[0] and series._read(g, 3) == reads[0]
+        with pytest.raises(PreconditionError, match="coefficient beyond truncation order"):
+            series._read(g, 9)
+        assert list(g._reads) == [5, 6, 7, 3]
+
+
 # -- composition ---------------------------------------------------------
 
 class TestCompose:
