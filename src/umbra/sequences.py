@@ -280,7 +280,10 @@ def umbral_compose(q, p: BinomialSequence) -> BinomialSequence:
 
 def ramey_sequence(f: DeltaOperator, b, n_max: int = 0) -> BinomialSequence:
     """Basic sequence of the shifted operator E^b f(D); for the forward
-    difference this produces the Gould polynomials."""
+    difference this produces the Gould polynomials. A truncated f keeps its
+    order, so rows past n_max stay available below it; an exact f gets the
+    least order that determines row max(n_max, 1), and a later row raises
+    PreconditionError."""
     fs = f.series
     b = Rat(b)
     # row n_max needs the shifted series below t^(n_max + 1), and a delta

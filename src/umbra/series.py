@@ -49,13 +49,13 @@ a _chain product passes the unit as _mul_trunc's first operand, whose zero
 entries are skipped, so the reciprocal or a power of a polynomial of
 degree d costs d products per coefficient, not the square of the order.
 
-A series is immutable, so it keeps the kernel's read of its unit for each
-of the last four widths w it was read at (_read): the dense u on its
-first w coefficients, its two-term rule and, once asked for, its ODE
-rule. The table, compose's head check and the inverse read it there, so
-a series read twice at one width is converted and classified once. The
-read is keyed by the width: a unit that fits a rule on a short prefix may
-fail it on a longer window.
+A series is immutable, so it keeps the kernel's read of its unit at the
+last width w it was read at (_read): the dense u on its first w
+coefficients, its two-term rule and, for a truncated series, its ODE
+rule. The table and the inverse read it there, so a series read twice at
+one width is converted and classified once. A read at another width
+replaces it, never answers for it: a unit that fits a rule on a short
+prefix may fail it on a longer window.
 """
 from __future__ import annotations
 
@@ -250,7 +250,7 @@ def _dense_mul(x, y, w):
 class TruncatedSeries:
     """A Laurent series known exactly on the window [valuation, order)."""
 
-    __slots__ = ("coeffs", "order", "valuation", "_reads")
+    __slots__ = ("coeffs", "order", "valuation", "_unit_read")
 
     def __init__(self, coeffs: Mapping[int, Rat] = (), order=INF):
         order = _check_order(order)
@@ -259,7 +259,7 @@ class TruncatedSeries:
         self.coeffs = clean
         self.order = order
         self.valuation = min(clean) if clean else order
-        self._reads = None  # width -> the kernel's read of the unit (_read)
+        self._unit_read = None  # (w, u, rule, ode rule), kept by _read
 
     # -- basic queries ---------------------------------------------------
 
@@ -467,29 +467,19 @@ def _unit(g: TruncatedSeries, w: int):
     return _dense([g.coeffs.get(e, 0) for e in range(v, v + w)])
 
 
-_UNREAD = object()
-_READS_KEPT = 4  # widths whose reads a series keeps, each about as large as the series
-
-
-def _read(g: TruncatedSeries, w: int, ode: bool = False) -> list:
-    """[u, rule, ode rule]: the unit u = _unit(g, w), its _two_term_rule and,
-    when ``ode`` is asked for or was before, its _ode_rule (else _UNREAD).
-    The read is kept on g for each of the last _READS_KEPT widths, so a
-    series read twice at one width is converted and classified once. It is
-    keyed by the width because a unit may fit a rule on a short prefix and
-    not on a longer one. Callers do not mutate what it holds."""
-    reads = g._reads
-    if reads is None:
-        reads = g._reads = {}
-    read = reads.get(w)
-    if read is None:
+def _read(g: TruncatedSeries, w: int) -> tuple:
+    """(u, rule, ode rule): the unit u = _unit(g, w), its _two_term_rule and,
+    when g is truncated, its _ode_rule (else None). g keeps the read of the
+    last width it was read at, so a series read twice at one width is
+    converted and classified once; a read at another width replaces it,
+    because a unit may fit a rule on a short prefix and not on a longer
+    one. Callers do not mutate what it holds."""
+    read = g._unit_read
+    if read is None or read[0] != w:
         u = _unit(g, w)
-        if len(reads) == _READS_KEPT:
-            del reads[next(iter(reads))]
-        read = reads[w] = [u, _two_term_rule(*u), _UNREAD]
-    if ode and read[2] is _UNREAD:
-        read[2] = _ode_rule(*read[0])
-    return read
+        ode = _ode_rule(*u) if g.order != INF else None
+        read = g._unit_read = w, u, _two_term_rule(*u), ode
+    return read[1:]
 
 
 def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
@@ -510,12 +500,12 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
     if len(out) == len(widths):
         return out
     w_max = max(w for k, w in widths.items() if k)
-    u, rule, _ = _read(g, w_max)
+    u, rule, ode = _read(g, w_max)
     if rule:
         out.update((k, _rule_row(rule, k, w)) for k, w in widths.items() if k)
         return out
     sides = [k for k in widths if k < 0], [k for k in widths if k > 0]
-    ode = g.order != INF and any(len(side) > 1 for side in sides) and _read(g, w_max, True)[2]
+    ode = any(len(side) > 1 for side in sides) and ode
     for side in sides:
         if side:
             lo, hi = min(side), max(side)
@@ -603,8 +593,8 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
     p, m = min((e for e in kept if e > 0), default=0), isqrt(max(kept[-1], 0)) + 1
     fast = p and m - 1 + kept[-1] // m < min(p - 1, 1) + kept[-1] - p
     if fast:  # rows off a rule cost O(1) per coefficient; a prefix of u rejects the rest
-        head = min(top - at[p], 5)
-        fast = not (_read(g, head)[1] or g.order != INF and _read(g, head, True)[2])
+        head = _unit(g, min(top - at[p], 5))
+        fast = not (_two_term_rule(*head) or g.order != INF and _ode_rule(*head))
     rows = [e for e in kept if e < 0 or not fast]
     table = _unit_powers(g, {e: top - at[e] for e in rows})  # row e is read on [ev, top)
     terms = [(at[e], f.coeffs[e], table[e]) for e in rows]
@@ -695,8 +685,8 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     w = n_out - 1  # coefficients t^1..t^w
     if w <= 0:
         return zero(n_out)
-    u, two_term, ode = _read(f, w, f.order != INF)
-    if f.order != INF and ode:  # (r0 + r1 t) g' = 1 + qg
+    u, two_term, ode = _read(f, w)
+    if ode:  # (r0 + r1 t) g' = 1 + qg
         qn, an, bn, L = ode
         g, x = {}, Rat(L, an)
         for k in range(1, n_out):  # (k + 1) r0 g_(k+1) = (q - r1 k) g_k

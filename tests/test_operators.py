@@ -381,9 +381,10 @@ class TestCatalog:
                 assert raised(catalog, name, parameters, order) == want, (name, parameters, order)
 
     def test_the_memo_keeps_the_last_keys(self):
-        operators._catalog_kept.cache_clear()
-        built = [catalog("shift", {"a": k}, order=6) for k in range(operators.CATALOG_MEMO + 1)]
-        assert operators._catalog_kept.cache_info().currsize == operators.CATALOG_MEMO
+        kept = operators._catalog_kept
+        kept.cache_clear()
+        built = [catalog("shift", {"a": k}, order=6) for k in range(kept.cache_info().maxsize + 1)]
+        assert kept.cache_info().currsize == kept.cache_info().maxsize == 8
         assert catalog("shift", {"a": 1}, order=6).series is built[1].series
         assert catalog("shift", {"a": 0}, order=6).series is not built[0].series
         assert catalog("shift", {"a": 0}, order=6).series == built[0].series

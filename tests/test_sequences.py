@@ -837,6 +837,8 @@ class TestRamey:
         seq = ramey_sequence(catalog("derivative"), b, n)
         assert seq.operator.series.order == max(n, 1) + 1
         assert seq.terms(n) == [abel_poly(k, b) for k in range(n + 1)]
+        with pytest.raises(PreconditionError):
+            seq[max(n, 1) + 1]
 
 
 # -- closed forms at the benchmark's working order ------------------------

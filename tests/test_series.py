@@ -914,10 +914,10 @@ class TestKernelRead:
         short = dict.fromkeys(range(-j, j + 1), j)
         assert _unit_powers(g, short) == _chain_powers(g, j, short)
         assert compositional_inverse(g, order=j + 1) == _chain_inverse(g, order=j + 1)
-        _, rule, ode = series._read(g, j, True)
+        _, rule, ode = series._read(g, j)
         assert rule is not None or ode is not None
         _kernel_reads_match_the_oracles(g, f)
-        assert series._read(g, len(coeffs), True)[1:] == [None, None]
+        assert series._read(g, len(coeffs))[1:] == (None, None)
 
     @given(kernel_read_units(), outer_series(), st.data())
     @settings(max_examples=60, deadline=None)
@@ -950,15 +950,22 @@ class TestKernelRead:
         assert all(_values(wide[k])[:w] == _values(rows[k]) for k in ks)
         _kernel_reads_match_the_oracles(longer, f)
 
-    def test_a_series_keeps_its_last_four_widths(self):
+    def test_a_series_keeps_the_read_of_its_last_width(self):
         g = _unit_series([Rat(1, k) for k in range(1, 9)])
-        reads = [series._read(g, w) for w in range(3, 8)]
-        assert list(g._reads) == [4, 5, 6, 7]
-        assert all(series._read(g, w) is read for w, read in zip(range(4, 8), reads[1:]))
-        assert series._read(g, 3) is not reads[0] and series._read(g, 3) == reads[0]
+        first = series._read(g, 5)
+        assert series._read(g, 5)[0] is first[0]
+        assert series._read(g, 6)[0] is not first[0] and g._unit_read[0] == 6
+        assert series._read(g, 5) == first and series._read(g, 5)[0] is not first[0]
         with pytest.raises(PreconditionError, match="coefficient beyond truncation order"):
             series._read(g, 9)
-        assert list(g._reads) == [5, 6, 7, 3]
+        assert g._unit_read[0] == 5
+
+    def test_an_exact_series_has_no_ode_rule(self):
+        # log(1 + t) to t^4 solves (1 + t) f' = 1 below t^5, but an exact
+        # polynomial does not, however its prefix reads
+        coeffs = {k: Rat((-1) ** (k + 1), k) for k in range(1, 5)}
+        assert series._read(TruncatedSeries(coeffs, 5), 4)[2] is not None
+        assert series._read(TruncatedSeries(coeffs), 4)[2] is None
 
 
 # -- composition ---------------------------------------------------------
