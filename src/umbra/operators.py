@@ -350,10 +350,10 @@ def catalog(name: str, parameters: Optional[Mapping[str, Rat]] = None, order: in
     -(D + D^2 + ...), known below D^(order+1) as the product D * 1/(D - 1)
     would be.
 
-    The operators built for the last 8 keys are kept. A key
-    is the name, the parameters sorted by name and the order, each value
-    with its type, so a value that equals another but converts or fails
-    differently is its own key. Calls with equal arguments share one
+    The operators built for the last 8 keys are kept. A key is the name,
+    the parameters sorted by name and the order, each value with its type,
+    so a value that equals another but converts or fails differently is
+    its own key. Calls with equal arguments share one
     series, and with it the kernel's read of its unit: a series is
     immutable. Each call still returns a fresh operator, because an
     operator's name and parameters are mutable attributes, and a change to
