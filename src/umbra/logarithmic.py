@@ -234,6 +234,14 @@ def _known_to(s, needed: int, depth: int):
     return s
 
 
+def _transfer_input(f, depth: int):
+    """f's delta series, refused for a depth below 1 or when not known to
+    order depth + 1, the least a window of ``depth`` coefficients needs."""
+    if depth < 1:
+        raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
+    return _known_to(_delta_series(f), depth + 1, depth)
+
+
 def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     """Degree-n term of the logarithmic basic sequence of f, as a window
     of ``depth`` coefficients [n-depth+1, n] over the order-1 basis.
@@ -246,9 +254,7 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     row -n of f's power table cut to order depth + 1, as generate_transfer.
     Degree 0 alone reads f' times row -1 in one integer product. The window
     is exact when f is known to order depth + 1, and refused otherwise."""
-    if depth < 1:
-        raise PreconditionError(f"log_sequence needs depth >= 1, got {depth}")
-    fs = _known_to(_delta_series(f), depth + 1, depth)
+    fs = _transfer_input(f, depth)
     if n:
         read = _transfer_read(_unit_powers(fs, {-n: depth})[-n], n, range(depth))
         return HarmonicLogSeries(read, n - depth + 1)
@@ -261,12 +267,13 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
 
 class LogBinomialSequence:
     """Lazily computed logarithmic basic sequence of a delta operator,
-    indexed by any integer degree."""
+    indexed by any integer degree. A depth or an operator that log_sequence
+    refuses is refused here, at construction."""
 
     __slots__ = ("operator", "depth", "_terms")
 
     def __init__(self, operator: DeltaOperator, depth: int = 12):
-        _delta_series(operator)
+        _transfer_input(operator, depth)
         self.operator = operator
         self.depth = depth
         self._terms = {}

@@ -363,7 +363,10 @@ def catalog(name: str, parameters: Optional[Mapping[str, Rat]] = None, order: in
     forward difference at order 2000 holds 2.6 MB, and 5.4 MB once its
     series was read at full width; at order 5000, 17.6 and 37.0 MB
     (tracemalloc). Both grow as N^2 log N, so eight keys at order 5000 can
-    hold about 300 MB.
+    hold about 300 MB. The table rows that windows read stay with their
+    series: 16.1 MB for a forward difference at order 201 after degrees
+    -200..200 at depth 200 (400 rows of width 200), and 0.13 MB for the
+    four series of one pass of the log_windows benchmark.
     """
     parameters = dict(parameters or {})
     try:

@@ -51,11 +51,13 @@ degree d costs d products per coefficient, not the square of the order.
 
 A series is immutable, so it keeps the kernel's read of its unit at the
 last width w it was read at (_read): the dense u on its first w
-coefficients, its two-term rule and, for a truncated series, its ODE
-rule. The table and the inverse read it there, so a series read twice at
-one width is converted and classified once. A read at another width
-replaces it, never answers for it: a unit that fits a rule on a short
-prefix may fail it on a longer window.
+coefficients, its two-term rule, for a truncated series its ODE rule,
+and the table rows that one-row requests built at w. The table and the
+inverse read it there, so a series read twice at one width is converted
+and classified once, and a row is built once or stepped down to from a
+kept one. A read at another width replaces it and its rows, never
+answers for them: a unit that fits a rule on a short prefix may fail it
+on a longer window.
 """
 from __future__ import annotations
 
@@ -470,16 +472,17 @@ def _unit(g: TruncatedSeries, w: int):
 def _read(g: TruncatedSeries, w: int) -> tuple:
     """(u, rule, ode rule): the unit u = _unit(g, w), its _two_term_rule and,
     when g is truncated, its _ode_rule (else None). g keeps the read of the
-    last width it was read at, so a series read twice at one width is
-    converted and classified once; a read at another width replaces it,
-    because a unit may fit a rule on a short prefix and not on a longer
-    one. Callers do not mutate what it holds."""
+    last width it was read at, with the rows _unit_powers keeps at that
+    width, so a series read twice at one width is converted and classified
+    once; a read at another width replaces both, because a unit may fit a
+    rule on a short prefix and not on a longer one. Callers do not mutate
+    what it holds."""
     read = g._unit_read
     if read is None or read[0] != w:
         u = _unit(g, w)
         ode = _ode_rule(*u) if g.order != INF else None
-        read = g._unit_read = w, u, _two_term_rule(*u), ode
-    return read[1:]
+        read = g._unit_read = w, u, _two_term_rule(*u), ode, {}
+    return read[1:4]
 
 
 def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
@@ -495,16 +498,28 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
     Any other unit, or side of one row, has its lowest row from one
     _power_row, or u (row 2 is u*u, one squaring), and every row above it
     from one _chain product by u, as wide as the widest row asked for at or
-    above it."""
+    above it. A one-row request reads the row g keeps at its width (_read),
+    or an ODE unit steps down to it from the nearest kept row above on its
+    side of zero when those steps (w each) cost less than one _power_row
+    (w times u's taps); the rows it builds are kept. A table, whose rows
+    may be wider than asked, neither reads nor keeps rows."""
     out = {k: ([1] + [0] * (w - 1), 1) for k, w in widths.items() if not k}
     if len(out) == len(widths):
         return out
     w_max = max(w for k, w in widths.items() if k)
     u, rule, ode = _read(g, w_max)
+    kept = g._unit_read[4]
+    if len(widths) == 1:  # one row: kept, or stepped down from the nearest kept row above it
+        [k] = widths
+        j = min((j for j in kept if k < j and j * k > 0), default=0)  # on k's side of zero
+        # j - k steps of w each, against one _power_row: w times u's taps to its last nonzero one
+        if k not in kept and ode and j and j - k <= max(i for i, x in enumerate(u[0]) if x):
+            kept.update(zip(range(j, k - 1, -1), _descent(ode, j, kept[j], [w_max] * (j - k + 1))))
+        if k in kept:
+            return {k: kept[k]}
     if rule:
         out.update((k, _rule_row(rule, k, w)) for k, w in widths.items() if k)
-        return out
-    sides = [k for k in widths if k < 0], [k for k in widths if k > 0]
+    sides = () if rule else ([k for k in widths if k < 0], [k for k in widths if k > 0])
     ode = any(len(side) > 1 for side in sides) and ode
     for side in sides:
         if side:
@@ -515,6 +530,8 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
             first = _reduce(u[0][: run[0]], u[1]) if ks[0] == 1 else _power_row(*u, ks[0], run[0])
             rows = _descent(ode, hi, first, run) if down else _chain(first, *u, run)
             out.update((k, row) for k, row in zip(ks, rows) if k in widths)
+    if len(widths) == 1:
+        kept.update(out)
     return out
 
 

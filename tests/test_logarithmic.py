@@ -428,6 +428,15 @@ class TestLogSequences:
         a = seq[2]
         assert seq[2] is a
 
+    def test_sequence_refuses_what_log_sequence_refuses_at_construction(self):
+        fd = catalog("forward_difference", order=10)
+        with pytest.raises(PreconditionError, match="log_sequence needs depth >= 1, got 0"):
+            LogBinomialSequence(fd, depth=0)
+        with pytest.raises(PreconditionError, match="depth 12 needs order 13, given 10") as err:
+            LogBinomialSequence(fd, depth=12)
+        assert (err.value.needed, err.value.available) == (13, 10)
+        assert LogBinomialSequence(fd, depth=9)[-3] == log_sequence(fd, -3, 9)
+
     def test_non_delta_rejected(self):
         with pytest.raises(PreconditionError, match="not a delta series"):
             log_sequence(catalog("weierstrass", order=10), 0)
@@ -863,6 +872,41 @@ class TestOneRowRead:
             op = catalog(name, {"b": Rat(17, 29)}, order=25)
             for n in range(-25, 25):
                 assert log_sequence(op, n, 24) == _fprime_read(op.series, n, 24), (name, n)
+
+
+class TestKeptRows:
+    """A window of a forward difference reads its row off the rows its
+    series keeps, or steps it down from the nearest kept row above it. The
+    series are fresh copies of the catalog's, so no earlier test has left
+    rows on them."""
+
+    def test_windows_in_increasing_degree_run_one_miller_pass_a_side(self, monkeypatch):
+        depth, degrees = 24, range(-30, 31)
+
+        def fresh(name):
+            s = catalog(name, {"b": Rat(13, 17)} if name == "abel" else {}, order=depth + 1).series
+            return TruncatedSeries(s.coeffs, s.order)
+
+        sides, power_row = [], series._power_row
+
+        def counted(u, ud, k, w):
+            sides.append((k > 0) - (k < 0))
+            return power_row(u, ud, k, w)
+
+        monkeypatch.setattr(series, "_power_row", counted)
+        fd = fresh("forward_difference")
+        windows = [log_sequence(fd, n, depth) for n in degrees]
+        assert sides.count(1) <= 1 and sides.count(-1) <= 1, sides
+        sides.clear()
+        assert [log_sequence(fd, n, depth) for n in degrees] == windows
+        for name in ("abel", "laguerre"):
+            g = fresh(name)
+            for n in degrees:
+                log_sequence(g, n, depth)
+        assert sides == []
+        monkeypatch.undo()
+        for n, window in zip(degrees, windows):
+            assert window == _fprime_read(fresh("forward_difference"), n, depth), n
 
 
 class TestExactWindowRules:

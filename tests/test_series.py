@@ -873,9 +873,10 @@ class TestOdeRule:
 
 # -- the kernel read kept on a series -------------------------------------
 #
-# A series keeps its unit and the unit's rules for each width it was read
-# at. A unit may fit a rule on a prefix and not on the whole window, so a
-# read at one width must never answer for another.
+# A series keeps its unit, the unit's rules and the table rows its one-row
+# requests built, for the last width it was read at. A unit may fit a rule
+# on a prefix and not on the whole window, so a read at one width must
+# never answer for another.
 
 
 @st.composite
@@ -903,7 +904,49 @@ def _kernel_reads_match_the_oracles(g, f):
     assert _outcome_of(compose, f, g, None) == _outcome_of(_ring_oracle, f, g, None)
 
 
+@st.composite
+def kept_row_requests(draw):
+    """(coefficients, requests): an ODE member, a two-term unit, a unit
+    that fits no rule, or an ODE near miss, and a run of one-row and table
+    requests at two widths, interleaved: a short width (for a near miss,
+    the prefix its rule fits) and the full one. Near misses, whose rule
+    holds at one width only, are drawn twice as often."""
+    kind = draw(st.sampled_from(("ode", "two-term", "chain", "ode near miss", "ode near miss")))
+    if kind == "ode":
+        q, r0, r1, w = draw(ode_members(max_w=16))
+        coeffs, short = _ode_coeffs(q, r0, r1, w), draw(st.integers(1, w))
+    elif kind == "two-term":
+        u0, c, r, w = draw(two_term_units(max_w=14))
+        coeffs, short = _two_term_coeffs(u0, c, r, w), draw(st.integers(1, w))
+    elif kind == "chain":
+        coeffs = [draw(nonzero_rat), *draw(st.lists(small_rat, min_size=1, max_size=13))]
+        short = draw(st.integers(1, len(coeffs)))
+    else:
+        coeffs, short = draw(ode_near_misses())
+    w = len(coeffs)
+    rows = st.integers(-w - 3, w + 3)
+    # a table, or one-row requests in turn, from the top row down as a run
+    # of log windows in increasing degree reads them
+    tables = st.sets(rows, min_size=2, max_size=4).map(lambda ks: [ks])
+    runs = st.lists(rows, min_size=1, max_size=5).map(lambda ks: [{k} for k in sorted(ks)[::-1]])
+    blocks = st.lists(st.tuples(st.sampled_from((short, w)), tables | runs), min_size=1, max_size=5)
+    return coeffs, [(width, ks) for width, run in draw(blocks) for ks in run]
+
+
 class TestKernelRead:
+    @given(kept_row_requests())
+    @settings(max_examples=200, deadline=None)
+    def test_kept_rows_answer_as_a_fresh_series(self, case):
+        # a series keeps the rows its one-row requests built, and steps a
+        # row down from the nearest kept one above it; every request must
+        # return the rows that a series with nothing kept returns
+        coeffs, requests = case
+        g = _unit_series(coeffs)
+        for width, ks in requests:
+            widths = dict.fromkeys(ks, width)
+            fresh = TruncatedSeries(g.coeffs, g.order)
+            assert _unit_powers(g, widths) == _unit_powers(fresh, widths), (width, widths)
+
     @given(near_misses() | ode_near_misses(), outer_series())
     @settings(max_examples=60, deadline=None)
     def test_a_rule_on_a_prefix_is_not_read_at_full_width(self, case, f):
