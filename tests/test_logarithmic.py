@@ -4,6 +4,7 @@
 # read coefficients of powers; the operator-action routes they replaced are
 # kept here as oracles, and so is the dict-based window class that the
 # reflected truncated series replaced.
+import decimal
 import operator
 import time
 from decimal import Decimal
@@ -40,7 +41,8 @@ from umbra.numbers import (
     roman_factorial,
     roman_number,
 )
-from umbra.operators import DELTA_NAMES, catalog
+from umbra.operators import DELTA_NAMES, Polynomial, catalog
+from umbra.sequences import taylor_expand
 from umbra.series import (
     INF,
     TruncatedSeries,
@@ -1191,3 +1193,137 @@ class TestRomanFallingProducts:
         n = 10**6
         s = log_sequence(catalog("forward_difference", order=4), n, 3)
         assert s.coeffs == {n: 1, n - 1: -comb(n, 2), n - 2: comb(n, 3) * (3 * n - 1) // 4}
+
+
+# -- the log layer's per-degree numbers against their Fraction forms --------
+
+
+def _stirling_route(n, t):
+    """monomial_expansion by a Roman factorial times a Stirling row."""
+    out = {}
+    for k, falling in enumerate(numbers._falling(t, range(t + 1))):
+        coeff = roman_factorial(n) * falling * numbers.stirling_first(-n, k, order=t + 2)
+        if coeff != 0:
+            out[t - k] = coeff
+    return out
+
+
+def _tail_bound_oracle(s, x0, precision=28):
+    """tail_bound with every ratio a Fraction and rho their max."""
+    x0 = Rat(x0)
+    if s.is_exact:
+        return Decimal(0)
+    if s.is_empty:
+        return None
+    coeffs = s.coeffs
+    ratios = [abs(coeffs[d]) / abs(coeffs[d + 1]) for d in coeffs if d + 1 in coeffs]
+    if not ratios:
+        return None
+    rho = max(ratios)
+    if rho >= x0:
+        return None
+    anchor = abs(coeffs.get(s.floor, Rat(0))) or max(abs(c) for c in coeffs.values())
+    with decimal.localcontext() as ctx:
+        ctx.prec = precision + 10
+        xv = Decimal(x0.numerator) / Decimal(x0.denominator)
+        q = Decimal(rho.numerator) / Decimal(rho.denominator) / xv
+        head = Decimal(anchor.numerator) / Decimal(anchor.denominator) * xv ** int(s.floor)
+        bound = head * q / (1 - q)
+        if s.order_t >= 1 and s.floor > 0:
+            bound *= max(Decimal(1), abs(xv.ln())) ** s.order_t
+        ctx.prec = precision
+        return +bound
+
+
+def _expand_read_oracle(coeffs, g, ks):
+    """a_k = sum_(j >= k) c_j roman(j)!/roman(k)! [t^(j-k)] (g/t)^k, each
+    term a Fraction added to a Fraction sum, the powers by int_pow."""
+    top = max(ks)
+    u = TruncatedSeries({e - 1: c for e, c in g.coeffs.items()}, g.order - 1)
+    out = {}
+    for k in ks:
+        w = top - k + 1
+        row = int_pow(u.truncate(w) if w < u.order else u, k, order=w)
+        out[k] = sum((c * roman_factorial(j) / roman_factorial(k) * row.coefficient(j - k)
+                      for j, c in coeffs.items() if k <= j <= top), Rat(0))
+    return out
+
+
+@st.composite
+def tail_windows(draw):
+    """A window with a floor: random coefficients, coefficients from a small
+    set (so ratios tie), a geometric run, or an empty window."""
+    t = draw(st.sampled_from([0, 1, 2]))
+    top = draw(st.integers(-8, 8))
+    lo = top - draw(st.integers(0, 12))
+    kind = draw(st.sampled_from(["random", "ties", "geometric", "empty"]))
+    if kind == "empty":
+        return HarmonicLogSeries({}, lo, t)
+    if kind == "geometric":
+        c, q = draw(rationals), draw(rationals)
+        coeffs = {d: c * q ** (d - lo) for d in range(lo, top + 1)}
+    else:
+        values = rationals if kind == "random" else st.sampled_from([1, -1, 2, Rat(1, 2)])
+        coeffs = {d: draw(st.just(0) | values) for d in range(lo, top + 1)}
+    return HarmonicLogSeries(coeffs, lo, t)
+
+
+class TestHarmonicNumbers:
+    def test_order_one_is_the_harmonic_number(self):
+        # lambda_d^(1) = x^d (log x - H_d), H_d the stdlib sum of 1/j; a
+        # negative degree carries no log factor
+        for d in range(0, 301):
+            h = sum((Rat(1, j) for j in range(1, d + 1)), Rat(0))
+            got = monomial_expansion(d, 1)
+            assert got == ({1: 1, 0: -h} if d else {1: 1}), d
+            assert list(got) == ([1, 0] if d else [1])
+        for d in range(-300, 0):
+            assert monomial_expansion(d, 1) == {0: 1}, d
+
+    @pytest.mark.parametrize("t", [0, 1, 2, 3, 4])
+    def test_matches_the_stirling_route(self, t):
+        # same values and the same key order, descending powers of log x
+        for d in range(-40, 41):
+            got, want = monomial_expansion(d, t), _stirling_route(d, t)
+            assert list(got.items()) == list(want.items()), (d, t)
+
+
+class TestTailBoundMatchesFractionMax:
+    @given(s=tail_windows(), x0=st.fractions(Rat(1, 7), 20, max_denominator=7),
+           precision=st.integers(1, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_random_windows(self, s, x0, precision):
+        assert tail_bound(s, x0, precision) == _tail_bound_oracle(s, x0, precision)
+
+    def test_ties_and_edges(self):
+        cases = [
+            (HarmonicLogSeries({0: 1, 1: 1, 2: 1, 3: 1}, 0), 2),  # every ratio 1
+            (HarmonicLogSeries({-2: 4, -1: -2, 0: 1}, -2), 3),  # every ratio 2
+            (HarmonicLogSeries({-2: 4, -1: -2, 0: 1}, -2), 2),  # rho = x0: no bound
+            (HarmonicLogSeries({0: 1, 2: 1}, 0), 2),  # no adjacent pair
+            (HarmonicLogSeries({}, 3), 2),  # empty
+            (HarmonicLogSeries({5: Rat(-7, 3), 6: Rat(7, 3), 7: Rat(1, 9)}, 4, 2), 50),
+        ]
+        for s, x0 in cases:
+            assert tail_bound(s, x0) == _tail_bound_oracle(s, x0), s
+
+
+class TestExpandReadMatchesFractionSums:
+    @given(s=log_windows(tops=st.integers(-30, -1)), depth=depths)
+    @settings(max_examples=80, deadline=None)
+    def test_newton_expand_below_degree_zero(self, s, depth):
+        top = s.top
+        depth = depth if s.is_exact else min(depth, top - s.floor + 1)
+        fd = catalog("forward_difference", order=depth + 1)
+        want = _expand_read_oracle(s.coeffs, fd.series, range(top, top - depth, -1))
+        assert list(newton_expand(s, depth).items()) == list(want.items())
+
+    @given(q=delta_operators(), coeffs=st.lists(rationals | st.just(0), max_size=23))
+    @settings(max_examples=80, deadline=None)
+    def test_taylor_expand(self, q, coeffs):
+        p = Polynomial(coeffs)
+        n = max(p.degree, 0)
+        if n + 1 > q.series.order:
+            return
+        want = _expand_read_oracle(dict(enumerate(p.coeffs)), q.series, range(n + 1))
+        assert taylor_expand(p, q) == list(want.values())
