@@ -27,19 +27,21 @@ kernel's signed power table by the sequences module's reads, of which
 the classical rows are the slice n >= 0: the transfer read of row -n of
 the table of f(t)/t (degree 0 alone reads f'(t) times row -1), the
 conjugate read of the rows of g/t, and the expansion read of (e^t - 1)/t.
+Evaluated, degree d is x^d times a polynomial in log x whose coefficients
+are symmetric functions of 1, 1/2, ..., 1/|d|, never a factorial.
 """
 from __future__ import annotations
 
-from decimal import Decimal, Overflow, localcontext
+from decimal import MAX_PREC, Decimal, Overflow, Subnormal, Underflow, getcontext, localcontext
 from fractions import Fraction as Rat
-from functools import cache
+from functools import cache, cmp_to_key
 from typing import Mapping, Optional
 
 from .errors import PreconditionError, require_order
-from .numbers import _falling, roman_factorial, stirling_first
+from .numbers import _falling
 from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
 from .sequences import _conjugate_read, _expand_read, _transfer_read
-from .series import INF, TruncatedSeries, _dense, _mul_trunc, _unit_powers
+from .series import INF, TruncatedSeries, _dense, _mul_trunc, _power_row, _unit_powers
 
 NEG_INF = float("-inf")
 
@@ -165,14 +167,34 @@ def monomial_expansion(n: int, t: int):
 
         lambda_n^(t) = x^n sum_i m_i (log x)^i
 
-    returned as the mapping {i: m_i}, m_(t-k) = roman(n)! (t)_k s(-n, k): the
-    falling factorials (t)_k of numbers._falling, Stirling numbers of degree -n."""
+    returned as {i: m_i}, descending i. m_(t-k) = (t)_k roman(n)! s(-n, k) is
+    (t)_k [y^k] prod_(j<=n) 1/(1 + y/j) for n >= 0 and (t)_k [y^(k-1)]
+    prod_(r<|n|) (1 - y/r) for n < 0 (Roman, JCTA 63, 1993), read off the |n|
+    integer linear factors cut at y^(t+1): lambda_n^(1) = x^n (log x - H_n)
+    for n >= 0, and x^n for n < 0, where no product is formed."""
+    sign = 1 if n >= 0 else -1
+    w = t + (sign > 0)  # y^0..y^t are read, y^0..y^(t-1) for n < 0
+    row, den = [1][:w], 1  # below width 2, only the constant term 1
+    if w > 1:
+        prod = _linear_product(1, abs(n) + (sign > 0), sign, w)
+        row, den = _power_row(prod, prod[0], -sign, w)
     out = {}
     for k, falling in enumerate(_falling(t, range(t + 1))):
-        coeff = roman_factorial(n) * falling * stirling_first(-n, k, order=t + 2)
-        if coeff != 0:
-            out[t - k] = coeff
+        if (i := k - (sign < 0)) >= 0 and row[i]:
+            out[t - k] = Rat(falling * row[i], den)
     return out
+
+
+def _linear_product(lo: int, hi: int, sign: int, w: int) -> list:
+    """The first w integer coefficients of the product of j + sign*y over
+    lo <= j < hi, by binary splitting: big factors meet in balanced products."""
+    if hi - lo <= 16:
+        p = [1] + [0] * (w - 1)
+        for j in range(lo, hi):
+            p = [j * a + sign * b for a, b in zip(p, [0, *p])]
+        return p
+    mid = (lo + hi) // 2
+    return _mul_trunc(_linear_product(lo, mid, sign, w), _linear_product(mid, hi, sign, w), w)
 
 
 # -- operator action -----------------------------------------------------
@@ -335,13 +357,12 @@ def newton_expand(s: HarmonicLogSeries, depth: int = 12) -> dict:
 
 
 def evaluate_numeric(s: HarmonicLogSeries, x0, precision: int = 28) -> Decimal:
-    """Evaluate the known window at a positive rational point using
-    decimal arithmetic with the requested number of digits."""
+    """Evaluate the known window at a positive rational point with the requested
+    number of decimal digits; a term past the decimal range is refused."""
     x0 = Rat(x0)
     if x0 <= 0:
         raise PreconditionError("evaluate_numeric requires x0 > 0")
-    with localcontext() as ctx:
-        ctx.prec = precision + 10
+    with _context(precision) as ctx:
         xv = Decimal(x0.numerator) / Decimal(x0.denominator)
         lv = xv.ln()
         total = Decimal(0)
@@ -351,8 +372,9 @@ def evaluate_numeric(s: HarmonicLogSeries, x0, precision: int = 28) -> Decimal:
                 for i, m in monomial_expansion(d, s.order_t).items():
                     # (log x)^0 is 1 even at x = 1, where Decimal refuses 0**0
                     total += base * _dec(m) * (lv**i if i else 1)
-        except Overflow:
-            raise PreconditionError(f"degree {d} at x0 = {x0} overflows the decimal range") from None
+        except (Overflow, Subnormal) as err:
+            side = "over" if isinstance(err, Overflow) else "under"
+            raise PreconditionError(f"degree {d} at x0 = {x0} {side}flows the decimal range") from None
         ctx.prec = precision
         return +total
 
@@ -361,27 +383,33 @@ def tail_bound(s: HarmonicLogSeries, x0, precision: int = 28) -> Optional[Decima
     """Estimate of the unknown tail below the window floor at x0, assuming
     the coefficients continue at the growth rate seen inside the window
     (geometric-type continuation). Returns None when no safe estimate is
-    available (growth rate at or above x0), and 0 for exact series."""
+    available (growth rate at or above x0), and 0 for exact series. The rate
+    rho = max |c_d|/|c_(d+1)| is found by integer cross-products."""
     x0 = Rat(x0)
     if x0 <= 0:
         raise PreconditionError("tail_bound requires x0 > 0")
+    context = _context(precision)
     if s.is_exact:
         return Decimal(0)
     if s.is_empty:
         return None
     coeffs = s.coeffs
-    ratios = [abs(coeffs[d]) / abs(coeffs[d + 1]) for d in coeffs if d + 1 in coeffs]
+    ratios = [(abs(c.numerator) * b.denominator, c.denominator * abs(b.numerator))
+              for d, c in coeffs.items() if (b := coeffs.get(d + 1)) is not None]
     if not ratios:
         return None
-    rho = max(ratios)
+    rho = Rat(*max(ratios, key=cmp_to_key(lambda p, q: p[0] * q[1] - q[0] * p[1])))
     if rho >= x0:
         return None
     anchor = abs(coeffs.get(s.floor, Rat(0))) or max(abs(c) for c in coeffs.values())
-    with localcontext() as ctx:
-        ctx.prec = precision + 10
+    with context as ctx:
         xv = Decimal(x0.numerator) / Decimal(x0.denominator)
         q = _dec(rho) / xv
-        head = _dec(anchor) * xv ** int(s.floor)
+        try:
+            head = _dec(anchor) * xv ** int(s.floor)
+        except (Overflow, Subnormal) as err:
+            side = "over" if isinstance(err, Overflow) else "under"
+            raise PreconditionError(f"floor {s.floor} at x0 = {x0} {side}flows the decimal range") from None
         bound = head * q / (1 - q)
         if s.order_t >= 1 and s.floor > 0:
             # tail terms may still carry log factors
@@ -389,6 +417,16 @@ def tail_bound(s: HarmonicLogSeries, x0, precision: int = 28) -> Optional[Decima
             bound *= max(Decimal(1), lv) ** s.order_t
         ctx.prec = precision
         return +bound
+
+
+def _context(precision):
+    """A local decimal context of precision + 10 digits trapping underflow."""
+    if not (isinstance(precision, int) and 1 <= precision <= MAX_PREC - 10):
+        raise PreconditionError(f"precision must be a positive integer, got {precision!r}")
+    ctx = getcontext().copy()
+    ctx.prec = precision + 10
+    ctx.traps[Underflow] = ctx.traps[Subnormal] = True
+    return localcontext(ctx)
 
 
 def _dec(q: Rat) -> Decimal:

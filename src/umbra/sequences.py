@@ -20,6 +20,7 @@ umbral composition completes the module.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction as Rat
 from itertools import islice
 from math import comb
@@ -106,11 +107,12 @@ def _expand_read(coeffs, g, ks):
     over the basic sequence of g itself, for coeffs = {j: c_j}, j <= max(ks)."""
     top, lo = max(ks), min(ks)
     powers = _unit_powers(g, {k: top - k + 1 for k in ks})
-    # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]
+    # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]; the weights
+    # c_j / falling[top - j], j = lo..top, as integers over one denominator
     falling = _falling(top, range(top - lo + 1))
-    weighted = [(j, c / falling[top - j]) for j, c in coeffs.items() if j >= lo]
-    return {k: sum(c * powers[k][0][j - k] for j, c in weighted if j >= k)
-            * Rat(falling[top - k], powers[k][1]) for k in ks}
+    weights, wd = _dense([Rat(coeffs.get(j, 0)) / falling[top - j] for j in range(lo, top + 1)])
+    return {k: Rat(sum(map(operator.mul, weights[k - lo:], powers[k][0])) * falling[top - k],
+                   wd * powers[k][1]) for k in ks}
 
 
 def _conjugate(operator, method, source, window, n_max, transfer=False) -> BinomialSequence:

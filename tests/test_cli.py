@@ -457,6 +457,24 @@ class TestEvalCommand:
         assert (code, out) == (3, "")
         assert err == "error: degree 999998 at x0 = 10 overflows the decimal range\n"
 
+    def test_decimal_underflow_exits_three(self, capsys):
+        # 10^(-2000001) is below the decimal range (exponents down to about
+        # -10^6): a refusal, not a value printed as 0E-1000026
+        code, out, err = run_cli(
+            capsys, "eval", "--op", "exp(D)-1", "--n", "-2000000", "--x0", "10", "--depth", "2"
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: degree -2000001 at x0 = 10 underflows the decimal range\n"
+
+    @pytest.mark.parametrize("n", ["-1000000", "-10000", "10000"])
+    def test_deep_degrees_are_fast(self, capsys, n):
+        # a negative degree of order 1 needs no product at all; a positive one
+        # needs H_n, by binary splitting
+        start = time.perf_counter()
+        doc = run_json(capsys, "eval", "--op", "exp(D)-1", "--n", n, "--x0", "2", "--depth", "2")
+        assert time.perf_counter() - start < 1
+        assert doc["result"]["floor"] == int(n) - 1
+
     def test_moderate_degree_is_fast(self, capsys):
         # the Stirling rows behind degree 1000 are cut at the window's order
         start = time.perf_counter()

@@ -6,6 +6,7 @@
 # reflected truncated series replaced.
 import decimal
 import operator
+import re
 import time
 from decimal import Decimal
 from fractions import Fraction as Rat
@@ -612,6 +613,40 @@ class TestNumericBoundary:
         s = log_sequence(catalog("laguerre", order=24), 0, depth=12)
         assert tail_bound(s, 5) is None
         assert tail_bound(s, 100) is not None
+
+    def test_underflow_is_refused(self):
+        # 10^(-2000000) is below the decimal range: refused, not summed as 0
+        with pytest.raises(PreconditionError, match="degree -2000000 at x0 = 10 underflows"):
+            evaluate_numeric(harmonic_log(-2 * 10**6), 10)
+        s = HarmonicLogSeries({-2 * 10**6: 1, -2 * 10**6 + 1: 1}, -2 * 10**6)
+        with pytest.raises(PreconditionError, match="floor -2000000 at x0 = 10 underflows"):
+            tail_bound(s, 10)
+        # a tiny value inside the range is still a value
+        assert evaluate_numeric(harmonic_log(-900000), 10, 5) == Decimal("1E-900000")
+
+    @pytest.mark.parametrize("precision", [0, -3, 2.5, "28", None])
+    def test_precision_must_be_a_positive_integer(self, precision):
+        s = log_sequence(catalog("forward_difference", order=5), -1, 3)
+        for call, window in ((evaluate_numeric, s), (tail_bound, s), (tail_bound, harmonic_log(2))):
+            with pytest.raises(PreconditionError, match=f"precision must be a positive integer, "
+                                                        f"got {re.escape(repr(precision))}"):
+                call(window, 2, precision)
+
+    def test_a_deep_positive_degree_reads_its_harmonic_number(self):
+        # H_n = log n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4) - ..., the
+        # next term below 10^(-26) at n = 10^4
+        n = 10**4
+        start = time.perf_counter()
+        m = monomial_expansion(n, 1)
+        assert time.perf_counter() - start < 1
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            gamma = Decimal("0.5772156649015328606065120900824024310422")
+            h = Decimal(n).ln() + gamma + Decimal(1) / (2 * n) - Decimal(1) / (12 * n**2) \
+                + Decimal(1) / (120 * n**4)
+            got = Decimal(-m[0].numerator) / Decimal(m[0].denominator)
+        assert list(m) == [1, 0] and m[1] == 1
+        assert abs(got - h) < Decimal("1e-25")
 
     def test_nonpositive_point_rejected(self):
         with pytest.raises(PreconditionError, match="requires x0 > 0"):
