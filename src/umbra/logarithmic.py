@@ -178,11 +178,8 @@ def monomial_expansion(n: int, t: int):
     if w > 1:
         prod = _linear_product(1, abs(n) + (sign > 0), sign, w)
         row, den = _power_row(prod, prod[0], -sign, w)
-    out = {}
-    for k, falling in enumerate(_falling(t, range(t + 1))):
-        if (i := k - (sign < 0)) >= 0 and row[i]:
-            out[t - k] = Rat(falling * row[i], den)
-    return out
+    row = row if sign > 0 else [0, *row]  # m_(t-k) reads [y^(k-1)] for n < 0
+    return {t - k: Rat(f * row[k], den) for k, f in enumerate(_falling(t, range(t + 1))) if row[k]}
 
 
 def _linear_product(lo: int, hi: int, sign: int, w: int) -> list:
@@ -367,8 +364,10 @@ def evaluate_numeric(s: HarmonicLogSeries, x0, precision: int = 28) -> Decimal:
         lv = xv.ln()
         total = Decimal(0)
         try:
-            for d, c in sorted(s.coeffs.items()):
-                base = _dec(c) * xv**d
+            bases = {}
+            for d, c in sorted(s.coeffs.items()):  # every power before any expansion
+                bases[d] = _dec(c) * xv**d
+            for d, base in bases.items():
                 for i, m in monomial_expansion(d, s.order_t).items():
                     # (log x)^0 is 1 even at x = 1, where Decimal refuses 0**0
                     total += base * _dec(m) * (lv**i if i else 1)

@@ -107,8 +107,7 @@ def _expand_read(coeffs, g, ks):
     over the basic sequence of g itself, for coeffs = {j: c_j}, j <= max(ks)."""
     top, lo = max(ks), min(ks)
     powers = _unit_powers(g, {k: top - k + 1 for k in ks})
-    # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]; the weights
-    # c_j / falling[top - j], j = lo..top, as integers over one denominator
+    # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]: weights c_j/falling[top - j]
     falling = _falling(top, range(top - lo + 1))
     weights, wd = _dense([Rat(coeffs.get(j, 0)) / falling[top - j] for j in range(lo, top + 1)])
     return {k: Rat(sum(map(operator.mul, weights[k - lo:], powers[k][0])) * falling[top - k],

@@ -457,14 +457,17 @@ class TestEvalCommand:
         assert (code, out) == (3, "")
         assert err == "error: degree 999998 at x0 = 10 overflows the decimal range\n"
 
-    def test_decimal_underflow_exits_three(self, capsys):
-        # 10^(-2000001) is below the decimal range (exponents down to about
-        # -10^6): a refusal, not a value printed as 0E-1000026
-        code, out, err = run_cli(
-            capsys, "eval", "--op", "exp(D)-1", "--n", "-2000000", "--x0", "10", "--depth", "2"
-        )
+    @pytest.mark.parametrize("n, x0, degree", [("-2000000", "10", -2000002), ("1000000", "1/10", 1000000)])
+    def test_decimal_underflow_exits_three(self, capsys, n, x0, degree):
+        # 10^(-2000002) is below the decimal range (exponents down to about
+        # -10^6): a refusal, not a value printed as 0E-1000026. Every power is
+        # taken before any expansion, so degree 10^6 at x0 = 1/10 is refused
+        # before H_999998 is computed
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "eval", "--op", "exp(D)-1", "--n", n, "--x0", x0, "--depth", "3")
+        assert time.perf_counter() - start < 1
         assert (code, out) == (3, "")
-        assert err == "error: degree -2000001 at x0 = 10 underflows the decimal range\n"
+        assert err == f"error: degree {degree} at x0 = {x0} underflows the decimal range\n"
 
     @pytest.mark.parametrize("n", ["-1000000", "-10000", "10000"])
     def test_deep_degrees_are_fast(self, capsys, n):
