@@ -494,7 +494,8 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
     rule at its own width. A truncated g that solves (1 + qt) g' = r0 + r1 g
     there (_ode_rule) has, on each side of zero asked for two rows or more,
     its highest row from one _power_row and each row below from the one
-    above (_descent), as wide as the widest row asked for at or below it.
+    above (_descent), each stepped as wide as the widest row asked for at or
+    below it and returned cut to its own width.
     Any other unit, or side of one row, has its lowest row from one
     _power_row, or u (row 2 is u*u, one squaring), and every row above it
     from one _chain product by u, as wide as the widest row asked for at or
@@ -529,7 +530,8 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
             run = list(accumulate((widths.get(k, 0) for k in reversed(ks)), max))[::-1]
             first = _reduce(u[0][: run[0]], u[1]) if ks[0] == 1 else _power_row(*u, ks[0], run[0])
             rows = _descent(ode, hi, first, run) if down else _chain(first, *u, run)
-            out.update((k, row) for k, row in zip(ks, rows) if k in widths)
+            out.update((k, _reduce(row[0][: widths[k]], row[1]) if down else row)
+                       for k, row in zip(ks, rows) if k in widths)
     if len(widths) == 1:
         kept.update(out)
     return out

@@ -485,23 +485,6 @@ def _chain_triangle(g, s, first):
     return dict(zip(range(first, first + s), _chain(table[first], *table[1], range(s, 0, -1))))
 
 
-def _triangles_match_the_chain(g, w):
-    """Both triangles the basic sequences read, rows 1..w and -w..-1, agree
-    with _chain_triangle on every row's asked width; an ODE unit's descent
-    may read a row wider than asked, but no wider than w, and any other
-    unit's rows are exactly the oracle's."""
-    _, rule, ode = series._read(g, w)
-    for first in (1, -w):
-        widths = _triangle(w, first)
-        table, want = _unit_powers(g, widths), _chain_triangle(g, w, first)
-        if rule or not ode:
-            assert table == want, first
-            continue
-        for k, width in widths.items():
-            assert width <= len(table[k][0]) <= w
-            assert _values(table[k])[:width] == _values(want[k])[:width], (k, first)
-
-
 def _two_term_coeffs(u0, c, r, w):
     """u_0..u_(w-1) of u_0 (1 + rt)^(c/r), or u_0 e^(ct) for r = 0."""
     out = [u0]
@@ -778,7 +761,12 @@ class TestOdeRule:
         g = _unit_series(coeffs, v=w % 3 + 1)
         ks = range(-w, w + 1)
         assert _unit_powers(g, dict.fromkeys(ks, w)) == _chain_powers(g, w, ks)
-        _triangles_match_the_chain(g, w)
+        for first in (1, -w):  # the triangles the basic sequences read
+            widths = _triangle(w, first)
+            table, want = _unit_powers(g, widths), _chain_triangle(g, w, first)
+            for k, width in widths.items():
+                assert width <= len(table[k][0]) <= w
+                assert _values(table[k])[:width] == _values(want[k])[:width], (k, first)
 
     @given(ode_members(max_w=24), outer_series())
     @settings(max_examples=40, deadline=None)
@@ -910,7 +898,8 @@ def _kernel_reads_match_the_oracles(g, f):
     w = g.order - 1
     ks = range(-w, w + 1)
     assert _unit_powers(g, dict.fromkeys(ks, w)) == _chain_powers(g, w, ks)
-    _triangles_match_the_chain(g, w)
+    for first in (1, -w):
+        assert _unit_powers(g, _triangle(w, first)) == _chain_triangle(g, w, first)
     assert compositional_inverse(g) == _chain_inverse(g)
     assert _outcome_of(compose, f, g, None) == _outcome_of(_ring_oracle, f, g, None)
 
@@ -1006,7 +995,7 @@ class TestKernelRead:
 
     def test_a_polynomial_member_extended_by_zeros_keeps_its_ode(self):
         # t + t^2 + t^3/3 = ((1 + t)^3 - 1)/3 is exact, so a zero tail still
-        # fits (1 + t) f' = 1 + 3f, and its triangles descend wider than asked
+        # fits (1 + t) f' = 1 + 3f, and its triangles are read by the descent
         coeffs = [Rat(1), Rat(1), Rat(1, 3), Rat(0)]
         longer = _unit_series(coeffs + [Rat(0)])
         assert series._read(longer, 5)[2] == (1, 1, 3, 1)
