@@ -38,7 +38,7 @@ from functools import cache, cmp_to_key
 from typing import Mapping, Optional
 
 from .errors import PreconditionError, require_order
-from .numbers import _falling
+from .numbers import _falling, _linear_product
 from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
 from .sequences import _conjugate_read, _expand_read, _transfer_read
 from .series import INF, TruncatedSeries, _dense, _mul_trunc, _power_row, _unit_powers
@@ -181,17 +181,6 @@ def monomial_expansion(n: int, t: int):
     row = row if sign > 0 else [0, *row]  # m_(t-k) reads [y^(k-1)] for n < 0
     return {t - k: Rat(f * row[k], den) for k, f in enumerate(_falling(t, range(t + 1))) if row[k]}
 
-
-def _linear_product(lo: int, hi: int, sign: int, w: int) -> list:
-    """The first w integer coefficients of the product of j + sign*y over
-    lo <= j < hi, by binary splitting: big factors meet in balanced products."""
-    if hi - lo <= 16:
-        p = [1] + [0] * (w - 1)
-        for j in range(lo, hi):
-            p = [j * a + sign * b for a, b in zip(p, [0, *p])]
-        return p
-    mid = (lo + hi) // 2
-    return _mul_trunc(_linear_product(lo, mid, sign, w), _linear_product(mid, hi, sign, w), w)
 
 
 # -- operator action -----------------------------------------------------
@@ -402,20 +391,18 @@ def tail_bound(s: HarmonicLogSeries, x0, precision: int = 28) -> Optional[Decima
         return None
     anchor = abs(coeffs.get(s.floor, Rat(0))) or max(abs(c) for c in coeffs.values())
     with context as ctx:
-        xv = Decimal(x0.numerator) / Decimal(x0.denominator)
-        q = _dec(rho) / xv
         try:
-            head = _dec(anchor) * xv ** int(s.floor)
+            xv = Decimal(x0.numerator) / Decimal(x0.denominator)
+            q = _dec(rho) / xv
+            bound = _dec(anchor) * xv ** int(s.floor) * q / (1 - q)
+            if s.order_t >= 1 and s.floor > 0:
+                # tail terms may still carry log factors
+                bound *= max(Decimal(1), abs(xv.ln())) ** s.order_t
+            ctx.prec = precision
+            return +bound
         except (Overflow, Subnormal) as err:
             side = "over" if isinstance(err, Overflow) else "under"
             raise PreconditionError(f"floor {s.floor} at x0 = {x0} {side}flows the decimal range") from None
-        bound = head * q / (1 - q)
-        if s.order_t >= 1 and s.floor > 0:
-            # tail terms may still carry log factors
-            lv = abs(xv.ln())
-            bound *= max(Decimal(1), lv) ** s.order_t
-        ctx.prec = precision
-        return +bound
 
 
 def _context(precision):

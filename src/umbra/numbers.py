@@ -12,7 +12,7 @@ from functools import cache, reduce
 from math import comb, factorial, perm
 from typing import Iterable
 
-from .series import _power_row, constant, from_coeffs, mul
+from .series import _mul_trunc, _power_row, constant, from_coeffs, mul
 
 Rat = Fraction
 
@@ -65,18 +65,29 @@ def roman_coefficient(j: int, k: int) -> Rat:
 
 # Stirling numbers of the first kind for all integer degrees n.  s(n, k) is
 # the coefficient of y^k in the falling factorial (y)_n.  For n >= 0 the
-# falling factorial is the polynomial y(y-1)...(y-n+1).  For n < 0 it is
-# 1/((y+1)(y+2)...(y-n)), whose coefficients form an infinite series; the
-# caller supplies the working order, and the product is cut there and inverted.
+# falling factorial is the polynomial y(y-1)...(y-n+1) = (-1)^n prod (r - y).
+# For n < 0 it is 1/((y+1)(y+2)...(y-n)), whose coefficients form an infinite
+# series; the caller supplies the working order, and the product is cut there
+# and inverted.
 @cache
 def _stirling_first_row(n: int, order: int) -> tuple[Rat, ...]:
-    prod = [1] + [0] * (n if n >= 0 else order - 1)  # integer coefficients
-    for r in range(n) if n >= 0 else range(-1, n - 1, -1):  # times (y - r)
-        prod = [a - r * b for a, b in zip([0, *prod], prod)]
     if n >= 0:
-        return tuple(map(Rat, prod + [0] * (order - n - 1)))
-    row, den = _power_row(prod, 1, -1, order)
+        prod = _linear_product(0, n, -1, n + 1)
+        return tuple(Rat((-1) ** n * x) for x in prod + [0] * (order - n - 1))
+    row, den = _power_row(_linear_product(1, 1 - n, 1, order), 1, -1, order)
     return tuple(Rat(x, den) for x in row)
+
+
+def _linear_product(lo: int, hi: int, sign: int, w: int) -> list:
+    """The first w integer coefficients in y of the product of j + sign*y over
+    lo <= j < hi, by binary splitting: big factors meet in balanced products."""
+    if hi - lo <= 16:
+        p = [1] + [0] * (w - 1)
+        for j in range(lo, hi):
+            p = [j * a + sign * b for a, b in zip(p, [0, *p])]
+        return p
+    mid = (lo + hi) // 2
+    return _mul_trunc(_linear_product(lo, mid, sign, w), _linear_product(mid, hi, sign, w), w)
 
 
 def stirling_first(n: int, k: int, order: int = 32) -> Rat:

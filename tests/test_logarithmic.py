@@ -621,6 +621,11 @@ class TestNumericBoundary:
         s = HarmonicLogSeries({-2 * 10**6: 1, -2 * 10**6 + 1: 1}, -2 * 10**6)
         with pytest.raises(PreconditionError, match="floor -2000000 at x0 = 10 underflows"):
             tail_bound(s, 10)
+        # the floor's term is in range, but head * q / (1 - q) falls below it
+        s = HarmonicLogSeries({-999999: 1, -999998: 1}, -999999)
+        assert evaluate_numeric(s, 10) == Decimal("1.1E-999998")
+        with pytest.raises(PreconditionError, match="floor -999999 at x0 = 10 underflows"):
+            tail_bound(s, 10)
         # a tiny value inside the range is still a value
         assert evaluate_numeric(harmonic_log(-900000), 10, 5) == Decimal("1E-900000")
 
