@@ -103,6 +103,16 @@ def falling_factorial_coeffs(n):
 
 
 class TestStirlingFirst:
+    def test_nonnegative_rows_do_not_depend_on_the_order(self):
+        # for n >= 0 the row is (y)_n, of width n + 1, at every order: it
+        # reads 0 past the row, for k >= order too
+        for n in range(12):
+            row = falling_factorial_coeffs(n)
+            for k in range(n + 4):
+                want = row[k] if k <= n else 0
+                for order in (0, 1, 2, n, n + 1, n + 5, 32):
+                    assert stirling_first(n, k, order) == want, (n, k, order)
+
     def test_row_three(self):
         # [DERIVED] (y)_3 = y^3 - 3y^2 + 2y
         assert stirling_first(3, 0) == 0

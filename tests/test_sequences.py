@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import operators, series
+from umbra import operators, series, suites
 from umbra.errors import PreconditionError
 from umbra.logarithmic import (
     HarmonicLogSeries,
@@ -399,6 +399,59 @@ class TestWindows:
         assert got.row(window - 1) == deeper.row(window - 1)
         with pytest.raises(PreconditionError, match="truncation too small"):
             connection_constants(g, h, window)
+
+
+def _units(order):
+    """A two-term unit (abel), an ODE unit (the forward difference) and a
+    chain unit, e^t - 1 + t^2, which fits neither rule."""
+    fd = catalog("forward_difference", order=order)
+    return [catalog("abel", {"b": Rat(2, 7)}, order=order), fd,
+            DeltaOperator(fd.series + monomial(2), name="chain")]
+
+
+class TestRowsOnDemand:
+    """A row read first, or out of order, equals the same row of the whole
+    triangle, whatever n_max sized the first table."""
+
+    @pytest.mark.parametrize("unit", range(3))
+    def test_transfer_row_read_first(self, unit):
+        f = _units(24)[unit]
+        full = generate_transfer(f, 22).terms(22)
+        for n in (1, 9, 22):
+            assert generate_transfer(f, 0)[n] == generate_transfer(f, n)[n] == full[n], n
+        seq = generate_transfer(f, 0)
+        reads = (9, 3, 22, 15, 0, 1)  # row 22 widens the table row 9 built
+        assert [seq[n] for n in reads] == [full[n] for n in reads]
+
+    @pytest.mark.parametrize("unit", range(3))
+    def test_conjugate_row_read_first(self, unit):
+        g = _units(24)[unit].series
+        full = conjugate_sequence(g, 22).terms(22)
+        for n in (1, 9, 22):
+            assert conjugate_sequence(g, 0)[n] == conjugate_sequence(g, n)[n] == full[n], n
+        seq = conjugate_sequence(g, 0)
+        reads = (9, 3, 22, 15, 0, 1)
+        assert [seq[n] for n in reads] == [full[n] for n in reads]
+
+    @pytest.mark.parametrize("pair", [(0, 1), (2, 1), (0, 2)])
+    def test_connection_row_of_a_smaller_table(self, pair):
+        g, h = (_units(24)[i] for i in pair)
+        full = connection_constants(g, h, 22)
+        for n in (1, 9, 22):
+            assert connection_constants(g, h, n).row(n) == full.row(n), n
+
+    def test_a_negative_degree_is_refused_by_every_polynomial_sequence(self):
+        fd = catalog("forward_difference", order=8)
+        for seq in (
+            generate_transfer(fd),
+            conjugate_sequence(fd.series),
+            umbral_compose([[1], [0, 1], [0, 0, 1]], generate_transfer(fd)),
+            suites._corrupted_sequence(generate_transfer(fd), 2),
+        ):
+            for n in (-1, -3):
+                with pytest.raises(PreconditionError,
+                                   match=r"^binomial sequences are indexed by n >= 0$"):
+                    seq[n]
 
 
 class TestBinomialIdentity:
