@@ -40,7 +40,7 @@ from typing import Mapping, Optional
 from .errors import PreconditionError, require_order
 from .numbers import _falling, _linear_product
 from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
-from .sequences import _conjugate_read, _expand_read, _transfer_read
+from .sequences import BinomialSequence, _conjugate_read, _expand_read, _transfer_read
 from .series import INF, TruncatedSeries, _dense, _mul_trunc, _power_row, _unit_powers
 
 NEG_INF = float("-inf")
@@ -273,23 +273,17 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     return _window(TruncatedSeries(window, depth), 1)
 
 
-class LogBinomialSequence:
-    """Lazily computed logarithmic basic sequence of a delta operator,
-    indexed by any integer degree. A depth or an operator that log_sequence
-    refuses is refused here, at construction."""
+class LogBinomialSequence(BinomialSequence):
+    """Logarithmic basic sequence of a delta operator, keyed by any integer
+    degree: step n is log_sequence(operator, n, depth). A depth or an
+    operator that log_sequence refuses is refused here, at construction."""
 
-    __slots__ = ("operator", "depth", "_terms")
+    __slots__ = ("depth",)
 
     def __init__(self, operator: DeltaOperator, depth: int = 12):
         _transfer_input(operator, depth)
-        self.operator = operator
+        super().__init__(operator, "transfer", lambda n: log_sequence(operator, n, depth))
         self.depth = depth
-        self._terms = {}
-
-    def __getitem__(self, n: int) -> HarmonicLogSeries:
-        if n not in self._terms:
-            self._terms[n] = log_sequence(self.operator, n, self.depth)
-        return self._terms[n]
 
     def __repr__(self):
         op = getattr(self.operator, "name", None) or "?"
@@ -360,11 +354,11 @@ def evaluate_numeric(s: HarmonicLogSeries, x0, precision: int = 28) -> Decimal:
                 for i, m in monomial_expansion(d, s.order_t).items():
                     # (log x)^0 is 1 even at x = 1, where Decimal refuses 0**0
                     total += base * _dec(m) * (lv**i if i else 1)
+            ctx.prec = precision
+            return +total
         except (Overflow, Subnormal) as err:
             side = "over" if isinstance(err, Overflow) else "under"
             raise PreconditionError(f"degree {d} at x0 = {x0} {side}flows the decimal range") from None
-        ctx.prec = precision
-        return +total
 
 
 def tail_bound(s: HarmonicLogSeries, x0, precision: int = 28) -> Optional[Decimal]:

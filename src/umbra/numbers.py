@@ -65,15 +65,15 @@ def roman_coefficient(j: int, k: int) -> Rat:
 
 # Stirling numbers of the first kind for all integer degrees n.  s(n, k) is
 # the coefficient of y^k in the falling factorial (y)_n.  For n >= 0 the
-# falling factorial is the polynomial y(y-1)...(y-n+1) = (-1)^n prod (r - y).
-# For n < 0 it is 1/((y+1)(y+2)...(y-n)), whose coefficients form an infinite
-# series; the caller supplies the working order, and the product is cut there
-# and inverted.
+# falling factorial is the polynomial y(y-1)...(y-n+1) = (-1)^n prod (r - y),
+# the same row at every order.  For n < 0 it is 1/((y+1)(y+2)...(y-n)), whose
+# coefficients form an infinite series; the caller supplies the working
+# order, and the product is cut there and inverted.
 @cache
 def _stirling_first_row(n: int, order: int) -> tuple[Rat, ...]:
     if n >= 0:
         prod = _linear_product(0, n, -1, n + 1)
-        return tuple(Rat((-1) ** n * x) for x in prod + [0] * (order - n - 1))
+        return tuple(Rat((-1) ** n * x) for x in prod)
     row, den = _power_row(_linear_product(1, 1 - n, 1, order), 1, -1, order)
     return tuple(Rat(x, den) for x in row)
 
@@ -96,7 +96,7 @@ def stirling_first(n: int, k: int, order: int = 32) -> Rat:
         raise ValueError("stirling_first requires k >= 0")
     if n < 0 and k >= order:
         raise ValueError("stirling_first requires k < order")
-    row = _stirling_first_row(n, order)
+    row = _stirling_first_row(n, order if n < 0 else 0)  # n >= 0: one row, cached by n
     return row[k] if k < len(row) else Rat(0)
 
 

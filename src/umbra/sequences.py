@@ -48,19 +48,19 @@ from .series import (
 
 
 class BinomialSequence:
-    """Lazily grown basic sequence of a delta operator.
+    """Lazy basic sequence of a delta operator, keyed by degree: step(n)
+    computes degree n on its first read, and it is kept. The step fixes the
+    degrees and the row type, a Polynomial for n >= 0 here and a log window
+    for any n in the logarithmic module, and raises PreconditionError for a
+    degree it cannot determine. umbral_compose and verify_binomial_identity
+    take polynomial sequences."""
 
-    Indexing returns the degree-n Polynomial; the cache extends on demand,
-    bounded only by the operator's truncation window (a PreconditionError
-    is raised when a term would need unknown series coefficients).
-    """
-
-    __slots__ = ("_operator", "generation_method", "_polys", "_step")
+    __slots__ = ("_operator", "generation_method", "_rows", "_step")
 
     def __init__(self, operator, generation_method, step):
         self._operator = operator  # or a function building it on first read
         self.generation_method = generation_method
-        self._polys = []
+        self._rows = {}
         self._step = step
 
     @property
@@ -69,12 +69,10 @@ class BinomialSequence:
             self._operator = self._operator()
         return self._operator
 
-    def __getitem__(self, n: int) -> Polynomial:
-        if n < 0:
-            raise PreconditionError("binomial sequences are indexed by n >= 0")
-        while len(self._polys) <= n:
-            self._polys.append(self._step(len(self._polys)))
-        return self._polys[n]
+    def __getitem__(self, n: int):
+        if n not in self._rows:
+            self._rows[n] = self._step(n)
+        return self._rows[n]
 
     def terms(self, n_max: int) -> list:
         return [self[n] for n in range(n_max + 1)]
@@ -82,7 +80,7 @@ class BinomialSequence:
     def __repr__(self):
         label = self.generation_method
         op = getattr(self.operator, "name", None) or "?"
-        return f"<basic sequence of {op} via {label}, {len(self._polys)} cached>"
+        return f"<basic sequence of {op} via {label}, {len(self._rows)} cached>"
 
 
 def _transfer_read(row, n, ks):
@@ -117,14 +115,17 @@ def _expand_read(coeffs, g, ks):
 def _conjugate(operator, method, source, window, n_max, transfer=False) -> BinomialSequence:
     """The conjugate sequence p_n(x) = sum_k n! [t^n] g^k x^k / k! of the
     delta series g that ``source(w)`` gives determined below t^w; row n
-    needs order n + 1. Rows n <= s are _conjugate_read off one power table
-    of u = g/t, u^k on its first s - k + 1 coefficients; a later row
-    rebuilds it at least twice as wide. With ``transfer``, ``source(w)``
-    gives f and its inverse g is never built: row n is _transfer_read of
-    u^(-n), u = f/t, as [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n)."""
+    needs order n + 1 and is computed when it is read. Rows n <= s are
+    _conjugate_read off one power table of u = g/t, u^k on its first
+    s - k + 1 coefficients, which the first read builds at s = max(n, n_max);
+    a later row rebuilds it at least twice as wide. With ``transfer``,
+    ``source(w)`` gives f and its inverse g is never built: row n is
+    _transfer_read of u^(-n), u = f/t, as [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n)."""
     powers = {}
 
     def step(n):
+        if n < 0:
+            raise PreconditionError("binomial sequences are indexed by n >= 0")
         if n == 0:
             return Polynomial([1])
         require_order(f"truncation too small for exact action: row {n}", n + 1, window)
@@ -139,9 +140,7 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
         return Polynomial([0, *reversed(row.values())])  # the read runs degree n down to 1
 
     require_order(f"truncation too small for exact action: row {n_max}", n_max + 1, window)
-    seq = BinomialSequence(operator, method, step)
-    seq.terms(n_max)
-    return seq
+    return BinomialSequence(operator, method, step)
 
 
 def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
@@ -150,8 +149,8 @@ def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
     of f/t; f is never inverted. Row n is determined while n is below the
     order of f.
 
-    Terms beyond n_max are still available by indexing; n_max only controls
-    how much is precomputed eagerly.
+    A row is computed when it is read; n_max sizes the power table the first
+    read builds, so rows 0..n_max read one table. Later rows stay available.
     """
     fs = _delta_series(f)
     return _conjugate(f, "transfer", lambda w: fs, fs.order, n_max, transfer=True)
@@ -265,6 +264,8 @@ def umbral_compose(q, p: BinomialSequence) -> BinomialSequence:
         return rows[n]
 
     def step(n):
+        if n < 0:
+            raise PreconditionError("binomial sequences are indexed by n >= 0")
         acc = Polynomial()
         for k, c in enumerate(row_of(n)):
             if c != 0:

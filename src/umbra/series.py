@@ -521,7 +521,6 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
     if rule:
         out.update((k, _rule_row(rule, k, w)) for k, w in widths.items() if k)
     sides = () if rule else ([k for k in widths if k < 0], [k for k in widths if k > 0])
-    ode = any(len(side) > 1 for side in sides) and ode
     for side in sides:
         if side:
             lo, hi = min(side), max(side)

@@ -431,6 +431,13 @@ class TestLogSequences:
         a = seq[2]
         assert seq[2] is a
 
+    def test_sequence_terms_are_log_sequence_windows(self):
+        for op in (catalog("forward_difference", order=12), catalog("abel", {"b": Rat(2, 7)}, order=9)):
+            d = op.series.order - 1
+            seq = LogBinomialSequence(op, d)
+            assert seq[-4] == log_sequence(op, -4, d)  # a negative degree first
+            assert seq.terms(6) == [log_sequence(op, n, d) for n in range(7)]
+
     def test_sequence_refuses_what_log_sequence_refuses_at_construction(self):
         fd = catalog("forward_difference", order=10)
         with pytest.raises(PreconditionError, match="log_sequence needs depth >= 1, got 0"):
@@ -628,6 +635,14 @@ class TestNumericBoundary:
             tail_bound(s, 10)
         # a tiny value inside the range is still a value
         assert evaluate_numeric(harmonic_log(-900000), 10, 5) == Decimal("1E-900000")
+
+    def test_overflow_in_the_final_rounding_is_refused(self):
+        # 9.99999999999 * 10^999999 is in range at the working 15 digits, but
+        # rounds to 1.0000E+1000000 at 5, past the decimal range
+        s = HarmonicLogSeries({999999: Rat(10**12 - 1, 10**11)}, NEG_INF, 0)
+        with pytest.raises(PreconditionError, match="degree 999999 at x0 = 10 overflows"):
+            evaluate_numeric(s, 10, 5)
+        assert evaluate_numeric(s, 10, 12) == Decimal("9.99999999999E+999999")
 
     @pytest.mark.parametrize("precision", [0, -3, 2.5, "28", None])
     def test_precision_must_be_a_positive_integer(self, precision):

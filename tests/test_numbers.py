@@ -206,7 +206,7 @@ def _series_stirling_row(n, order):
     roots = range(n) if n >= 0 else range(-1, n - 1, -1)
     prod = reduce(mul, (from_coeffs([-r, 1], order=INF) for r in roots), constant(1))
     if n >= 0:
-        return tuple(prod.coefficient(d) for d in range(max(n + 1, order)))
+        return tuple(prod.coefficient(d) for d in range(n + 1))
     u = [prod.coefficient(d) for d in range(order)]
     r = [1 / u[0]]
     for k in range(1, order):

@@ -317,8 +317,8 @@ class TestGenerators:
         from umbra import sequences
         monkeypatch.setattr(sequences, "compositional_inverse", refused)
         seq = generate_transfer(op, n_max)
+        assert seq[n_max].degree == n_max  # the first read builds the table
         assert sum(pairs) <= n_max**3 // 3
-        assert seq[n_max].degree == n_max
 
     @given(delta_operators())
     @settings(max_examples=20, deadline=None)
@@ -337,7 +337,7 @@ class TestGenerators:
 
     def test_degree_and_lazy_growth(self):
         seq = generate_transfer(catalog("forward_difference", order=16), 2)
-        # indexing past the eager bound extends the cache
+        # a row past n_max widens the table on its read
         assert seq[9].degree == 9
 
     def test_window_exhaustion_raises(self):
@@ -348,7 +348,7 @@ class TestGenerators:
     @pytest.mark.parametrize("eager", [0, 3])
     def test_rows_are_paid_for_only_as_asked(self, monkeypatch, eager):
         # an order-200 operator asked for n <= 3 builds no product wider
-        # than 8, whether the rows come eagerly or one index at a time
+        # than 8, whether n_max or each index sizes the table
         op = catalog("forward_difference", order=200)
         widths = []
         mul_trunc = series._mul_trunc
@@ -439,6 +439,24 @@ class TestRowsOnDemand:
         full = connection_constants(g, h, 22)
         for n in (1, 9, 22):
             assert connection_constants(g, h, n).row(n) == full.row(n), n
+
+    def test_a_row_read_first_is_the_one_row_read(self, monkeypatch):
+        # reading row 30 of a fresh sequence reads no row below it
+        from umbra import sequences
+
+        calls = []
+        read = sequences._transfer_read
+
+        def counted(row, n, ks):
+            calls.append(n)
+            return read(row, n, ks)
+
+        monkeypatch.setattr(sequences, "_transfer_read", counted)
+        f = catalog("abel", {"b": Rat(2, 7)}, order=32)
+        row = generate_transfer(f, 30)[30]
+        assert calls == [30]
+        monkeypatch.undo()
+        assert row == generate_transfer(f, 0).terms(30)[30]
 
     def test_a_negative_degree_is_refused_by_every_polynomial_sequence(self):
         fd = catalog("forward_difference", order=8)
