@@ -414,23 +414,15 @@ class TestRowsOnDemand:
     triangle, whatever n_max sized the first table."""
 
     @pytest.mark.parametrize("unit", range(3))
-    def test_transfer_row_read_first(self, unit):
+    @pytest.mark.parametrize("generate", [generate_transfer,
+                                          lambda f, n: conjugate_sequence(f.series, n)])
+    def test_row_read_first(self, generate, unit):
         f = _units(24)[unit]
-        full = generate_transfer(f, 22).terms(22)
+        full = generate(f, 22).terms(22)
         for n in (1, 9, 22):
-            assert generate_transfer(f, 0)[n] == generate_transfer(f, n)[n] == full[n], n
-        seq = generate_transfer(f, 0)
+            assert generate(f, 0)[n] == generate(f, n)[n] == full[n], n
+        seq = generate(f, 0)
         reads = (9, 3, 22, 15, 0, 1)  # row 22 widens the table row 9 built
-        assert [seq[n] for n in reads] == [full[n] for n in reads]
-
-    @pytest.mark.parametrize("unit", range(3))
-    def test_conjugate_row_read_first(self, unit):
-        g = _units(24)[unit].series
-        full = conjugate_sequence(g, 22).terms(22)
-        for n in (1, 9, 22):
-            assert conjugate_sequence(g, 0)[n] == conjugate_sequence(g, n)[n] == full[n], n
-        seq = conjugate_sequence(g, 0)
-        reads = (9, 3, 22, 15, 0, 1)
         assert [seq[n] for n in reads] == [full[n] for n in reads]
 
     @pytest.mark.parametrize("pair", [(0, 1), (2, 1), (0, 2)])
