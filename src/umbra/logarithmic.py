@@ -282,12 +282,9 @@ class LogBinomialSequence(BinomialSequence):
 
     def __init__(self, operator: DeltaOperator, depth: int = 12):
         _transfer_input(operator, depth)
-        super().__init__(operator, "transfer", lambda n: log_sequence(operator, n, depth))
+        super().__init__(operator, f"log transfer at depth {depth}",
+                         lambda n: log_sequence(operator, n, depth))
         self.depth = depth
-
-    def __repr__(self):
-        op = getattr(self.operator, "name", None) or "?"
-        return f"<log basic sequence of {op}, depth {self.depth}>"
 
 
 def log_lower_factorial(n: int, depth: int = 12) -> HarmonicLogSeries:

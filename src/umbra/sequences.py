@@ -53,7 +53,7 @@ class BinomialSequence:
     degrees and the row type, a Polynomial for n >= 0 here and a log window
     for any n in the logarithmic module, and raises PreconditionError for a
     degree it cannot determine. umbral_compose and verify_binomial_identity
-    take polynomial sequences."""
+    take polynomial sequences and refuse a row of any other type."""
 
     __slots__ = ("_operator", "generation_method", "_rows", "_step")
 
@@ -81,6 +81,18 @@ class BinomialSequence:
         label = self.generation_method
         op = getattr(self.operator, "name", None) or "?"
         return f"<basic sequence of {op} via {label}, {len(self._rows)} cached>"
+
+
+def _nonnegative(n):  # the refusal of a polynomial sequence's step
+    if n < 0:
+        raise PreconditionError("binomial sequences are indexed by n >= 0")
+
+
+def _polynomial_row(seq, n):
+    """Row n of seq, refused unless it is a Polynomial (not a log window)."""
+    if not isinstance(row := seq[n], Polynomial):
+        raise PreconditionError(f"a polynomial sequence is needed: row {n} is a {type(row).__name__}")
+    return row
 
 
 def _transfer_read(row, n, ks):
@@ -124,8 +136,7 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
     powers = {}
 
     def step(n):
-        if n < 0:
-            raise PreconditionError("binomial sequences are indexed by n >= 0")
+        _nonnegative(n)
         if n == 0:
             return Polynomial([1])
         require_order(f"truncation too small for exact action: row {n}", n + 1, window)
@@ -256,20 +267,14 @@ def umbral_compose(q, p: BinomialSequence) -> BinomialSequence:
     if q_seq is None:
         rows = (q if isinstance(q, ConnectionMatrix) else ConnectionMatrix(q)).entries
 
-    def row_of(n):
-        if q_seq is not None:
-            return q_seq[n].coeffs
-        if n >= len(rows):
-            raise PreconditionError("umbral composition beyond supplied rows")
-        return rows[n]
-
     def step(n):
-        if n < 0:
-            raise PreconditionError("binomial sequences are indexed by n >= 0")
+        _nonnegative(n)
+        if q_seq is None and n >= len(rows):
+            raise PreconditionError("umbral composition beyond supplied rows")
         acc = Polynomial()
-        for k, c in enumerate(row_of(n)):
+        for k, c in enumerate(rows[n] if q_seq is None else _polynomial_row(q_seq, n).coeffs):
             if c != 0:
-                acc = acc + p[k].scale(c)
+                acc = acc + _polynomial_row(p, k).scale(c)
         return acc
 
     def operator():  # composing the two operators is paid for only when read
@@ -323,7 +328,7 @@ def verify_binomial_identity(s: BinomialSequence, n: int):
     O(n) per point and O(n^3) per call."""
     if n < 0:
         raise PreconditionError(f"the binomial identity needs n >= 0, got n = {n}")
-    polys = s.terms(n)
+    polys = [_polynomial_row(s, k) for k in range(n + 1)]
     flat, den = _dense([c for p in polys for c in p.coeffs])
     run = iter(flat)
     vals = [

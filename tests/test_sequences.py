@@ -14,6 +14,7 @@ from umbra import operators, series, suites
 from umbra.errors import PreconditionError
 from umbra.logarithmic import (
     HarmonicLogSeries,
+    LogBinomialSequence,
     log_conjugate_sequence,
     log_sequence,
     newton_expand,
@@ -297,9 +298,10 @@ class TestGenerators:
         "name, order", [("abel", 48), ("forward_difference", 128), ("laguerre", 40)]
     )
     def test_transfer_inverts_nothing(self, monkeypatch, name, order):
-        # rows 0..n_max cost at most n_max^3 / 3 coefficient pairs, counted
-        # as _mul_trunc makes them, and no inversion: at its full width the
-        # table would make about n_max^3 / 2
+        # rows 0..n_max, read in order, read one power table, cost at most
+        # n_max^3 / 3 coefficient pairs, counted as _mul_trunc makes them,
+        # and no inversion: at its full width the table would make about
+        # n_max^3 / 2
         op = catalog(name, {"b": Rat(17, 29)} if name == "abel" else {}, order=order)
         n_max = order - 2
         pairs = []
@@ -316,8 +318,13 @@ class TestGenerators:
         monkeypatch.setattr(series, "compositional_inverse", refused)
         from umbra import sequences
         monkeypatch.setattr(sequences, "compositional_inverse", refused)
+        tables = []
+        unit_powers = sequences._unit_powers
+        monkeypatch.setattr(sequences, "_unit_powers",
+                            lambda *args: tables.append(args) or unit_powers(*args))
         seq = generate_transfer(op, n_max)
-        assert seq[n_max].degree == n_max  # the first read builds the table
+        assert [p.degree for p in seq.terms(n_max)] == list(range(n_max + 1))
+        assert len(tables) == 1
         assert sum(pairs) <= n_max**3 // 3
 
     @given(delta_operators())
@@ -462,6 +469,17 @@ class TestRowsOnDemand:
                 with pytest.raises(PreconditionError,
                                    match=r"^binomial sequences are indexed by n >= 0$"):
                     seq[n]
+
+    def test_a_log_sequence_is_refused_where_polynomial_rows_are_read(self):
+        # a log window's coefficients are keyed by degree; read as a list
+        # from degree 0 they would give a wrong polynomial, not an error
+        f = catalog("abel", {"b": Rat(1, 2)}, order=8)
+        log, poly = LogBinomialSequence(f, 4), generate_transfer(f)
+        for read in (lambda: umbral_compose(log, poly)[3],
+                     lambda: umbral_compose(poly, log)[3],
+                     lambda: verify_binomial_identity(log, 3)):
+            with pytest.raises(PreconditionError, match="polynomial sequence is needed"):
+                read()
 
 
 class TestBinomialIdentity:
