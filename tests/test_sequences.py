@@ -482,6 +482,153 @@ class TestRowsOnDemand:
                 read()
 
 
+# -- two-term units ------------------------------------------------------
+#
+# A unit u = f/t with (1 + rt) u' = cu: u_0 e^(ct) for r = 0, else
+# u_0 (1 + rt)^(c/r). The oracle reads row n off row -n of a power table
+# built for any unit, u^(-1) (or u) by _power_row and a _chain of products
+# away from zero, weighted by the falling product of Roman numbers.
+
+
+def _two_term_coeffs(u0, c, r, w):
+    """u_0..u_(w-1) of u_0 (1 + rt)^(c/r), or u_0 e^(ct) for r = 0."""
+    out = [u0]
+    for m in range(w - 1):
+        out.append((c - r * m) * out[-1] / (m + 1))
+    return out
+
+
+def _unit_delta(coeffs, order=None):
+    """f = t u for the given unit coefficients, known to 1 + len(coeffs)."""
+    return series.from_coeffs([0, *coeffs], order=order)
+
+
+def _chain_row(fs, n, w):
+    """Row -n of the power table of u = f/t on w coefficients, n != 0."""
+    u = series._dense([fs.coefficient(1 + e) for e in range(w)])
+    step = series._power_row(*u, -1 if n > 0 else 1, w)
+    return list(series._chain(step, *step, [w] * abs(n)))[-1]
+
+
+def _oracle_read(fs, n, depth):
+    """Degree n - k, k < depth and k != n: roman(n-1)!/roman(n-1-k)! [t^k] u^(-n)."""
+    num, den = _chain_row(fs, n, depth)
+    out, weight = {}, 1
+    for k in range(depth):
+        if k != n:
+            out[n - k] = Rat(weight * num[k], den)
+        weight *= (n - 1 - k) or 1
+    return out
+
+
+def _oracle_row(fs, n):
+    read = _oracle_read(fs, n, n)
+    return Polynomial([0, *(read[d] for d in range(1, n + 1))])
+
+
+def _oracle_window(fs, n, depth):
+    return HarmonicLogSeries(_oracle_read(fs, n, depth), n - depth + 1)
+
+
+nonzero_rat = st.builds(Rat, st.integers(-9, 9).filter(bool), st.integers(1, 7))
+
+
+@st.composite
+def two_term_unit_coeffs(draw, max_w=24):
+    """(coefficients, exact): e^(ct), a binomial of any rational exponent
+    c/r, one of integer exponent c/r = j, so that row n terminates where
+    -n j - k = 0, or an exact polynomial u_0 (1 + rt)^j, j = 0..3; u_0 is
+    any nonzero rational."""
+    w = draw(st.integers(1, max_w))
+    u0, r = draw(nonzero_rat), draw(nonzero_rat)
+    kind = draw(st.sampled_from(("exp", "binomial", "integer", "exact")))
+    if kind == "exact":
+        j = draw(st.integers(0, 3))
+        return [u0 * comb(j, m) * r**m for m in range(j + 1)], True
+    c = draw(small_rat) if kind != "integer" else draw(st.integers(-4, 4)) * r
+    return _two_term_coeffs(u0, c, Rat(0) if kind == "exp" else r, w), False
+
+
+@st.composite
+def near_miss_coeffs(draw):
+    """Unit coefficients that fit the two-term rule up to u_(j-1), with u_j
+    off it: (coefficients, j)."""
+    coeffs, _ = draw(two_term_unit_coeffs().filter(lambda case: not case[1] and len(case[0]) >= 4))
+    j = draw(st.integers(3, len(coeffs) - 1))
+    coeffs[j] += draw(nonzero_rat)
+    return coeffs, j
+
+
+class TestTwoTermTransferReads:
+    """The transfer rows and log windows of a unit in the two-term class
+    (abel, laguerre, exact units such as D + D^2) against the chain oracle:
+    after a first read at any width, past a prefix that fits the rule, and
+    with the input extended past its order."""
+
+    @given(two_term_unit_coeffs(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_rows_and_windows_match_the_chain_oracle(self, case, data):
+        coeffs, exact = case
+        w = data.draw(st.integers(1, 24)) if exact else len(coeffs)
+        fs = _unit_delta(coeffs, order=series.INF if exact else None)
+        seq = generate_transfer(DeltaOperator(fs), data.draw(st.integers(0, w)))
+        for n in data.draw(st.lists(st.integers(1, w), min_size=1, max_size=4)):
+            assert seq[n] == _oracle_row(fs, n), n
+        depth, n = data.draw(st.integers(1, w)), data.draw(st.integers(-30, 30).filter(bool))
+        assert log_sequence(DeltaOperator(fs), n, depth) == _oracle_window(fs, n, depth)
+
+    @pytest.mark.parametrize("coeffs, order, n, depth", [
+        (_two_term_coeffs(Rat(1), Rat(-1, 2), Rat(0), 13), None, 5, 12),  # abel(1/2), 0 < n < depth
+        (_two_term_coeffs(Rat(3, 2), Rat(-2), Rat(1), 13), None, 3, 12),  # (1 + t)^(-2): k = 7 ends the row
+        ([Rat(1), Rat(2), Rat(1)], series.INF, -2, 9),  # exact (1 + t)^2: k = 5 ends the row
+        ([Rat(1), Rat(1)], series.INF, 7, 12),  # D + D^2
+        ([Rat(-2, 3), Rat(-2, 3)], series.INF, -4, 3),  # a row of width below its |n|
+    ])
+    def test_terminating_rows_and_the_roman_zero_weight(self, coeffs, order, n, depth):
+        fs = _unit_delta(coeffs, order)
+        assert log_sequence(DeltaOperator(fs), n, depth) == _oracle_window(fs, n, depth)
+        top = min(depth, 12)
+        assert generate_transfer(DeltaOperator(fs)).terms(top)[1:] == [
+            _oracle_row(fs, m) for m in range(1, top + 1)]
+
+    @given(near_miss_coeffs(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rows_past_a_rule_prefix_match_the_oracle(self, case, data):
+        # a row at or below j is read first, off the prefix that fits the
+        # rule; every later row, at or past j, must not read it
+        coeffs, j = case
+        w = len(coeffs)
+        fs = _unit_delta(coeffs)
+        seq = generate_transfer(DeltaOperator(fs))
+        first = data.draw(st.integers(1, j))
+        assert seq[first] == _oracle_row(fs, first)
+        for n in data.draw(st.permutations(range(1, w + 1))):
+            assert seq[n] == _oracle_row(fs, n), n
+        n = data.draw(st.integers(-30, 30).filter(bool))
+        for depth in (j, w, data.draw(st.integers(1, w))):
+            assert log_sequence(DeltaOperator(fs), n, depth) == _oracle_window(fs, n, depth), depth
+
+    @given(two_term_unit_coeffs().filter(lambda case: not case[1]),
+           st.lists(small_rat, min_size=1, max_size=6), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_an_extended_unit_claims_the_same_rows_and_windows(self, case, tail, data):
+        # the unit extended past its order by random coefficients, which
+        # push it off its rule: the rows and windows the shorter input
+        # claimed do not move, whichever path reads them
+        coeffs, _ = case
+        w, wide = len(coeffs), len(coeffs) + len(tail)
+        f, longer = DeltaOperator(_unit_delta(coeffs)), DeltaOperator(_unit_delta(coeffs + tail))
+        rows = generate_transfer(f, w).terms(w)
+        assert generate_transfer(longer, wide).terms(w) == rows
+        later = generate_transfer(longer)
+        for m in data.draw(st.permutations(range(w + 1))):
+            assert later[m] == rows[m], m
+        n, depth = data.draw(st.integers(-30, 30)), data.draw(st.integers(1, w))
+        window = log_sequence(f, n, depth)
+        assert log_sequence(longer, n, depth) == window
+        assert log_sequence(longer, n, wide).truncate_floor(n - depth + 1) == window
+
+
 class TestBinomialIdentity:
     def test_certifies_catalog_sequences(self):
         for name, op in delta_catalog():
