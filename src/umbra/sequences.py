@@ -15,8 +15,10 @@ coefficients, here and in the logarithmic module alike, whose classical
 coefficients are the nonnegative-degree slice of its logarithmic ones
 (Loeb-Rota): _transfer_read for the basic sequence of f, _conjugate_read
 for the conjugate sequence of g, and _expand_read for the coefficients
-over the basic sequence of g. Connection constants are conjugate rows;
-umbral composition completes the module.
+over the basic sequence of g. A unit f/t in the two-term class (abel,
+laguerre, D + D^2) needs no table for the first: _rule_read makes each
+transfer row straight off its rule. Connection constants are conjugate
+rows; umbral composition completes the module.
 """
 from __future__ import annotations
 
@@ -38,6 +40,7 @@ from .operators import (
 from .series import (
     INF,
     _dense,
+    _read,
     _unit_powers,
     compose,
     compositional_inverse,
@@ -95,12 +98,31 @@ def _polynomial_row(seq, n):
     return row
 
 
-def _transfer_read(row, n, ks):
+def _transfer_read(row, n, depth):
     """Degree n - k of the basic sequence of f, roman(n)!/roman(n-k)! (n-k)/n
-    [t^k] u^(-n), for each k of the nondecreasing ks, off ``row`` = u^(-n),
-    u = f/t, n != 0: weight roman(n-1)!/roman(n-1-k)!; k = n, weight 0, is left out."""
+    [t^k] u^(-n), for each k < depth, off ``row`` = u^(-n), u = f/t, n != 0:
+    weight roman(n-1)!/roman(n-1-k)!; k = n, weight 0, is left out."""
     num, den = row
-    return {n - k: Rat(r * num[k], den) for k, r in zip(ks, _falling(n - 1, ks)) if k != n}
+    return {n - k: Rat(r * num[k], den) for k, r in enumerate(_falling(n - 1, range(depth))) if k != n}
+
+
+def _rule_read(rule, n, depth):
+    """_transfer_read of u^(-n) for a unit u with _two_term_rule ``rule``,
+    made off the rule alone: u^(-n) solves (1 + rt) p' = -nc p, so the
+    weighted coefficient c_k = roman(n-1)!/roman(n-1-k)! [t^k] u^(-n) steps
+    c_(k+1) = c_k roman(n-1-k) (-n cn - rn k) / (L (k+1)) from u_0^(-n), one
+    Fraction per coefficient made from the last one's numerator and
+    denominator. It is not _rule_row followed by _transfer_read: that row is
+    built over den(u_0^(-n)) L^(w-1) (w-1)!, which a gcd over the whole row
+    then cancels, and each weighted coefficient is cancelled again."""
+    u0, cn, rn, L = rule
+    x, a = u0**-n, -n * cn
+    out = {n: x}
+    for k in range(depth - 1):
+        x = Rat(x.numerator * ((n - 1 - k) or 1) * (a - rn * k), x.denominator * L * (k + 1))
+        if k + 1 != n:
+            out[n - k - 1] = x
+    return out
 
 
 def _conjugate_read(powers, n, js):
@@ -131,23 +153,40 @@ def _conjugate(operator, method, source, window, n_max, transfer=False) -> Binom
     _conjugate_read off one power table of u = g/t, u^k on its first
     s - k + 1 coefficients, which the first read builds at s = max(n, n_max);
     a later row rebuilds it at least twice as wide. With ``transfer``,
-    ``source(w)`` gives f and its inverse g is never built: row n is
-    _transfer_read of u^(-n), u = f/t, as [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n)."""
+    ``source(w)`` gives f and its inverse g is never built: row n is the
+    transfer read of u^(-n), u = f/t, as [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n).
+    Row -n serves row n alone, so it is built on its own n coefficients, only
+    for rows past those served, and dropped once read. A unit whose kernel
+    read at width s has a _two_term_rule needs no table for rows n <= s:
+    each is _rule_read off the rule, and a later row past s checks the rule
+    again at the wider s; where it stops fitting, the rows past the last
+    width that fit come from the table."""
     powers = {}
+    extent = ruled = 0  # rows 1..extent are served; with transfer, 1..ruled off ``rule``
+    rule = None
 
     def step(n):
+        nonlocal extent, ruled, rule
         _nonnegative(n)
         if n == 0:
             return Polynomial([1])
         require_order(f"truncation too small for exact action: row {n}", n + 1, window)
-        if n > len(powers):  # rows 1..s, or -s..-1 with transfer
-            s = min(max(n, n_max, 2 * len(powers)), window - 1)
-            first = -s if transfer else 1
-            powers.update(_unit_powers(source(s + 1), {first + i: s - i for i in range(s)}))
-        if transfer:
-            row = _transfer_read(powers[-n], n, range(n))
-        else:
+        if n > extent:
+            s = min(max(n, n_max, 2 * extent), window - 1)
+            g = source(s + 1)
+            if not transfer:  # rows 1..s, u^k on s - k + 1 coefficients
+                powers.update(_unit_powers(g, {1 + i: s - i for i in range(s)}))
+            elif ruled == extent and (fit := _read(g, s)[1]):
+                rule, ruled = fit, s
+            else:  # rows -extent-1..-s, u^(-m) on m coefficients
+                powers.update(_unit_powers(g, {-m: m for m in range(extent + 1, s + 1)}))
+            extent = s
+        if not transfer:
             row = _conjugate_read(powers, n, range(n))
+        elif n <= ruled:
+            row = _rule_read(rule, n, n)
+        else:
+            row = _transfer_read(powers.pop(-n), n, n)
         return Polynomial([0, *reversed(row.values())])  # the read runs degree n down to 1
 
     require_order(f"truncation too small for exact action: row {n_max}", n_max + 1, window)
@@ -161,7 +200,9 @@ def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
     order of f.
 
     A row is computed when it is read; n_max sizes the power table the first
-    read builds, so rows 0..n_max read one table. Later rows stay available.
+    read builds, so rows 0..n_max read one table, whose rows are dropped as
+    they are read. A unit f/t in the two-term class builds none: each row
+    is read off its rule. Later rows stay available.
     """
     fs = _delta_series(f)
     return _conjugate(f, "transfer", lambda w: fs, fs.order, n_max, transfer=True)

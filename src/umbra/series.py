@@ -221,25 +221,33 @@ def _ode_rule(u, ud):
     return rn * (L // den), r0.numerator * (L // r0.denominator), (cn + rn) * (L // den), L
 
 
-def _descent(rule, k, start, widths):
+def _descent(rule, k, start, widths, cuts=None):
     """start = u^k, then u^(k-1), u^(k-2), ... for a unit with _ode_rule
     ``rule``, on a non-increasing run of widths (start is given on the
     first). (1 + qt)(f^k)' = k r0 f^(k-1) + k r1 f^k reads
     k r0 c'_m = (m + k) c_m - (k r1 - q(m + k - 1)) c_(m-1) for the rows c of
     u^k and c' of u^(k-1): O(1) per coefficient with no division, over the
     denominator of row k times |k an|, each row reduced once. The step up
-    would divide by m + k, 0 at m = -k on the negative side."""
+    would divide by m + k, 0 at m = -k on the negative side. With ``cuts``,
+    each row is returned cut to its first cuts[i] coefficients and reduced
+    there, from the same pass: the gcd of the denominator and the cut comes
+    first, and carried over the rest of the row it reduces the whole row."""
     qn, an, bn, L = rule
     c, d = start
-    yield start
-    for w in widths[1:]:
+    cuts = cuts or widths
+    yield start if cuts[0] == widths[0] else _reduce(c[: cuts[0]], d)
+    for w, cut in zip(widths[1:], cuts[1:]):
         s = 1 if k * an > 0 else -1
         b = s * (k * bn - qn * k)  # s (k r1 - q (m + k - 1)) L at m = 1
         nums = list(map(operator.mul, range(s * L * k, s * L * (k + w), s * L), c[:w]))
         bs = range(b, b - s * qn * (w - 1), -s * qn) if qn else repeat(b)
         nums[1:] = map(operator.sub, nums[1:], map(operator.mul, bs, c[: w - 1]))
-        (c, d), k = _reduce(nums, d * s * k * an), k - 1
-        yield c, d
+        d, k = d * s * k * an, k - 1
+        g = gcd(d, *nums[:cut])  # the cut's content, which the whole row's divides
+        h = gcd(g, *nums[cut:])
+        c, d = ([x // h for x in nums], d // h) if h != 1 else (nums, d)
+        g //= h
+        yield (c, d) if cut == w else ([x // g for x in c[:cut]], d // g) if g != 1 else (c[:cut], d)
 
 
 def _dense_mul(x, y, w):
@@ -528,9 +536,11 @@ def _unit_powers(g: TruncatedSeries, widths: Mapping[int, int]) -> dict:
             ks = range(hi, lo - 1, -1) if down else range(1 if 0 < lo <= 2 else lo, hi + 1)
             run = list(accumulate((widths.get(k, 0) for k in reversed(ks)), max))[::-1]
             first = _reduce(u[0][: run[0]], u[1]) if ks[0] == 1 else _power_row(*u, ks[0], run[0])
-            rows = _descent(ode, hi, first, run) if down else _chain(first, *u, run)
-            out.update((k, _reduce(row[0][: widths[k]], row[1]) if down else row)
-                       for k, row in zip(ks, rows) if k in widths)
+            if down:  # each row stepped as wide as run says and returned cut to its own width
+                rows = _descent(ode, hi, first, run, [widths.get(k, w) for k, w in zip(ks, run)])
+            else:
+                rows = _chain(first, *u, run)
+            out.update((k, row) for k, row in zip(ks, rows) if k in widths)
     if len(widths) == 1:
         kept.update(out)
     return out

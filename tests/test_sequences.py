@@ -1,6 +1,8 @@
 # Tests for binomial-type sequences: generator agreement, closed forms,
 # Taylor expansion, umbral composition, connection constants.
+import gc
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction as Rat
 from itertools import count, islice
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from umbra import operators, series, suites
+from umbra import operators, sequences, series, suites
 from umbra.errors import PreconditionError
 from umbra.logarithmic import (
     HarmonicLogSeries,
@@ -298,10 +300,11 @@ class TestGenerators:
         "name, order", [("abel", 48), ("forward_difference", 128), ("laguerre", 40)]
     )
     def test_transfer_inverts_nothing(self, monkeypatch, name, order):
-        # rows 0..n_max, read in order, read one power table, cost at most
-        # n_max^3 / 3 coefficient pairs, counted as _mul_trunc makes them,
-        # and no inversion: at its full width the table would make about
-        # n_max^3 / 2
+        # rows 0..n_max, read in order, cost at most n_max^3 / 3 coefficient
+        # pairs, counted as _mul_trunc makes them, and no inversion: at its
+        # full width the table would make about n_max^3 / 2. The forward
+        # difference reads one power table; abel and laguerre, whose units
+        # fit the two-term rule, read none: each row is read off the rule
         op = catalog(name, {"b": Rat(17, 29)} if name == "abel" else {}, order=order)
         n_max = order - 2
         pairs = []
@@ -316,15 +319,19 @@ class TestGenerators:
 
         monkeypatch.setattr(series, "_mul_trunc", counted)
         monkeypatch.setattr(series, "compositional_inverse", refused)
-        from umbra import sequences
         monkeypatch.setattr(sequences, "compositional_inverse", refused)
-        tables = []
-        unit_powers = sequences._unit_powers
+        tables, reads = [], []
+        unit_powers, transfer_read = sequences._unit_powers, sequences._transfer_read
         monkeypatch.setattr(sequences, "_unit_powers",
                             lambda *args: tables.append(args) or unit_powers(*args))
+        monkeypatch.setattr(sequences, "_transfer_read",
+                            lambda *args: reads.append(args[1]) or transfer_read(*args))
         seq = generate_transfer(op, n_max)
         assert [p.degree for p in seq.terms(n_max)] == list(range(n_max + 1))
-        assert len(tables) == 1
+        if name == "forward_difference":
+            assert len(tables) == 1 and reads == list(range(1, n_max + 1))
+        else:
+            assert tables == [] and reads == []
         assert sum(pairs) <= n_max**3 // 3
 
     @given(delta_operators())
@@ -440,22 +447,38 @@ class TestRowsOnDemand:
             assert connection_constants(g, h, n).row(n) == full.row(n), n
 
     def test_a_row_read_first_is_the_one_row_read(self, monkeypatch):
-        # reading row 30 of a fresh sequence reads no row below it
-        from umbra import sequences
+        # reading row 30 of a fresh sequence reads no row below it: abel's
+        # row is read off its two-term rule, the forward difference's off
+        # the power table
+        cases = ((catalog("abel", {"b": Rat(2, 7)}, order=32), "_rule_read"),
+                 (catalog("forward_difference", order=32), "_transfer_read"))
+        for f, runs in cases:
+            calls = {"_rule_read": [], "_transfer_read": []}
+            for name, seen in calls.items():
+                monkeypatch.setattr(sequences, name, lambda first, n, depth, seen=seen,
+                                    read=getattr(sequences, name): seen.append(n) or read(first, n, depth))
+            row = generate_transfer(f, 30)[30]
+            monkeypatch.undo()
+            assert calls == {name: [30] if name == runs else [] for name in calls}, runs
+            assert row == generate_transfer(f, 0).terms(30)[30]
 
-        calls = []
-        read = sequences._transfer_read
-
-        def counted(row, n, ks):
-            calls.append(n)
-            return read(row, n, ks)
-
-        monkeypatch.setattr(sequences, "_transfer_read", counted)
-        f = catalog("abel", {"b": Rat(2, 7)}, order=32)
-        row = generate_transfer(f, 30)[30]
-        assert calls == [30]
-        monkeypatch.undo()
-        assert row == generate_transfer(f, 0).terms(30)[30]
+    def test_a_transfer_sequence_drops_each_table_row_once_read(self):
+        # row -n of the power table serves row n alone, so once rows
+        # 0..n_max are read the sequence holds little beyond the rows
+        # themselves; kept, the table would hold about 2/3 as much again
+        op = catalog("forward_difference", order=98)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            seq = generate_transfer(op, 96)
+            rows = seq.terms(96)
+            held = tracemalloc.get_traced_memory()[0] - before
+            del seq
+            gc.collect()
+            rows_alone = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 97 and held - rows_alone < rows_alone / 20, (held, rows_alone)
 
     def test_a_negative_degree_is_refused_by_every_polynomial_sequence(self):
         fd = catalog("forward_difference", order=8)
@@ -576,6 +599,17 @@ class TestTwoTermTransferReads:
             assert seq[n] == _oracle_row(fs, n), n
         depth, n = data.draw(st.integers(1, w)), data.draw(st.integers(-30, 30).filter(bool))
         assert log_sequence(DeltaOperator(fs), n, depth) == _oracle_window(fs, n, depth)
+
+    @given(two_term_unit_coeffs(), st.integers(-30, 30).filter(bool), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_the_rule_read_is_the_transfer_read_of_the_chain_row(self, case, n, data):
+        coeffs, exact = case
+        depth = data.draw(st.integers(1, 24 if exact else len(coeffs)))
+        fs = _unit_delta(coeffs, order=series.INF if exact else None)
+        rule = series._read(fs, depth)[1]
+        assert rule is not None
+        want = sequences._transfer_read(_chain_row(fs, n, depth), n, depth)
+        assert sequences._rule_read(rule, n, depth) == want
 
     @pytest.mark.parametrize("coeffs, order, n, depth", [
         (_two_term_coeffs(Rat(1), Rat(-1, 2), Rat(0), 13), None, 5, 12),  # abel(1/2), 0 < n < depth
@@ -733,8 +767,6 @@ class TestConjugate:
         # rows read g itself; g is inverted once, on the first read of
         # .operator, and umbral composition builds its operator from that
         # one on its own first read of .operator
-        from umbra import sequences
-
         calls = []
         inverse = sequences.compositional_inverse
 
