@@ -114,9 +114,10 @@ def _mul_trunc(a, b, w):
     return out
 
 
-def _reduce(nums, den):
-    """Cancel the common content of numerators and denominator."""
-    g = gcd(den, *nums)
+def _reduce(nums, den, g=None):
+    """Cancel the common content g of numerators and denominator, by
+    default their gcd."""
+    g = gcd(den, *nums) if g is None else g
     if g == 1:
         return nums, den
     return [x // g for x in nums], den // g
@@ -245,9 +246,8 @@ def _descent(rule, k, start, widths, cuts=None):
         d, k = d * s * k * an, k - 1
         g = gcd(d, *nums[:cut])  # the cut's content, which the whole row's divides
         h = gcd(g, *nums[cut:])
-        c, d = ([x // h for x in nums], d // h) if h != 1 else (nums, d)
-        g //= h
-        yield (c, d) if cut == w else ([x // g for x in c[:cut]], d // g) if g != 1 else (c[:cut], d)
+        c, d = _reduce(nums, d, h)
+        yield (c, d) if cut == w else _reduce(c[:cut], d, g // h)
 
 
 def _dense_mul(x, y, w):
