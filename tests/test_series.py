@@ -697,6 +697,22 @@ def _ode_coeffs(q, r0, r1, w):
     return out
 
 
+def _fits_two_term(u):
+    """[DERIVED] whether the Fractions u_0..u_(w-1), u_0 != 0, solve
+    (1 + rt) u' = cu: the first two steps force c = u_1/u_0 and, when
+    u_1 != 0, r = c - 2 u_2/u_1 (else u vanishes past u_0 for every r)."""
+    c = u[1] / u[0] if len(u) > 1 else 0
+    r = c - 2 * u[2] / u[1] if len(u) > 2 and u[1] else 0
+    return all((m + 1) * u[m + 1] == (c - r * m) * u[m] for m in range(len(u) - 1))
+
+
+def _fits_ode(u):
+    """[DERIVED] whether f = t u, Fractions u_0..u_(w-1), solves
+    (1 + qt) f' = r0 + r1 f with r1 != q, as a member of the ODE class is
+    read: f' fits the two-term rule, f_1 != 0 != f_2 and w >= 4."""
+    return len(u) >= 4 and u[0] != 0 != u[1] and _fits_two_term([(m + 1) * x for m, x in enumerate(u)])
+
+
 @st.composite
 def ode_members(draw, min_w=4, max_w=40):
     """(q, r0, r1, w) with r1 != q, so f_2 != 0: e^(ht) - 1 and its
@@ -951,8 +967,11 @@ class TestKernelRead:
     @settings(max_examples=60, deadline=None)
     def test_a_rule_on_a_prefix_is_not_read_at_full_width(self, case, f):
         # one series read first at width j, where its unit fits a rule, and
-        # then at its full width, where it does not
+        # then at its full width, where it does not: a perturbed unit that
+        # lands on a member of either class, such as 1/2 (1 - 3t)^3 with its
+        # t^3 term cut, is no near miss and is skipped
         coeffs, j = case
+        assume(not _fits_two_term(coeffs) and not _fits_ode(coeffs))
         g = _unit_series(coeffs)
         short = dict.fromkeys(range(-j, j + 1), j)
         assert _unit_powers(g, short) == _chain_powers(g, j, short)
@@ -1000,6 +1019,17 @@ class TestKernelRead:
         longer = _unit_series(coeffs + [Rat(0)])
         assert series._read(longer, 5)[2] == (1, 1, 3, 1)
         _kernel_reads_match_the_oracles(longer, from_coeffs([0, 2, -1, 3], order=4))
+
+    def test_a_cut_binomial_that_is_a_polynomial_member_reads_its_ode(self):
+        # 1/2 (1 - 3t)^3 with u_3 cut to 0 fits its two-term rule on
+        # u_0..u_2 only, but t u = (1 - (1 - 3t)^3)/18 solves
+        # (1 - 3t) f' = 1/2 - 9 f: q, r0, r1 = -6/2, 1/2, -18/2
+        coeffs = [Rat(1, 2), Rat(-3, 2), Rat(3, 2), Rat(0)]
+        assert _fits_ode(coeffs) and not _fits_two_term(coeffs)
+        g = _unit_series(coeffs)
+        assert series._read(g, 3)[1] is not None
+        assert series._read(g, 4)[1:] == (None, (-6, 1, -18, 2))
+        _kernel_reads_match_the_oracles(g, monomial(5))
 
     def test_a_series_keeps_the_read_of_its_last_width(self):
         g = _unit_series([Rat(1, k) for k in range(1, 9)])
@@ -1376,6 +1406,103 @@ class TestBrentKung:
         g = log_series(from_coeffs([1, 1], order=INF), order=128)
         assert compose(f, g) == t.truncate(128)
         assert len(calls) == 0
+
+
+# -- composition under an outer that solves (1 + qt) f' = r0 + r1 f --------
+#
+# Outers of the ODE class, their near misses and the inners of every class,
+# against the table oracle (values, windows, refusal texts) and Horner.
+
+
+@st.composite
+def ode_outers(draw):
+    """An outer alpha + F: F = beta (e^(ct) - 1) (q = 0), (1 + qt)^a - 1,
+    log(1 + qt) (r1 = 0), each truncated, or t + t^2 or
+    ((1 + qt)^d - 1)/(qd), exact or truncated; alpha zero (valuation 1) or
+    not (valuation 0). A near miss moves one coefficient off the rule, often
+    the last one in the window; a few outers carry a Laurent term."""
+    kind = draw(st.sampled_from(("exp", "power", "log", "t + t^2", "polynomial")))
+    q, w = draw(nonzero_rat), draw(st.integers(4, 20))
+    if kind == "exp":
+        beta = draw(nonzero_rat)
+        fc = _ode_coeffs(0, beta * q, q, w)
+    elif kind == "power":
+        a = draw(nonzero_rat)
+        fc = _ode_coeffs(q, a * q, a * q, w)
+    elif kind == "log":
+        fc = _ode_coeffs(q, q, 0, w)
+    elif kind == "t + t^2":
+        fc = [Rat(1), Rat(1)]
+    else:
+        fc = _ode_coeffs(q, Rat(1), q * draw(st.integers(2, 5)), draw(st.integers(2, 5)))
+    polynomial = kind in ("t + t^2", "polynomial")
+    exact = polynomial and draw(st.booleans())
+    order = INF if exact else draw(st.integers(len(fc) + 1, 21)) if polynomial else len(fc) + 1
+    coeffs = {0: draw(st.just(Rat(0)) | nonzero_rat), **dict(enumerate(fc, start=1))}
+    if draw(st.booleans()):  # a near miss
+        last = len(fc) + 5 if exact else order - 1
+        j = draw(st.just(last) | st.integers(1, last))
+        coeffs[j] = coeffs.get(j, Rat(0)) + draw(nonzero_rat)
+    laurent = draw(st.sampled_from((0, 0, 0, -1, -3)))
+    if laurent:
+        coeffs[laurent] = draw(nonzero_rat)
+    return TruncatedSeries(coeffs, order)
+
+
+@st.composite
+def inner_series(draw):
+    """g = t^v u, v = 1..3, for u a two-term unit, a unit whose t u solves
+    the ODE, a near miss of either, or any unit; exact or truncated."""
+    kind = draw(st.sampled_from(("two-term", "ode", "near miss", "ode near miss", "any")))
+    if kind == "two-term":
+        u0, c, r, w = draw(two_term_units(max_w=14))
+        coeffs = _two_term_coeffs(u0, c, r, w)
+    elif kind == "ode":
+        q, r0, r1, w = draw(ode_members(max_w=16))
+        coeffs = _ode_coeffs(q, r0, r1, w)
+    elif kind == "any":
+        coeffs = [draw(nonzero_rat), *draw(st.lists(small_rat, max_size=13))]
+    else:
+        coeffs, _ = draw(near_misses() if kind == "near miss" else ode_near_misses())
+    v = draw(st.integers(1, 3))
+    return _unit_series(coeffs, v, order=draw(st.none() | st.just(INF)))
+
+
+class TestOdeOuter:
+    @given(ode_outers(), inner_series(), st.none() | st.integers(2, 12))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_table_and_horner(self, f, g, order):
+        # values, windows and refusal texts of the table oracle; values of
+        # Horner on the overlap of the two windows
+        got = _outcome_of(compose, f, g, order)
+        assert got == _outcome_of(_table_compose, f, g, order)
+        if isinstance(got, str):
+            return
+        try:
+            want = _horner_compose(f, g, order)
+        except PreconditionError:
+            return
+        assert compose(f, g, order).agrees_with(want)
+
+    @given(ode_outers().filter(lambda f: f.order != INF), inner_series(),
+           st.none() | st.integers(2, 12), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_an_extended_outer_claims_no_more_than_it_did(self, f, g, order, data):
+        # the outer extended 8 orders past its own by random coefficients,
+        # which leave its rule: composed by compose and by Horner, it moves
+        # none of the coefficients the result claimed, and the result's
+        # window is the ring rule's, no wider
+        tail = data.draw(st.lists(small_rat, min_size=8, max_size=8))
+        longer = TruncatedSeries({**f.coeffs, **dict(enumerate(tail, start=f.order))}, f.order + 8)
+        assume(not _fits_ode([longer.coeffs.get(e, Rat(0)) for e in range(1, longer.order)]))
+        try:
+            got = compose(f, g, order)
+        except PreconditionError:
+            return
+        assert got.order == _ring_oracle(f, g, order).order
+        after = compose(longer, g, order)
+        assert after.order >= got.order and after.truncate(got.order) == got
+        assert got.agrees_with(_horner_compose(longer, g, order))
 
 
 # -- compositional inverse ----------------------------------------------
