@@ -38,7 +38,10 @@ window (e^(ht) - 1, 1 - e^(-t), log(1 + t)) is found by the same check
 of g'; each row below its highest follows from the row above by
 (1 + qt)(g^k)' = k r0 g^(k-1) + k r1 g^k, O(1) per coefficient
 (_ode_rule, _descent), and its inverse solves (r0 + r1 t) h' = 1 + qh in
-O(N). compose reads the rows of either class off the table. Any other
+O(N). An outer f of that class, checked on every exponent that reaches the
+result, composes with no power of the inner g: h = f(g) solves
+(1 + qg) h' = (r0 + r1 h) g', one pass of O(N taps(g)) (_ode_compose).
+Any other outer reads the rows of either class off the table. Any other
 unit has, on each side of zero, its lowest row in one pass of Miller's
 power recurrence and every row above it one truncated product by u
 (_chain), each only as wide as the rows read at or above it; compose adds
@@ -62,7 +65,7 @@ on a longer window.
 from __future__ import annotations
 
 import operator
-from bisect import bisect
+from bisect import bisect, bisect_left
 from fractions import Fraction as Rat
 from itertools import accumulate, islice, repeat
 from math import factorial, gcd, isqrt, lcm, prod
@@ -591,18 +594,48 @@ def _brent_kung(coeffs, g: TruncatedSeries, m: int, top: int):
     return acc, ad
 
 
+def _ode_compose(rule, g: TruncatedSeries, top: int) -> dict:
+    """h_1..h_(top-1) of h = F(g), val g >= 1, for the F with F(0) = 0 and
+    _ode_rule ``rule``, (1 + qt) F' = r0 + r1 F: (1 + qg) h' = (r0 + r1 h) g'
+    reads n h_n = n r0 g_n + sum_(j<n) g_j h_(n-j) ((r1 + q) j - qn), one
+    pass over g's stored terms on numerators over one denominator as in
+    exp_series, O(top) steps of one Fraction and two dot products each."""
+    qn, an, bn, L = rule
+    js = sorted(j for j in g.coeffs if j < top)
+    a, ad = _dense([g.coeffs[j] for j in js])
+    ja, neg = [(bn + qn) * j * x for j, x in zip(js, a)], [-j for j in js]
+    out, y, yd = {}, [0], 1  # y[-j] is the numerator of h_(n-j)
+    for n in range(1, top):
+        k = bisect_left(js, n)
+        num = sum(map(operator.mul, ja[:k], map(y.__getitem__, neg[:k])))
+        if qn:
+            num -= qn * n * sum(map(operator.mul, a[:k], map(y.__getitem__, neg[:k])))
+        if k < len(js) and js[k] == n:
+            num += n * an * a[k] * yd
+        h = out[n] = Rat(num, n * L * ad * yd)
+        m = h.denominator // gcd(h.denominator, yd)  # yd * m = lcm(yd, den)
+        if m != 1:
+            y, yd = [x * m for x in y[-js[-1] :]], yd * m
+        y.append(h.numerator * (yd // h.denominator))
+    return out
+
+
 def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeries:
     """Substitute g into f. Requires val(g) >= 1 so the result is well
     defined coefficientwise; f may be a Laurent series.
 
-    With g = t^v u, f(g) = sum_e f_e t^(ev) u^e, the terms read off the
-    signed power table of u, or the nonnegative ones by _brent_kung where
-    that makes fewer products and u's first five coefficients fit neither
-    _two_term_rule nor _ode_rule. The window is the ring rule: the least of
-    order_f * v, order_g + (e-1) v for each e >= 1 in f, and R + (e+1) v
-    for each e <= -1 in f, where R = min(order_g - 2v, order) is the
-    window of 1/g. Terms whose t^(ev) lies at or past the window are left
-    out; exact f and g give an exact result."""
+    A power series f whose f_1..f_E, for E = ceil(top/v) - 1 the highest
+    exponent that reaches the result's top, fit _ode_rule gives f_0 plus
+    one _ode_compose pass, O(top taps(g)) with no power of g: the rule's
+    solution agrees with f on every exponent that reaches the window.
+    Otherwise, with g = t^v u, f(g) = sum_e f_e t^(ev) u^e, the terms read
+    off the signed power table of u, or the nonnegative ones by _brent_kung
+    where that makes fewer products and u's first five coefficients fit
+    neither _two_term_rule nor _ode_rule. The window is the ring rule: the
+    least of order_f * v, order_g + (e-1) v for each e >= 1 in f, and
+    R + (e+1) v for each e <= -1 in f, where R = min(order_g - 2v, order)
+    is the window of 1/g. Terms whose t^(ev) lies at or past the window are
+    left out; exact f and g give an exact result."""
     if not g.is_zero and g.valuation < 1:
         raise PreconditionError("composition requires positive valuation")
     v = g.valuation
@@ -617,6 +650,11 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
         return zero(window)
     # an exact result ends at the top exponent of its highest term
     top = window if window != INF else kept[-1] * max(g.coeffs, default=0) + 1
+    # an outer of the ODE class on every exponent below ceil(top / v): one pass of its ODE
+    if kept[0] >= 0 and at.get(1, window) < window:
+        rule = _ode_rule(*_dense([f.coeffs.get(e, 0) for e in range(1, -(-top // v))]))
+        if rule:
+            return TruncatedSeries({0: f.coeffs.get(0, 0), **_ode_compose(rule, g, top)}, window)
     # products: m - 1 powers and one per block, or one to row p (none for p = 1) and one per row above
     p, m = min((e for e in kept if e > 0), default=0), isqrt(max(kept[-1], 0)) + 1
     fast = p and m - 1 + kept[-1] // m < min(p - 1, 1) + kept[-1] - p

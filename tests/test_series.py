@@ -810,7 +810,8 @@ class TestOdeRule:
     @settings(max_examples=40, deadline=None)
     def test_exact_inputs_and_short_windows_keep_the_old_paths(self, case, f):
         # an exact series never consults the rule, and three coefficients,
-        # which any q, r0 and r1 fit, are never taken for a member
+        # which any q, r0 and r1 fit, are never taken for a member; compose
+        # reads the rule of its outer alone, never of the exact inner
         q, r0, r1, w = case
         coeffs = _ode_coeffs(q, r0, r1, w)
         exact, short = _unit_series(coeffs, order=INF), _unit_series(coeffs[:3])
@@ -822,7 +823,10 @@ class TestOdeRule:
             ks = range(-w, w + 1)
             assert _unit_powers(exact, dict.fromkeys(ks, w)) == _chain_powers(exact, w, ks)
             assert compositional_inverse(exact, order=w + 1) == _chain_inverse(exact, order=w + 1)
+        reads = []
+        with mock.patch.object(series, "_ode_rule", lambda *u: reads.append(u)):
             got = _outcome_of(compose, f, exact, w + 1)
+        assert all(u == _dense([f.coeffs.get(e, 0) for e in range(1, len(u[0]) + 1)]) for u in reads)
         assert got == _outcome_of(_ring_oracle, f, exact, w + 1)
 
     def test_difference_calls_step_across_rows(self, monkeypatch):
@@ -1323,6 +1327,20 @@ def _outcome_of(fn, *args):
         return str(err)
 
 
+def _matches_table_and_horner(f, g, order):
+    # values, windows and refusal texts of the table oracle; values of
+    # Horner on the overlap of the two windows
+    got = _outcome_of(compose, f, g, order)
+    assert got == _outcome_of(_table_compose, f, g, order)
+    if isinstance(got, str):
+        return
+    try:
+        want = _horner_compose(f, g, order)
+    except PreconditionError:
+        return
+    assert compose(f, g, order).agrees_with(want)
+
+
 @st.composite
 def outer_and_inner(draw):
     """(f, g, order): f Laurent, sparse (t^3 + t^40 among them), dense to
@@ -1350,18 +1368,7 @@ class TestBrentKung:
     @given(outer_and_inner())
     @settings(max_examples=250, deadline=None)
     def test_matches_table_and_horner(self, case):
-        # values, windows and refusal texts of the table oracle; values of
-        # Horner on the overlap of the two windows
-        f, g, order = case
-        got = _outcome_of(compose, f, g, order)
-        assert got == _outcome_of(_table_compose, f, g, order)
-        if isinstance(got, str):
-            return
-        try:
-            want = _horner_compose(f, g, order)
-        except PreconditionError:
-            return
-        assert compose(f, g, order).agrees_with(want)
+        _matches_table_and_horner(*case)
 
     def test_sparse_outer_takes_few_products(self, monkeypatch):
         # t^3 + t^40 over g = log(1 + t + t^2), whose unit fits neither
@@ -1387,10 +1394,17 @@ class TestBrentKung:
             calls.clear()
 
     def test_dense_outer_at_order_128_costs_few_products(self, monkeypatch):
-        # [DERIVED] exp(log(1 + t + t^2)) - 1 = t + t^2; m = 12 makes the
-        # powers g^2..g^12 and 11 Horner steps. exp(log(1 + t)) - 1 = t
-        # reads the rows of log(1 + t), which step across, with no product
+        # [DERIVED] exp(log(1 + t + t^2)) - 1 = t + t^2 and
+        # exp(log(1 + t)) - 1 = t: e^t - 1 solves f' = 1 + f, so each is one
+        # pass of that ODE, with no product. e^(t + t^2) - 1, whose
+        # derivative fits no two-term rule, takes Brent-Kung over
+        # log(1 + t + t^2): m = 12 makes the powers g^2..g^12 and 11 Horner
+        # steps
         f = exp_series(t, order=128) - constant(1)
+        dense = exp_series(t + monomial(2), order=128) - constant(1)
+        g = log_series(from_coeffs([1, 1, 1], order=INF), order=128)
+        log = log_series(from_coeffs([1, 1], order=INF), order=128)
+        want = _table_compose(dense, g)
         calls = []
         mul_trunc = series._mul_trunc
 
@@ -1399,13 +1413,11 @@ class TestBrentKung:
             return mul_trunc(*args)
 
         monkeypatch.setattr(series, "_mul_trunc", counted)
-        g = log_series(from_coeffs([1, 1, 1], order=INF), order=128)
         assert compose(f, g) == (t + monomial(2)).truncate(128)
-        assert 0 < len(calls) <= 2 * ceil(sqrt(128)) + 2
-        calls.clear()
-        g = log_series(from_coeffs([1, 1], order=INF), order=128)
-        assert compose(f, g) == t.truncate(128)
+        assert compose(f, log) == t.truncate(128)
         assert len(calls) == 0
+        assert compose(dense, g) == want
+        assert 0 < len(calls) <= 2 * ceil(sqrt(128)) + 2
 
 
 # -- composition under an outer that solves (1 + qt) f' = r0 + r1 f --------
@@ -1472,17 +1484,7 @@ class TestOdeOuter:
     @given(ode_outers(), inner_series(), st.none() | st.integers(2, 12))
     @settings(max_examples=300, deadline=None)
     def test_matches_table_and_horner(self, f, g, order):
-        # values, windows and refusal texts of the table oracle; values of
-        # Horner on the overlap of the two windows
-        got = _outcome_of(compose, f, g, order)
-        assert got == _outcome_of(_table_compose, f, g, order)
-        if isinstance(got, str):
-            return
-        try:
-            want = _horner_compose(f, g, order)
-        except PreconditionError:
-            return
-        assert compose(f, g, order).agrees_with(want)
+        _matches_table_and_horner(f, g, order)
 
     @given(ode_outers().filter(lambda f: f.order != INF), inner_series(),
            st.none() | st.integers(2, 12), st.data())
@@ -1503,6 +1505,28 @@ class TestOdeOuter:
         after = compose(longer, g, order)
         assert after.order >= got.order and after.truncate(got.order) == got
         assert got.agrees_with(_horner_compose(longer, g, order))
+
+    def test_rule_class_outers_build_no_power_and_make_no_product(self, monkeypatch):
+        # e^t - 1 (q = 0), 1 + log(1 + t/2) (r1 = 0), (1 + 3t)^(2/3) - 1
+        # (q != 0) and the exact t + t^2, over inners that fit neither rule,
+        # the ODE rule and the two-term rule, and an exact one: each result
+        # is one pass of the outer's ODE, with no row of the inner's power
+        # table, no descent, no Brent-Kung and no product
+        n = 48
+        outers = [exp_series(t, order=n) - constant(1),
+                  constant(1) + log_series(from_coeffs([1, Rat(1, 2)], order=INF), order=n),
+                  exp_series(log_series(from_coeffs([1, 3], order=INF), order=n).scale(Rat(2, 3)))
+                  - constant(1),
+                  t + monomial(2)]
+        inners = [log_series(from_coeffs([1, 1, 1], order=INF), order=n),
+                  compositional_inverse(exp_series(t, order=n) - constant(1)),
+                  t * exp_series(t.scale(Rat(13, 17)), order=n - 1),
+                  t - monomial(3)]
+        cases = [(f, g, _table_compose(f, g, n)) for f in outers for g in inners]
+        for name in ("_unit_powers", "_descent", "_brent_kung", "_mul_trunc"):
+            monkeypatch.setattr(series, name, _refuse)
+        for f, g, want in cases:
+            assert compose(f, g, n) == want
 
 
 # -- compositional inverse ----------------------------------------------
