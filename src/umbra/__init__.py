@@ -6,6 +6,8 @@ the logarithmic extension built on harmonic logarithms. All coefficients
 are rational and exact; numeric evaluation happens only at the boundary.
 """
 
+from importlib import import_module
+
 from .errors import (
     ParseError,
     PreconditionError,
@@ -76,8 +78,6 @@ from .logarithmic import (
     roman_shift,
     tail_bound,
 )
-from .parsing import elaborate, parse_operator, pretty
-from .suites import SUITE_NAMES, run_suite
 
 __version__ = "0.1.0"
 
@@ -146,3 +146,18 @@ __all__ = [
     "umbral_compose",
     "verify_binomial_identity",
 ]
+
+# parsing and suites serve the CLI, not the library: their names load their
+# module on first use (PEP 562), so `import umbra` does not compile them.
+_DEFERRED = {"elaborate": "parsing", "parse_operator": "parsing", "pretty": "parsing",
+             "SUITE_NAMES": "suites", "run_suite": "suites"}
+
+
+def __getattr__(name):
+    if name not in _DEFERRED:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_DEFERRED[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_DEFERRED})

@@ -2,6 +2,8 @@
 # the benchmark calls, the argument checks of the library entry points
 # behind the CLI, and the imports of the runtime.
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,3 +84,72 @@ def test_runtime_imports_only_the_standard_library():
             outside += [f"{path.name}: {name}" for name in names
                         if name.partition(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# The modules only the CLI needs: `import umbra` and every library call
+# leave them uncompiled, since each fresh process pays for what it imports.
+CLI_ONLY = ("umbra.parsing", "umbra.suites", "umbra.cli")
+
+
+def _in_fresh_interpreter(code: str):
+    """The JSON a child interpreter prints after running ``code``."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.usefixtures("src_on_pythonpath")
+def test_import_loads_no_cli_layer_and_defers_its_names():
+    seen = _in_fresh_interpreter(f"""
+import json, sys
+import umbra
+loaded = [m for m in {CLI_ONLY!r} if m in sys.modules]
+listed = sorted(set(umbra.__all__) - set(dir(umbra)))
+loaded_by_dir = [m for m in {CLI_ONLY!r} if m in sys.modules]
+try:
+    umbra.no_such_name
+    missing = None
+except AttributeError as err:
+    missing = str(err)
+star = {{}}
+exec("from umbra import *", star)
+from umbra import parsing, suites
+same = {{name: getattr(umbra, name) is getattr(module, name)
+        for module, names in ((parsing, ("elaborate", "parse_operator", "pretty")),
+                              (suites, ("SUITE_NAMES", "run_suite")))
+        for name in names}}
+print(json.dumps({{"loaded": loaded, "listed": listed, "loaded_by_dir": loaded_by_dir,
+                  "missing": missing, "unbound": sorted(set(umbra.__all__) - set(star)),
+                  "same": same}}))
+""")
+    assert seen["loaded"] == []
+    assert seen["listed"] == [] and seen["loaded_by_dir"] == []
+    assert "no_such_name" in seen["missing"]
+    assert seen["unbound"] == []
+    assert seen["same"] == dict.fromkeys(["elaborate", "parse_operator", "pretty", "SUITE_NAMES", "run_suite"], True)
+
+
+@pytest.mark.usefixtures("src_on_pythonpath")
+def test_library_calls_load_no_cli_layer():
+    # one small call of each entry point the benchmark's library jobs reach;
+    # a core module that imported parsing or suites would put their compile
+    # back into every library start
+    loaded = _in_fresh_interpreter(f"""
+import json, sys
+import umbra as u
+abel = u.catalog("abel", {{"b": 1}}, order=8)
+fd = u.catalog("forward_difference", order=8)
+u.compositional_inverse(abel.series)
+u.expand_in_basis(u.catalog("shift", {{"a": 3}}, order=8).series, fd.series, k_max=6)
+u.connection_constants(u.catalog("backward_difference", order=8), fd, 6)
+u.lagrange_inversion(abel.series, u.monomial(1), 6)
+u.generate_transfer(abel, 6).terms(6)
+u.generate_recurrence(abel, 6).terms(6)
+window = u.log_sequence(u.catalog("forward_difference", order=7), -2, 6)
+u.newton_expand(u.log_sequence(fd, -1, 6), depth=4)
+u.evaluate_numeric(window, 3, 20)
+u.tail_bound(window, 3, 20)
+u.log_lower_factorial(3, depth=4)
+print(json.dumps([m for m in {CLI_ONLY!r} if m in sys.modules]))
+""")
+    assert loaded == []
