@@ -29,6 +29,7 @@ from umbra.operators import (
     _delta_series,
     apply_to_polynomial,
     catalog,
+    expand_in_basis,
 )
 from umbra.sequences import (
     BinomialSequence,
@@ -1158,6 +1159,27 @@ class TestClosedFormsAtWorkingOrder:
         for n in range(n_max + 1):
             want = [(-1) ** (n - k) * lah(n, k) if signed else lah(n, k) for k in range(n + 1)]
             assert c.row(n) == tuple(want), n
+
+    def test_touchard_conjugate(self):
+        # [DERIVED] the conjugate sequence of e^t - 1 is the Touchard
+        # polynomials sum_k S(n, k) x^k, S(n+1, k) = k S(n, k) + S(n, k-1)
+        n_max = 40
+        seq = conjugate_sequence(catalog("forward_difference", order=n_max + 2), n_max)
+        s = [1]  # S(n, 0..n)
+        for n in range(n_max + 1):
+            assert seq[n].coeffs == tuple(s), n
+            s = [0] + [k * a + b for k, (a, b) in enumerate(zip(s[1:] + [0], s), start=1)]
+
+    def test_shift_in_forward_difference(self):
+        # [DERIVED] e^(at) = (1 + (e^t - 1))^a, so c_k = (a)_k = a(a-1)...(a-k+1)
+        a, k_max = Rat(19, 29), 30
+        shift = catalog("shift", {"a": a}, order=k_max + 2)
+        fd = catalog("forward_difference", order=k_max + 2)
+        want, c = [], Rat(1)
+        for k in range(k_max + 1):
+            want.append(c)
+            c *= a - k
+        assert expand_in_basis(shift.series, fd.series, k_max=k_max) == want
 
 
 class TestClosedFormsAtOrder128:
