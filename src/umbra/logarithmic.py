@@ -42,7 +42,7 @@ from .errors import PreconditionError, require_order
 from .numbers import _falling, _linear_product
 from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
 from .sequences import BinomialSequence, _conjugate_read, _expand_read, _rule_read, _transfer_read
-from .series import INF, TruncatedSeries, _dense, _mul_trunc, _power_row, _read, _unit_powers
+from .series import INF, TruncatedSeries, _dense, _mul_trunc, _power_row, _rat, _read, _unit_powers
 
 NEG_INF = float("-inf")
 
@@ -180,7 +180,7 @@ def monomial_expansion(n: int, t: int):
         prod = _linear_product(1, abs(n) + (sign > 0), sign, w)
         row, den = _power_row(prod, prod[0], -sign, w)
     row = row if sign > 0 else [0, *row]  # m_(t-k) reads [y^(k-1)] for n < 0
-    return {t - k: Rat(f * row[k], den) for k, f in enumerate(_falling(t, range(t + 1))) if row[k]}
+    return {t - k: _rat(f * row[k], den) for k, f in enumerate(_falling(t, range(t + 1))) if row[k]}
 
 
 
@@ -274,7 +274,7 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     row, rd = _unit_powers(fs, {-1: depth})[-1]
     fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
     row, rd = _mul_trunc(fprime, row, depth), fd * rd
-    window = {k: Rat(r * x, rd) for k, (r, x) in enumerate(zip(_falling(0, range(depth)), row))}
+    window = {k: _rat(r * x, rd) for k, (r, x) in enumerate(zip(_falling(0, range(depth)), row))}
     return _window(TruncatedSeries(window, depth), 1)
 
 

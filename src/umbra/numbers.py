@@ -12,7 +12,7 @@ from functools import cache, reduce
 from math import comb, factorial, perm
 from typing import Iterable
 
-from .series import _mul_trunc, _power_row, constant, from_coeffs, mul
+from .series import _mul_trunc, _power_row, _rat, constant, from_coeffs, mul
 
 Rat = Fraction
 
@@ -73,9 +73,9 @@ def roman_coefficient(j: int, k: int) -> Rat:
 def _stirling_first_row(n: int, order: int) -> tuple[Rat, ...]:
     if n >= 0:
         prod = _linear_product(0, n, -1, n + 1)
-        return tuple(Rat((-1) ** n * x) for x in prod)
+        return tuple(_rat((-1) ** n * x, 1) for x in prod)
     row, den = _power_row(_linear_product(1, 1 - n, 1, order), 1, -1, order)
-    return tuple(Rat(x, den) for x in row)
+    return tuple(_rat(x, den) for x in row)
 
 
 def _linear_product(lo: int, hi: int, sign: int, w: int) -> list:
@@ -118,7 +118,7 @@ def _bernoulli_gen_power(n: int, order: int) -> tuple[Rat, ...]:
     # (t/(e^t - 1))^n as plain coefficients: ((e^t - 1)/t)^(-n), 1/(k+1)! over order!
     u = _falling(order, range(order))[::-1]
     row, den = _power_row(u, factorial(order), -n, order)
-    return tuple(Rat(x, den) for x in row)
+    return tuple(_rat(x, den) for x in row)
 
 
 def bernoulli(k: int) -> Rat:

@@ -40,6 +40,7 @@ from .operators import (
 from .series import (
     INF,
     _dense,
+    _rat,
     _read,
     _unit_powers,
     compose,
@@ -103,7 +104,7 @@ def _transfer_read(row, n, depth):
     [t^k] u^(-n), for each k < depth, off ``row`` = u^(-n), u = f/t, n != 0:
     weight roman(n-1)!/roman(n-1-k)!; k = n, weight 0, is left out."""
     num, den = row
-    return {n - k: Rat(r * num[k], den) for k, r in enumerate(_falling(n - 1, range(depth))) if k != n}
+    return {n - k: _rat(r * num[k], den) for k, r in enumerate(_falling(n - 1, range(depth))) if k != n}
 
 
 def _rule_read(rule, n, depth):
@@ -111,15 +112,17 @@ def _rule_read(rule, n, depth):
     made off the rule alone: u^(-n) solves (1 + rt) p' = -nc p, so the
     weighted coefficient c_k = roman(n-1)!/roman(n-1-k)! [t^k] u^(-n) steps
     c_(k+1) = c_k roman(n-1-k) (-n cn - rn k) / (L (k+1)) from u_0^(-n), one
-    Fraction per coefficient made from the last one's numerator and
-    denominator. It is not _rule_row followed by _transfer_read: that row is
-    built over den(u_0^(-n)) L^(w-1) (w-1)!, which a gcd over the whole row
-    then cancels, and each weighted coefficient is cancelled again."""
+    _rat per coefficient from the last one's reduced numerator p and
+    denominator q, carried as ints. It is not _rule_row followed by
+    _transfer_read: that row is built over den(u_0^(-n)) L^(w-1) (w-1)!,
+    which a gcd over the whole row then cancels, and each weighted
+    coefficient is cancelled again."""
     u0, cn, rn, L = rule
     x, a = u0**-n, -n * cn
-    out = {n: x}
+    out, p, q = {n: x}, x.numerator, x.denominator
     for k in range(depth - 1):
-        x = Rat(x.numerator * ((n - 1 - k) or 1) * (a - rn * k), x.denominator * L * (k + 1))
+        x = _rat(p * ((n - 1 - k) or 1) * (a - rn * k), q * L * (k + 1))
+        p, q = x._numerator, x._denominator  # the slots _rat filled: no property call
         if k + 1 != n:
             out[n - k - 1] = x
     return out
@@ -129,7 +132,7 @@ def _conjugate_read(powers, n, js):
     """Degree n - j of the conjugate sequence of g, roman(n)!/roman(n-j)!
     [t^j] u^(n-j), for each j of the nondecreasing js, off the power table
     of u = g/t."""
-    return {n - j: Rat(r * powers[n - j][0][j], powers[n - j][1])
+    return {n - j: _rat(r * powers[n - j][0][j], powers[n - j][1])
             for j, r in zip(js, _falling(n, js))}
 
 
@@ -141,9 +144,10 @@ def _expand_read(coeffs, g, ks):
     powers = _unit_powers(g, {k: top - k + 1 for k in ks})
     # roman(j)!/roman(k)! = falling[top - k] / falling[top - j]: weights c_j/falling[top - j]
     falling = _falling(top, range(top - lo + 1))
-    weights, wd = _dense([Rat(coeffs.get(j, 0)) / falling[top - j] for j in range(lo, top + 1)])
-    return {k: Rat(sum(map(operator.mul, weights[k - lo:], powers[k][0])) * falling[top - k],
-                   wd * powers[k][1]) for k in ks}
+    cs = (coeffs.get(j, 0) for j in range(lo, top + 1))  # Fractions, or the int 0
+    weights, wd = _dense([_rat(c.numerator, c.denominator * f) for c, f in zip(cs, reversed(falling))])
+    return {k: _rat(sum(map(operator.mul, weights[k - lo:], powers[k][0])) * falling[top - k],
+                    wd * powers[k][1]) for k in ks}
 
 
 def _conjugate(operator, method, source, window, n_max, transfer=False) -> BinomialSequence:

