@@ -424,6 +424,19 @@ def _units(order):
             DeltaOperator(fd.series + monomial(2), name="chain")]
 
 
+def _recorded_reads(monkeypatch):
+    """Record, in sequences, the degree n of each _rule_read and
+    _transfer_read, and each row a _unit_powers call asks for."""
+    calls = {"_rule_read": [], "_transfer_read": [], "_unit_powers": []}
+    for name in ("_rule_read", "_transfer_read"):
+        monkeypatch.setattr(sequences, name, lambda first, n, depth, seen=calls[name],
+                            read=getattr(sequences, name): seen.append(n) or read(first, n, depth))
+    unit_powers = sequences._unit_powers
+    monkeypatch.setattr(sequences, "_unit_powers", lambda g, widths: calls["_unit_powers"].extend(
+        widths) or unit_powers(g, widths))
+    return calls
+
+
 class TestRowsOnDemand:
     """A row read first, or out of order, equals the same row of the whole
     triangle, whatever n_max sized the first table."""
@@ -462,6 +475,35 @@ class TestRowsOnDemand:
             monkeypatch.undo()
             assert calls == {name: [30] if name == runs else [] for name in calls}, runs
             assert row == generate_transfer(f, 0).terms(30)[30]
+
+    def test_widening_asks_for_each_table_row_once(self, monkeypatch):
+        # from n_max = 3 the forward difference fits the two-term rule at
+        # width 3, so rows 1 and 3 are read off it; rows 5, 9, 20 and 38
+        # widen to 6, 12, 24 and 39, where it does not fit, and each
+        # widening asks for the table rows past those already served
+        calls = _recorded_reads(monkeypatch)
+        seq = generate_transfer(catalog("forward_difference", order=40), 3)
+        rows = [seq[n] for n in (1, 3, 5, 9, 20, 38)]
+        monkeypatch.undo()
+        assert sorted(calls["_unit_powers"]) == list(range(-39, -3))
+        assert calls["_rule_read"] == [1, 3] and calls["_transfer_read"] == [5, 9, 20, 38]
+        assert rows == [lower_factorial(n) for n in (1, 3, 5, 9, 20, 38)]
+
+    @given(st.deferred(lambda: near_miss_coeffs()))  # defined with the two-term units below
+    @settings(max_examples=40, deadline=None)
+    def test_rows_past_the_last_width_that_fit_come_from_the_table(self, case):
+        # rows 1..w read in order from n_max = 0 widen to 1, 2, 4, 8, ...
+        # cut at w; the rule fits at each width s <= j, and the rows past
+        # the last of those come from the table, each row asked for once
+        coeffs, j = case
+        w = len(coeffs)
+        last = max(s for s in (min(2**i, w) for i in range(w.bit_length() + 1)) if s <= j)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _recorded_reads(mp)
+            generate_transfer(DeltaOperator(_unit_delta(coeffs)), 0).terms(w)
+        assert calls["_rule_read"] == list(range(1, last + 1))
+        assert calls["_transfer_read"] == list(range(last + 1, w + 1))
+        assert sorted(calls["_unit_powers"]) == list(range(-w, -last))
 
     def test_a_transfer_sequence_drops_each_table_row_once_read(self):
         # row -n of the power table serves row n alone, so once rows
