@@ -25,9 +25,9 @@ roman(n) roman(n-1) ... roman(n-k+1), times one coefficient of a power of
 one series (Loeb-Rota logarithmic Lagrange inversion), read off the
 kernel's signed power table by the sequences module's reads, of which
 the classical rows are the slice n >= 0: the transfer read of row -n of
-the table of f(t)/t, or of its two-term rule where it has one (degree 0
-alone reads f'(t) times row -1), the
-conjugate read of the rows of g/t, and the expansion read of (e^t - 1)/t.
+the table of f(t)/t through _transfer_reader (degree 0 alone reads f'(t)
+times row -1), the conjugate read of the rows of g/t, and the expansion
+read of (e^t - 1)/t.
 Evaluated, degree d is x^d times a polynomial in log x whose coefficients
 are symmetric functions of 1, 1/2, ..., 1/|d|, never a factorial.
 """
@@ -41,8 +41,8 @@ from typing import Mapping, Optional
 from .errors import PreconditionError, require_order
 from .numbers import _falling, _linear_product
 from .operators import DeltaOperator, _act, _delta_series, _series_of, catalog
-from .sequences import BinomialSequence, _conjugate_read, _expand_read, _rule_read, _transfer_read
-from .series import INF, TruncatedSeries, _dense, _mul_trunc, _power_row, _rat, _read, _unit_powers
+from .sequences import BinomialSequence, _conjugate_read, _expand_read, _transfer_reader
+from .series import INF, TruncatedSeries, _dense, _mul_trunc, _power_row, _rat, _unit_powers
 
 NEG_INF = float("-inf")
 
@@ -260,17 +260,13 @@ def log_sequence(f, n: int, depth: int = 12) -> HarmonicLogSeries:
     u = f/t, degree n - k is roman(n)!/roman(n-k)! [t^k] f' u^(-n-1). For
     n != 0 that is roman(n)!/roman(n-k)! (n-k)/n [t^k] u^(-n), since
     f' = u + t u' and t u' u^(-n-1) = -(t/n) (u^(-n))': the transfer read of
-    row -n of f's power table cut to order depth + 1, as generate_transfer,
-    or where u fits the two-term rule on its first depth coefficients the
-    rule read, which builds and keeps no row. Degree 0 alone reads f' times
-    row -1 in one integer product. The window is exact when f is known to
-    order depth + 1, and refused otherwise."""
+    row -n of f's power table at depth, through _transfer_reader as in
+    generate_transfer. Degree 0 alone reads f' times row -1 in one integer
+    product. The window is exact when f is known to order depth + 1, and
+    refused otherwise."""
     fs = _transfer_input(f, depth)
     if n:
-        rule = _read(fs, depth)[1]
-        read = (_rule_read(rule, n, depth) if rule
-                else _transfer_read(_unit_powers(fs, {-n: depth})[-n], n, depth))
-        return HarmonicLogSeries(read, n - depth + 1)
+        return HarmonicLogSeries(_transfer_reader(fs)(n, depth, {-n: depth}), n - depth + 1)
     row, rd = _unit_powers(fs, {-1: depth})[-1]
     fprime, fd = _dense([k * fs.coefficient(k) for k in range(1, depth + 1)])
     row, rd = _mul_trunc(fprime, row, depth), fd * rd

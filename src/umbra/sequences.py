@@ -15,10 +15,9 @@ coefficients, here and in the logarithmic module alike, whose classical
 coefficients are the nonnegative-degree slice of its logarithmic ones
 (Loeb-Rota): _transfer_read for the basic sequence of f, _conjugate_read
 for the conjugate sequence of g, and _expand_read for the coefficients
-over the basic sequence of g. A unit f/t in the two-term class (abel,
-laguerre, D + D^2) needs no table for the first: _rule_read makes each
-transfer row straight off its rule. Connection constants are conjugate
-rows; umbral composition completes the module.
+over the basic sequence of g; _transfer_reader chooses how each transfer
+row is read. Connection constants are conjugate rows; umbral composition
+completes the module.
 """
 from __future__ import annotations
 
@@ -150,66 +149,79 @@ def _expand_read(coeffs, g, ks):
                     wd * powers[k][1]) for k in ks}
 
 
-def _conjugate(operator, method, source, window, n_max, transfer=False) -> BinomialSequence:
-    """The conjugate sequence p_n(x) = sum_k n! [t^n] g^k x^k / k! of the
-    delta series g that ``source(w)`` gives determined below t^w; row n
-    needs order n + 1 and is computed when it is read. Rows n <= s are
-    _conjugate_read off one power table of u = g/t, u^k on its first
-    s - k + 1 coefficients, which the first read builds at s = max(n, n_max);
-    a later row rebuilds it at least twice as wide. With ``transfer``,
-    ``source(w)`` gives f and its inverse g is never built: row n is the
-    transfer read of u^(-n), u = f/t, as [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n).
-    Row -n serves row n alone, so it is built on its own n coefficients, only
-    for rows past those served, and dropped once read. A unit whose kernel
-    read at width s has a _two_term_rule needs no table for rows n <= s:
-    each is _rule_read off the rule, and a later row past s checks the rule
-    again at the wider s; where it stops fitting, the rows past the last
-    width that fit come from the table."""
-    powers = {}
-    extent = ruled = 0  # rows 1..extent are served; with transfer, 1..ruled off ``rule``
-    rule = None
+def _transfer_reader(g):
+    """read(n, depth, ahead): the transfer read of row -n of the power table
+    of u = g/t at ``depth``, the one place that chooses how that row is
+    read. A _two_term_rule that fit at width w serves each read of depth
+    <= w by _rule_read (abel, laguerre, D + D^2 build no table); any other
+    read takes its row off the table by _transfer_read, which drops it. A
+    read that neither covers first prepares ``ahead``, {-n: depth} of the
+    reads to come with its own: it checks the rule at their widest depth,
+    or else builds those rows in one _unit_powers call. A failed check
+    costs nothing: the table reads that _read next, and a unit off the rule
+    at w >= 3 is off it at every wider w, as u_1 and u_2 fix c and r."""
+    rows, rule, width = {}, None, 0  # held table rows; the rule that fit at width
+
+    def read(n, depth, ahead):
+        nonlocal rule, width
+        if -n not in rows and not (rule and depth <= width):
+            w = max(ahead.values())
+            if fit := _read(g, w)[1]:
+                rule, width = fit, w
+            else:
+                rows.update(_unit_powers(g, ahead))
+        return _transfer_read(rows.pop(-n), n, depth) if -n in rows else _rule_read(rule, n, depth)
+
+    return read
+
+
+def _conjugate(operator, method, window, n_max, read) -> BinomialSequence:
+    """The sequence whose row n, which needs order n + 1 of ``window``, is
+    x times read(n, n, ahead), degree n down to 1, computed when it is read.
+    The first read widens to s = max(n, n_max), a later row past s to at
+    least twice s; ``ahead`` is {-m: m} for each row m a widening adds."""
+    extent = 0  # rows 1..extent are inside the widened range
 
     def step(n):
-        nonlocal extent, ruled, rule
+        nonlocal extent
         _nonnegative(n)
         if n == 0:
             return Polynomial([1])
         require_order(f"truncation too small for exact action: row {n}", n + 1, window)
+        ahead = {}
         if n > extent:
             s = min(max(n, n_max, 2 * extent), window - 1)
-            g = source(s + 1)
-            if not transfer:  # rows 1..s, u^k on s - k + 1 coefficients
-                powers.update(_unit_powers(g, {1 + i: s - i for i in range(s)}))
-            elif ruled == extent and (fit := _read(g, s)[1]):
-                rule, ruled = fit, s
-            else:  # rows -extent-1..-s, u^(-m) on m coefficients
-                powers.update(_unit_powers(g, {-m: m for m in range(extent + 1, s + 1)}))
-            extent = s
-        if not transfer:
-            row = _conjugate_read(powers, n, range(n))
-        elif n <= ruled:
-            row = _rule_read(rule, n, n)
-        else:
-            row = _transfer_read(powers.pop(-n), n, n)
-        return Polynomial([0, *reversed(row.values())])  # the read runs degree n down to 1
+            ahead, extent = {-m: m for m in range(extent + 1, s + 1)}, s
+        return Polynomial([0, *reversed(read(n, n, ahead).values())])
 
     require_order(f"truncation too small for exact action: row {n_max}", n_max + 1, window)
     return BinomialSequence(operator, method, step)
 
 
+def _conjugate_reader(source):
+    """read(n, depth, ahead): _conjugate_read of js = 0..depth-1 off one power
+    table of u = g/t, for the delta series g that ``source(w)`` gives below
+    t^w, u^k on s - k + 1 coefficients, rebuilt at s = the widest ahead."""
+    powers = {}
+
+    def read(n, depth, ahead):
+        if s := max(ahead.values(), default=0):
+            powers.update(_unit_powers(source(s + 1), {1 + i: s - i for i in range(s)}))
+        return _conjugate_read(powers, n, range(depth))
+
+    return read
+
+
 def generate_transfer(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
     """Basic sequence of f by Rota's transfer formula,
     p_n(x) = x (D/f(D))^n x^(n-1), the transfer read of the negative powers
-    of f/t; f is never inverted. Row n is determined while n is below the
-    order of f.
-
-    A row is computed when it is read; n_max sizes the power table the first
-    read builds, so rows 0..n_max read one table, whose rows are dropped as
-    they are read. A unit f/t in the two-term class builds none: each row
-    is read off its rule. Later rows stay available.
+    of f/t, as [t^n] g^k = (k/n) [t^(n-k)] (f/t)^(-n) for the inverse g of
+    f, which is never built. Row n is determined while n is below the order
+    of f, and is computed when it is read, by _transfer_reader; n_max sizes
+    the rows the first read prepares. Later rows stay available.
     """
     fs = _delta_series(f)
-    return _conjugate(f, "transfer", lambda w: fs, fs.order, n_max, transfer=True)
+    return _conjugate(f, "transfer", fs.order, n_max, _transfer_reader(fs))
 
 
 def generate_recurrence(f: DeltaOperator, n_max: int = 0) -> BinomialSequence:
@@ -231,7 +243,7 @@ def conjugate_sequence(g, n_max: int = 0) -> BinomialSequence:
         except PreconditionError:
             return None
 
-    return _conjugate(operator, "conjugate", lambda w: gs, gs.order, n_max)
+    return _conjugate(operator, "conjugate", gs.order, n_max, _conjugate_reader(lambda w: gs))
 
 
 def taylor_expand(p: Polynomial, q: DeltaOperator) -> list:
@@ -290,8 +302,8 @@ def connection_constants(g: DeltaOperator, h: DeltaOperator, n_max: int) -> Conn
     substitution into that sequence. That sequence is the conjugate
     sequence of g(h^(-1)(t)), so its rows come from one inversion, of h."""
     gs, hs = _delta_series(g), _delta_series(h)
-    bridge = _conjugate(None, "conjugate", lambda w: _under_inverse(gs, hs, w - 1),
-                        min(gs.order, hs.order), n_max)
+    bridge = _conjugate(None, "conjugate", min(gs.order, hs.order), n_max,
+                        _conjugate_reader(lambda w: _under_inverse(gs, hs, w - 1)))
     entries = [p.coeffs + (Rat(0),) * (n + 1 - len(p.coeffs))
                for n, p in enumerate(bridge.terms(n_max))]
     return ConnectionMatrix(

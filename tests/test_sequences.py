@@ -52,6 +52,7 @@ from umbra.series import (
     mul,
     reciprocal,
 )
+from test_series import _ode_coeffs, ode_members
 
 
 def delta_catalog(order=16):
@@ -476,6 +477,18 @@ class TestRowsOnDemand:
             assert calls == {name: [30] if name == runs else [] for name in calls}, runs
             assert row == generate_transfer(f, 0).terms(30)[30]
 
+    def test_a_log_window_chooses_its_read_where_a_sequence_row_does(self, monkeypatch):
+        # log_sequence reads row -n through the reader generate_transfer
+        # uses: abel's off its two-term rule, the forward difference's off
+        # the power table
+        calls = _recorded_reads(monkeypatch)
+        cases = ((catalog("abel", {"b": Rat(2, 7)}, order=13), 5),
+                 (catalog("forward_difference", order=13), -3))
+        windows = [log_sequence(f, n, 12) for f, n in cases]
+        monkeypatch.undo()
+        assert calls["_rule_read"] == [5] and calls["_transfer_read"] == [-3]
+        assert windows == [_oracle_window(f.series, n, 12) for f, n in cases]
+
     def test_widening_asks_for_each_table_row_once(self, monkeypatch):
         # from n_max = 3 the forward difference fits the two-term rule at
         # width 3, so rows 1 and 3 are read off it; rows 5, 9, 20 and 38
@@ -685,14 +698,17 @@ class TestTwoTermTransferReads:
         for depth in (j, w, data.draw(st.integers(1, w))):
             assert log_sequence(DeltaOperator(fs), n, depth) == _oracle_window(fs, n, depth), depth
 
-    @given(two_term_unit_coeffs().filter(lambda case: not case[1]),
+    @given(two_term_unit_coeffs().filter(lambda case: not case[1]).map(lambda case: case[0])
+           | ode_members(max_w=24).map(lambda member: _ode_coeffs(*member))
+           | st.integers(4, 24).map(lambda w: [Rat(1, factorial(k + 1)) + (k == 1) for k in range(w)]),
            st.lists(small_rat, min_size=1, max_size=6), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_an_extended_unit_claims_the_same_rows_and_windows(self, case, tail, data):
-        # the unit extended past its order by random coefficients, which
-        # push it off its rule: the rows and windows the shorter input
-        # claimed do not move, whichever path reads them
-        coeffs, _ = case
+    def test_an_extended_unit_claims_the_same_rows_and_windows(self, coeffs, tail, data):
+        # a two-term unit, an ODE member or the chain unit of e^t - 1 + t^2,
+        # which fits neither rule, extended past its order by random
+        # coefficients that push it off any rule it fits: the rows and
+        # windows the shorter input claimed do not move, whichever path
+        # reads them
         w, wide = len(coeffs), len(coeffs) + len(tail)
         f, longer = DeltaOperator(_unit_delta(coeffs)), DeltaOperator(_unit_delta(coeffs + tail))
         rows = generate_transfer(f, w).terms(w)
